@@ -2,10 +2,10 @@
 // tables and breakdown printers. Each bench binary regenerates one table or
 // figure of the paper in text form.
 //
-// Sweeps go through sweepCells(): identical to cfg::sweepSystems normally,
-// but when LKTM_SWEEP_DIR is set each bench's grid runs under the manifest
-// orchestrator — per-job artifacts and a resumable manifest land in that
-// directory, so a killed figure run continues where it stopped.
+// Every grid runs through sweepCells() as a manifest under cfg::runManifest.
+// Normally the manifest lives in memory; when LKTM_SWEEP_DIR is set it is
+// checkpointed in that directory with per-job artifacts next to it, so a
+// killed figure run continues where it stopped.
 #pragma once
 
 #include <cmath>
@@ -36,73 +36,54 @@ inline std::vector<cfg::SystemSpec> systemsByName(const std::vector<std::string>
   return out;
 }
 
-/// Run one figure grid. Without LKTM_SWEEP_DIR this is exactly
-/// cfg::sweepSystems; with it, the grid becomes a manifest named after the
-/// grid's contents (machine + FNV of the cell list) inside that directory and
-/// runs resumably. The runner captures the caller's actual MachineParams /
-/// SystemSpec objects — the manifest stores names purely as identity — so a
-/// bench that tweaks params is still simulated faithfully.
+/// Run one figure grid on the caller's own MachineParams / SystemSpec objects
+/// (cfg::gridRunner). With LKTM_SWEEP_DIR set, the manifest is named after
+/// the grid's contents (machine + FNV of the cell list) inside that directory
+/// and runs resumably.
 inline std::vector<cfg::RunResult> sweepCells(const cfg::MachineParams& machine,
                                               const std::vector<cfg::SystemSpec>& systems,
                                               const std::vector<std::string>& workloads,
                                               const std::vector<unsigned>& threads,
                                               unsigned hostThreads = 0) {
-  const char* dir = std::getenv("LKTM_SWEEP_DIR");
-  if (dir == nullptr || *dir == '\0') {
-    return cfg::sweepSystems(machine, systems, workloads, threads, hostThreads);
-  }
-
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 0x100000001b3ull;
-    }
-    h ^= 0xff;
-    h *= 0x100000001b3ull;
-  };
-  mix(machine.name);
   std::vector<std::string> systemNames;
-  for (const auto& s : systems) {
-    systemNames.push_back(s.name);
-    mix(s.name);
-  }
-  for (const auto& w : workloads) mix(w);
-  for (const unsigned t : threads) mix(std::to_string(t));
-
-  char hex[24];
-  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-  const std::string base = std::string(dir) + "/" + machine.name + "-" + hex;
-  const std::string manifestPath = base + ".manifest.json";
-
-  cfg::SweepManifest m;
-  try {
-    m = cfg::SweepManifest::load(manifestPath);
-  } catch (const std::exception&) {
-    m = cfg::makeManifest(base + ".d", machine.name, systemNames, workloads, threads);
-  }
-
+  for (const auto& s : systems) systemNames.push_back(s.name);
   cfg::OrchestratorOptions opts;
   opts.hostThreads = hostThreads;
-  opts.progress = &std::cerr;
-  auto runner = [&](const cfg::JobSpec& spec, const cfg::OrchestratorOptions& o,
-                    sim::SimContext& ctx) {
-    cfg::RunConfig rc;
-    rc.machine = machine;
-    if (o.jobCycleBudget > 0) rc.machine.maxCycles = o.jobCycleBudget;
-    for (const auto& s : systems) {
-      if (s.name == spec.system) rc.system = s;
+  std::string manifestPath;
+  cfg::SweepManifest m;
+
+  const char* dir = std::getenv("LKTM_SWEEP_DIR");
+  if (dir == nullptr || *dir == '\0') {
+    m = cfg::makeManifest("", machine.name, systemNames, workloads, threads);
+  } else {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const std::string& s) {
+      for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ull;
+      }
+      h ^= 0xff;
+      h *= 0x100000001b3ull;
+    };
+    mix(machine.name);
+    for (const auto& s : systemNames) mix(s);
+    for (const auto& w : workloads) mix(w);
+    for (const unsigned t : threads) mix(std::to_string(t));
+
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+    const std::string base = std::string(dir) + "/" + machine.name + "-" + hex;
+    manifestPath = base + ".manifest.json";
+    try {
+      m = cfg::SweepManifest::load(manifestPath);
+    } catch (const std::exception&) {
+      m = cfg::makeManifest(base + ".d", machine.name, systemNames, workloads, threads);
     }
-    rc.threads = spec.threads;
-    rc.rngSeed = cfg::jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-    rc.wallBudgetSeconds = o.jobWallBudgetSeconds;
-    cfg::RunResult r = cfg::runSimulation(
-        rc, [&] { return cfg::makeJobWorkload(spec.workload, spec.seed); }, &ctx);
-    r.workload = spec.workload;
-    return r;
-  };
+    opts.progress = &std::cerr;
+  }
+
   std::vector<cfg::RunResult> results;
-  cfg::runManifest(m, manifestPath, opts, runner, &results);
+  cfg::runManifest(m, manifestPath, opts, cfg::gridRunner(machine, systems), &results);
   return results;
 }
 

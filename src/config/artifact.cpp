@@ -1,5 +1,8 @@
 #include "config/artifact.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -72,7 +75,6 @@ void writeRun(stats::json::Writer& w, const RunResult& r) {
   w.field("cycles", r.cycles);
   w.field("ok", r.ok());
   w.field("status", toString(r.status));
-  w.field("hang", r.hang());
   w.field("diagnostic", r.diagnostic);
   w.field("wall_seconds", r.wallSeconds);
   w.key("violations");
@@ -128,30 +130,48 @@ void writeStatsJson(std::ostream& os, const RunResult& run) {
   writeStatsJson(os, std::vector<const RunResult*>{&run});
 }
 
-bool writeStatsJsonFile(const std::string& path, const RunResult& run) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "error: cannot open " << path << " for writing\n";
-    return false;
+bool writeFileAtomic(const std::string& path, const std::string& content,
+                     const std::string& writer) {
+  namespace fs = std::filesystem;
+  static std::atomic<std::uint64_t> seq{0};
+  const fs::path target(path);
+  // Dot-prefixed, so directory scans (the claim spool's included) skip it.
+  std::string name = "." + target.filename().string() + ".tmp.";
+  if (!writer.empty()) name += writer + ".";
+  name += std::to_string(::getpid()) + "." + std::to_string(seq.fetch_add(1));
+  const fs::path tmp = target.parent_path() / name;
+  bool written = false;
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (out) {
+      out << content;
+      out.flush();
+      written = static_cast<bool>(out);
+    }
   }
-  writeStatsJson(out, run);
-  return static_cast<bool>(out);
+  std::error_code ec;
+  if (written) {
+    fs::rename(tmp, target, ec);
+    if (!ec) return true;
+  }
+  std::cerr << "error: cannot write " << path
+            << (ec ? ": " + ec.message() : std::string()) << "\n";
+  fs::remove(tmp, ec);
+  return false;
 }
 
-bool writeStatsJsonFileAtomic(const std::string& path, const RunResult& run,
-                              const std::string& tmpSuffix) {
-  const std::string tmp = path + tmpSuffix;
-  if (!writeStatsJsonFile(tmp, run)) return false;
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::cerr << "error: cannot rename " << tmp << " -> " << path << ": "
-              << ec.message() << "\n";
-    std::error_code ec2;
-    std::filesystem::remove(tmp, ec2);
-    return false;
-  }
-  return true;
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+bool writeStatsJsonFile(const std::string& path, const RunResult& run) {
+  std::ostringstream os;
+  writeStatsJson(os, run);
+  return writeFileAtomic(path, os.str());
 }
 
 void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os) {
@@ -286,11 +306,7 @@ RunResult runResultFromJson(const Value& run) {
 }
 
 RunResult loadStatsArtifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open stats artifact: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const Value doc = stats::json::parse(ss.str());
+  const Value doc = stats::json::parse(readFile(path));
   const Value* schema = doc.find("schema");
   if (schema == nullptr || schema->text != kStatsSchema) {
     malformed(path + ": not a " + std::string(kStatsSchema) + " document");

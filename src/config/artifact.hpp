@@ -8,7 +8,6 @@
 //       "system": ..., "workload": ..., "machine": ..., "threads": N,
 //       "seed": N, "cycles": N, "ok": bool,
 //       "status": "ok" | "failed" | "hang" | "timeout",
-//       "hang": bool,                  // status == "hang" (legacy consumers)
 //       "diagnostic": "...",           // failure detail, "" when ok
 //       "wall_seconds": f,
 //       "violations": [ ... ],
@@ -52,16 +51,23 @@ void writeSnapshotJson(stats::json::Writer& w, const stats::StatSnapshot& snap);
 void writeStatsJson(std::ostream& os, const std::vector<const RunResult*>& runs);
 void writeStatsJson(std::ostream& os, const RunResult& run);
 
-/// Write the artifact to `path`; returns false (with a message on stderr)
-/// when the file cannot be opened.
-bool writeStatsJsonFile(const std::string& path, const RunResult& run);
+/// The one file writer behind every artifact, manifest checkpoint and claim
+/// spool record: write `content` to a hidden tmp file next to `path` whose
+/// name is unique per call (writer id + pid + counter), then rename it over
+/// `path`. Readers never see a torn file, and concurrent writers (threads,
+/// processes, hosts on a shared mount) resolve to the last rename. Returns
+/// false (with a message on stderr) on failure, leaving neither `path` nor
+/// the tmp file behind.
+bool writeFileAtomic(const std::string& path, const std::string& content,
+                     const std::string& writer = "");
 
-/// Atomic variant: write `path + tmpSuffix`, then rename over `path`.
-/// Concurrent writers (distributed sweep workers double-executing a job
-/// after a spurious reclaim) must each use a distinct suffix; readers then
-/// never see a torn file and the last rename wins with identical bytes.
-bool writeStatsJsonFileAtomic(const std::string& path, const RunResult& run,
-                              const std::string& tmpSuffix);
+/// The whole content of `path`. Throws std::runtime_error when the file
+/// cannot be read.
+std::string readFile(const std::string& path);
+
+/// Write the artifact to `path` atomically (writeFileAtomic); returns false
+/// (with a message on stderr) when it cannot be written.
+bool writeStatsJsonFile(const std::string& path, const RunResult& run);
 
 /// Reduce a parsed lktm.stats.v1 document to its lktm.summary.v1 companion:
 /// per run, the identity/scale fields and the "derived" block, re-emitted

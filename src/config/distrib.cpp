@@ -4,12 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -26,52 +23,10 @@ namespace {
 namespace fs = std::filesystem;
 using stats::json::Value;
 
-std::string readFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 double unixNow() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-/// Unique-per-call tmp name inside `dir`: worker id + pid + counter, so
-/// concurrent writers (threads, processes, hosts on a shared mount) never
-/// collide before their rename.
-std::string tmpName(const std::string& dir, const std::string& worker) {
-  static std::atomic<std::uint64_t> seq{0};
-  return dir + "/.tmp." + worker + "." + std::to_string(::getpid()) + "." +
-         std::to_string(seq.fetch_add(1));
-}
-
-/// Atomic publish: write a unique tmp file, rename over the target. Readers
-/// never observe a torn file; concurrent writers resolve to the last rename.
-bool atomicWrite(const std::string& path, const std::string& content,
-                 const std::string& worker) {
-  const std::string tmp = tmpName(fs::path(path).parent_path().string(), worker);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << content;
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code ec2;
-    fs::remove(tmp, ec2);
-    return false;
-  }
-  return true;
 }
 
 /// Exclusive create (seeding only): O_CREAT|O_EXCL so exactly one of any
@@ -118,16 +73,47 @@ std::string doneJson(const DoneRecord& d) {
   return os.str();
 }
 
-/// Tolerant parse: spool files can legitimately be mid-transition tokens
+DoneRecord doneRecordOf(const JobRecord& j, const std::string& worker) {
+  return DoneRecord{.file = jobFileStem(j.spec),
+                    .id = j.spec.id(),
+                    .state = j.state,
+                    .attempts = j.attempts,
+                    .diagnostic = j.diagnostic,
+                    .artifact = j.artifact,
+                    .wallSeconds = j.wallSeconds,
+                    .cycles = j.cycles,
+                    .worker = worker};
+}
+
+/// Tolerant read: spool files can legitimately be mid-transition tokens
 /// ({"id","attempts"} without an owner) or, worst case, unreadable — every
 /// field falls back to a safe default rather than throwing inside a scan.
-Value parseOrNull(const std::string& text) {
-  if (text.empty()) return {};
+Value readSpoolFile(const fs::path& path) {
   try {
-    return stats::json::parse(text);
+    return stats::json::parse(readFile(path.string()));
   } catch (const std::exception&) {
     return {};
   }
+}
+
+std::string textOr(const Value& v, const char* key) {
+  const Value* f = v.find(key);
+  return f != nullptr && f->isString() ? f->text : "";
+}
+
+std::uint64_t u64Or(const Value& v, const char* key) {
+  const Value* f = v.find(key);
+  return f != nullptr ? stats::json::asU64(*f) : 0;
+}
+
+double numberOr(const Value& v, const char* key) {
+  const Value* f = v.find(key);
+  return f != nullptr && f->isNumber() ? f->number : 0.0;
+}
+
+ClaimRecord claimRecordOf(const std::string& file, const Value& v) {
+  return ClaimRecord{file, textOr(v, "id"), textOr(v, "worker"),
+                     static_cast<unsigned>(u64Or(v, "attempts"))};
 }
 
 std::vector<std::string> listDirSorted(const std::string& dir) {
@@ -187,16 +173,8 @@ std::size_t ClaimStore::seed(const SweepManifest& manifest) const {
                                  j.state == JobState::Hang ||
                                  j.state == JobState::Timeout;
     if (okWithArtifact || terminalFailure) {
-      DoneRecord d;
-      d.file = f;
-      d.id = j.spec.id();
-      d.state = j.state;
-      d.attempts = j.attempts;
-      d.diagnostic = j.diagnostic;
-      d.artifact = okWithArtifact ? j.artifact : "";
-      d.wallSeconds = j.wallSeconds;
-      d.cycles = j.cycles;
-      d.worker = workerId_;
+      DoneRecord d = doneRecordOf(j, workerId_);
+      if (!okWithArtifact) d.artifact.clear();
       created += exclusiveCreate((fs::path(root_) / "done" / f).string(),
                                  doneJson(d))
                      ? 1
@@ -219,27 +197,20 @@ bool ClaimStore::take(const std::string& file, ClaimRecord& out) const {
   std::error_code ec;
   fs::rename(from, to, ec);
   if (ec) return false;  // lost the race (or the token was already gone)
-  const Value v = parseOrNull(readFileOrEmpty(to));
-  out.file = file;
-  const Value* id = v.find("id");
-  out.id = id != nullptr && id->isString() ? id->text : "";
-  const Value* attempts = v.find("attempts");
-  out.attempts = attempts != nullptr
-                     ? static_cast<unsigned>(stats::json::asU64(*attempts))
-                     : 0;
+  out = claimRecordOf(file, readSpoolFile(to));
   out.worker = workerId_;
   publishClaim(out);
   return true;
 }
 
 void ClaimStore::publishClaim(const ClaimRecord& c) const {
-  atomicWrite((fs::path(root_) / "claimed" / c.file).string(),
-              claimJson(c.id, c.worker, c.attempts), workerId_);
+  writeFileAtomic((fs::path(root_) / "claimed" / c.file).string(),
+                  claimJson(c.id, c.worker, c.attempts), workerId_);
 }
 
 bool ClaimStore::markDone(const DoneRecord& d) const {
-  if (!atomicWrite((fs::path(root_) / "done" / d.file).string(), doneJson(d),
-                   workerId_)) {
+  if (!writeFileAtomic((fs::path(root_) / "done" / d.file).string(), doneJson(d),
+                       workerId_)) {
     return false;
   }
   std::error_code ec;
@@ -268,8 +239,8 @@ void ClaimStore::writeHeartbeat(std::uint64_t seq) const {
   w.field("seq", seq);
   w.field("unix_seconds", unixNow());
   w.endObject();
-  atomicWrite((fs::path(root_) / "hb" / workerId_).string(), os.str(),
-              workerId_);
+  writeFileAtomic((fs::path(root_) / "hb" / workerId_).string(), os.str(),
+                  workerId_);
 }
 
 std::vector<std::string> ClaimStore::listTodo() const {
@@ -280,50 +251,24 @@ std::vector<ClaimRecord> ClaimStore::listClaimed() const {
   std::vector<ClaimRecord> out;
   for (const std::string& f :
        listDirSorted((fs::path(root_) / "claimed").string())) {
-    const Value v =
-        parseOrNull(readFileOrEmpty((fs::path(root_) / "claimed" / f).string()));
-    ClaimRecord c;
-    c.file = f;
-    const Value* id = v.find("id");
-    c.id = id != nullptr && id->isString() ? id->text : "";
-    const Value* worker = v.find("worker");
-    c.worker = worker != nullptr && worker->isString() ? worker->text : "";
-    const Value* attempts = v.find("attempts");
-    c.attempts = attempts != nullptr
-                     ? static_cast<unsigned>(stats::json::asU64(*attempts))
-                     : 0;
-    out.push_back(std::move(c));
+    out.push_back(claimRecordOf(f, readSpoolFile(fs::path(root_) / "claimed" / f)));
   }
   return out;
 }
 
 bool ClaimStore::readDone(const std::string& file, DoneRecord& out) const {
-  const std::string text =
-      readFileOrEmpty((fs::path(root_) / "done" / file).string());
-  const Value v = parseOrNull(text);
-  if (!v.isObject()) return false;
-  out.file = file;
-  const Value* id = v.find("id");
-  out.id = id != nullptr && id->isString() ? id->text : "";
-  const Value* state = v.find("state");
-  if (state == nullptr || !state->isString() ||
-      !jobStateFromString(state->text, out.state)) {
+  const Value v = readSpoolFile(fs::path(root_) / "done" / file);
+  if (!v.isObject() || !jobStateFromString(textOr(v, "state"), out.state)) {
     return false;
   }
-  const Value* attempts = v.find("attempts");
-  out.attempts = attempts != nullptr
-                     ? static_cast<unsigned>(stats::json::asU64(*attempts))
-                     : 0;
-  const Value* diag = v.find("diagnostic");
-  out.diagnostic = diag != nullptr && diag->isString() ? diag->text : "";
-  const Value* artifact = v.find("artifact");
-  out.artifact = artifact != nullptr && artifact->isString() ? artifact->text : "";
-  const Value* wall = v.find("wall_seconds");
-  out.wallSeconds = wall != nullptr && wall->isNumber() ? wall->number : 0.0;
-  const Value* cycles = v.find("cycles");
-  out.cycles = cycles != nullptr ? stats::json::asU64(*cycles) : 0;
-  const Value* worker = v.find("worker");
-  out.worker = worker != nullptr && worker->isString() ? worker->text : "";
+  out.file = file;
+  out.id = textOr(v, "id");
+  out.attempts = static_cast<unsigned>(u64Or(v, "attempts"));
+  out.diagnostic = textOr(v, "diagnostic");
+  out.artifact = textOr(v, "artifact");
+  out.wallSeconds = numberOr(v, "wall_seconds");
+  out.cycles = u64Or(v, "cycles");
+  out.worker = textOr(v, "worker");
   return true;
 }
 
@@ -339,15 +284,8 @@ std::vector<DoneRecord> ClaimStore::listDone() const {
 std::vector<HeartbeatRecord> ClaimStore::listHeartbeats() const {
   std::vector<HeartbeatRecord> out;
   for (const std::string& f : listDirSorted((fs::path(root_) / "hb").string())) {
-    const Value v =
-        parseOrNull(readFileOrEmpty((fs::path(root_) / "hb" / f).string()));
-    HeartbeatRecord h;
-    h.worker = f;
-    const Value* seq = v.find("seq");
-    h.seq = seq != nullptr ? stats::json::asU64(*seq) : 0;
-    const Value* unix = v.find("unix_seconds");
-    h.unixSeconds = unix != nullptr && unix->isNumber() ? unix->number : 0.0;
-    out.push_back(std::move(h));
+    const Value v = readSpoolFile(fs::path(root_) / "hb" / f);
+    out.push_back(HeartbeatRecord{f, u64Or(v, "seq"), numberOr(v, "unix_seconds")});
   }
   return out;
 }
@@ -404,14 +342,6 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
   if (wopts.claimDir.empty()) {
     throw std::invalid_argument("runWorker: claim directory must not be empty");
   }
-  const JobRunner run = runner ? runner : JobRunner(&runSpec);
-  OrchestratorReport report;
-
-  if (!manifest.artifactDir.empty()) {
-    std::error_code ec;
-    fs::create_directories(manifest.artifactDir, ec);
-  }
-
   const ClaimStore store(wopts.claimDir, wopts.workerId);
   store.init();
   store.seed(manifest);
@@ -467,12 +397,6 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
   };
   std::map<std::string, Watch> watched;
 
-  std::mutex mu;  // guards manifest records, report, watched, progress
-  std::size_t started = 0;
-  std::size_t doneThisRun = 0;
-  std::vector<unsigned> inheritedAttempts(manifest.jobs.size(), 0);
-  const auto t0 = std::chrono::steady_clock::now();
-
   auto heartbeatFingerprint = [&](const ClaimRecord& c) -> std::string {
     if (c.worker.empty()) {
       return "unowned#" + c.id + "#" + std::to_string(c.attempts);
@@ -485,153 +409,71 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
     return c.worker + "#missing";
   };
 
-  auto claimNext = [&]() -> std::ptrdiff_t {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
-        const std::vector<std::string> todoList = store.listTodo();
-        for (const std::size_t i : order) {
-          if (std::find(todoList.begin(), todoList.end(), stems[i]) ==
-              todoList.end()) {
-            continue;
-          }
-          if (store.doneExists(stems[i])) {
-            // Leftover token from a spurious reclaim that raced a finish;
-            // the result exists, never run it again.
-            store.discardTodo(stems[i]);
-            continue;
-          }
-          ClaimRecord c;
-          if (store.take(stems[i], c)) {
-            watched.erase(stems[i]);
-            inheritedAttempts[i] = c.attempts;
-            ++started;
-            return static_cast<std::ptrdiff_t>(i);
-          }
+  // The spool claim source; the executor calls every hook under its lock.
+  detail::ClaimSource source;
+  source.capacity = manifest.jobs.size();
+  source.writer = wopts.workerId;
+  source.pollSeconds = std::max(0.01, wopts.pollSeconds);
+  source.claim = [&]() -> std::ptrdiff_t {
+    const std::vector<std::string> todoList = store.listTodo();
+    for (const std::size_t i : order) {
+      if (std::find(todoList.begin(), todoList.end(), stems[i]) == todoList.end()) {
+        continue;
+      }
+      if (store.doneExists(stems[i])) {
+        // Leftover token from a spurious reclaim that raced a finish; the
+        // result exists, never run it again.
+        store.discardTodo(stems[i]);
+        continue;
+      }
+      ClaimRecord c;
+      if (store.take(stems[i], c)) {
+        watched.erase(stems[i]);
+        manifest.jobs[i].attempts = c.attempts;  // the inherited retry budget
+        return static_cast<std::ptrdiff_t>(i);
+      }
+    }
+    // Nothing takeable: look for claims whose owner stopped heartbeating. A
+    // reclaimed job is back in todo/ and gets taken on the next poll.
+    const auto now = std::chrono::steady_clock::now();
+    for (const ClaimRecord& c : store.listClaimed()) {
+      if (c.worker == wopts.workerId) continue;  // our own pool threads
+      if (store.doneExists(c.file)) {
+        store.reclaim(c.file);  // drops the stale claim, done/ wins
+        continue;
+      }
+      const std::string fp = heartbeatFingerprint(c);
+      const auto it = watched.find(c.file);
+      if (it == watched.end() || it->second.fingerprint != fp) {
+        watched[c.file] = Watch{fp, now};
+        continue;
+      }
+      const double frozen =
+          std::chrono::duration<double>(now - it->second.since).count();
+      if (frozen >= wopts.leaseSeconds) {
+        if (store.reclaim(c.file) && opts.progress != nullptr) {
+          *opts.progress << "reclaimed " << c.id << " from dead worker \""
+                         << c.worker << "\" (heartbeat frozen "
+                         << static_cast<long>(frozen) << "s)\n";
         }
-        // Nothing takeable: look for claims whose owner stopped heartbeating.
-        const auto now = std::chrono::steady_clock::now();
-        bool reclaimed = false;
-        for (const ClaimRecord& c : store.listClaimed()) {
-          if (c.worker == wopts.workerId) continue;  // our own pool threads
-          if (store.doneExists(c.file)) {
-            store.reclaim(c.file);  // drops the stale claim, done/ wins
-            continue;
-          }
-          const std::string fp = heartbeatFingerprint(c);
-          const auto it = watched.find(c.file);
-          if (it == watched.end() || it->second.fingerprint != fp) {
-            watched[c.file] = Watch{fp, now};
-            continue;
-          }
-          const double frozen =
-              std::chrono::duration<double>(now - it->second.since).count();
-          if (frozen >= wopts.leaseSeconds) {
-            if (store.reclaim(c.file)) {
-              reclaimed = true;
-              if (opts.progress != nullptr) {
-                *opts.progress << "reclaimed " << c.id << " from dead worker \""
-                               << c.worker << "\" (heartbeat frozen "
-                               << static_cast<long>(frozen) << "s)\n";
-              }
-            }
-            watched.erase(c.file);
-          }
-        }
-        if (reclaimed) continue;
-        if (store.doneCount() >= manifest.jobs.size()) return -1;
+        watched.erase(c.file);
       }
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(std::max(0.01, wopts.pollSeconds)));
     }
+    return store.doneCount() >= manifest.jobs.size() ? detail::kNoMoreJobs
+                                                     : detail::kPollAgain;
   };
-
-  auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
-    const JobSpec spec = manifest.jobs[i].spec;
-    unsigned attempts = inheritedAttempts[i];
-    auto beginAttempt = [&]() -> unsigned {
-      std::lock_guard<std::mutex> lock(mu);
-      ++attempts;
-      // Keep the published claim's attempt count current so a reclaim after
-      // OUR death hands the next owner the true remaining budget.
-      store.publishClaim(ClaimRecord{stems[i], spec.id(), wopts.workerId, attempts});
-      return attempts;
-    };
-    auto onRetry = [&](unsigned attempt, const RunResult& failed) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++report.retried;
-      if (opts.progress != nullptr) {
-        *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
-                       << "/" << std::max(1u, opts.maxAttempts)
-                       << "): " << failed.diagnostic << "\n";
-      }
-    };
-    RunResult r =
-        detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt, onRetry);
-
-    JobState state = jobStateOf(r);
-    std::string artifactPath;
-    if (state == JobState::Ok && !manifest.artifactDir.empty()) {
-      artifactPath =
-          (fs::path(manifest.artifactDir) / (stems[i] + ".json")).string();
-      if (!writeStatsJsonFileAtomic(artifactPath, r,
-                                    ".tmp-" + wopts.workerId)) {
-        state = JobState::Failed;
-        r.status = RunStatus::Failed;
-        r.diagnostic = "cannot write artifact " + artifactPath;
-        artifactPath.clear();
-      }
-    }
-
-    std::lock_guard<std::mutex> lock(mu);
-    JobRecord& j = manifest.jobs[i];
-    j.state = state;
-    j.attempts = attempts;
-    j.artifact = artifactPath;
-    j.wallSeconds = r.wallSeconds;
-    j.cycles = r.cycles;
-    j.diagnostic = state == JobState::Ok ? "" : r.diagnostic;
-    if (state == JobState::Failed && j.diagnostic.empty() && !r.violations.empty()) {
-      j.diagnostic = r.violations.front();
-    }
-    DoneRecord d;
-    d.file = stems[i];
-    d.id = spec.id();
-    d.state = state;
-    d.attempts = attempts;
-    d.diagnostic = j.diagnostic;
-    d.artifact = artifactPath;
-    d.wallSeconds = r.wallSeconds;
-    d.cycles = r.cycles;
-    d.worker = wopts.workerId;
-    store.markDone(d);
-    ++report.ran;
-    ++doneThisRun;
-    if (opts.progress != nullptr) {
-      const std::size_t doneGlobal = store.doneCount();
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      const std::size_t left =
-          manifest.jobs.size() > doneGlobal ? manifest.jobs.size() - doneGlobal : 0;
-      char etaStr[32];
-      if (doneThisRun > 0 && elapsed > 0.0) {
-        std::snprintf(etaStr, sizeof(etaStr), "%.0fs",
-                      elapsed / static_cast<double>(doneThisRun) *
-                          static_cast<double>(left));
-      } else {
-        std::snprintf(etaStr, sizeof(etaStr), "--");
-      }
-      char line[256];
-      std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
-                    doneGlobal, manifest.jobs.size(), spec.id().c_str(),
-                    toString(state), j.wallSeconds, etaStr);
-      *opts.progress << line;
-    }
+  // Keep the published claim's attempt count current so a reclaim after OUR
+  // death hands the next owner the true remaining budget.
+  source.attemptStarted = [&](std::size_t i) {
+    store.publishClaim(ClaimRecord{stems[i], manifest.jobs[i].spec.id(),
+                                   wopts.workerId, manifest.jobs[i].attempts});
   };
+  source.finished = [&](std::size_t i) {
+    store.markDone(doneRecordOf(manifest.jobs[i], wopts.workerId));
+  };
+  source.doneCount = [&] { return store.doneCount(); };
 
-  detail::runWorkerPool(opts.hostThreads, manifest.jobs.size(), claimNext, runOne);
+  OrchestratorReport report = detail::executeJobs(manifest, opts, runner, source, nullptr);
 
   {
     std::lock_guard<std::mutex> lock(hbMu);
@@ -643,13 +485,9 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
   // Fold the whole spool back so the caller's manifest reflects every
   // worker's results, not just ours.
   foldClaimState(manifest, wopts.claimDir);
-  for (const JobRecord& j : manifest.jobs) {
-    if (j.state == JobState::Ok) ++report.ok;
-    if (j.state == JobState::Failed || j.state == JobState::Hang ||
-        j.state == JobState::Timeout) {
-      ++report.failed;
-    }
-  }
+  report.ok = manifest.countIn(JobState::Ok);
+  report.failed = manifest.countIn(JobState::Failed) + manifest.countIn(JobState::Hang) +
+                  manifest.countIn(JobState::Timeout);
   report.skipped = manifest.jobs.size() - report.ran;
   return report;
 }

@@ -139,9 +139,6 @@ class ClaimStore {
   /// a spurious reclaim; the job must not run again).
   void discardTodo(const std::string& file) const;
 
-  const std::string& root() const { return root_; }
-  const std::string& workerId() const { return workerId_; }
-
  private:
   std::string root_;
   std::string workerId_;
@@ -164,9 +161,9 @@ struct WorkerOptions {
 };
 
 /// Execute `manifest` as one worker of a distributed sweep: seed the spool,
-/// pull claims (own shard first, then steal), run each job with the shared
-/// PR-5 retry/backoff rules, write per-job artifacts atomically, mark jobs
-/// done, heartbeat throughout, and reclaim jobs from dead workers. Returns
+/// pull claims (own shard first, then steal) and hand them to the same job
+/// executor runManifest uses (retries, atomic per-job artifacts, progress),
+/// mark jobs done, heartbeat throughout, and reclaim jobs from dead workers. Returns
 /// when every job has a done/ record (or opts.maxJobs claims were taken).
 /// The manifest is an in-memory view — distributed state lives in the spool;
 /// on return the manifest has been folded up to date (foldClaimState).

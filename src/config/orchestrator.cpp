@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -41,6 +40,37 @@ const Value& needField(const Value& obj, const char* key) {
   const Value* v = obj.find(key);
   if (v == nullptr) badManifest(std::string("missing \"") + key + "\"");
   return *v;
+}
+
+/// The Failed/Hang/Timeout result of a job that produced no run of its own
+/// (a crash, or a skipped job in a resumed manifest), keyed by the spec.
+RunResult unrunResult(const JobSpec& spec, RunStatus status, std::string diagnostic) {
+  RunResult r;
+  r.system = spec.system;
+  r.workload = spec.workload;
+  r.machine = spec.machine;
+  r.threads = spec.threads;
+  r.seed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
+  r.status = status;
+  r.diagnostic = std::move(diagnostic);
+  return r;
+}
+
+/// The one RunConfig builder behind runSpec and gridRunner.
+RunResult simulateJob(const JobSpec& spec, const OrchestratorOptions& opts,
+                      const MachineParams& machine, const SystemSpec& system,
+                      sim::SimContext& ctx) {
+  RunConfig cfg;
+  cfg.machine = machine;
+  if (opts.jobCycleBudget > 0) cfg.machine.maxCycles = opts.jobCycleBudget;
+  cfg.system = system;
+  cfg.threads = spec.threads;
+  cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
+  cfg.wallBudgetSeconds = opts.jobWallBudgetSeconds;
+  RunResult r = runSimulation(
+      cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
+  r.workload = spec.workload;
+  return r;
 }
 
 }  // namespace
@@ -127,19 +157,13 @@ bool SweepManifest::allOk() const {
 SweepManifest SweepManifest::fromJson(const std::string& text) {
   const Value doc = stats::json::parse(text);
   const Value* schema = doc.find("schema");
-  if (schema == nullptr ||
-      (schema->text != kManifestSchema && schema->text != kManifestSchemaV1)) {
-    badManifest(std::string("schema is not ") + kManifestSchema + " (or " +
-                kManifestSchemaV1 + ")");
+  if (schema == nullptr || schema->text != kManifestSchema) {
+    badManifest(std::string("schema is not ") + kManifestSchema);
   }
   SweepManifest m;
   m.artifactDir = needField(doc, "artifact_dir").text;
-  // v1 documents predate sharding; they load as a single shard and save back
-  // as v2.
-  if (const Value* shards = doc.find("shards"); shards != nullptr) {
-    m.shards = stats::json::asU64(*shards);
-    if (m.shards == 0) badManifest("shards must be >= 1");
-  }
+  m.shards = stats::json::asU64(needField(doc, "shards"));
+  if (m.shards == 0) badManifest("shards must be >= 1");
   const Value& jobs = needField(doc, "jobs");
   if (!jobs.isArray()) badManifest("jobs is not an array");
   std::vector<std::string> seen;
@@ -170,11 +194,7 @@ SweepManifest SweepManifest::fromJson(const std::string& text) {
 }
 
 SweepManifest SweepManifest::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open manifest: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return fromJson(ss.str());
+  return fromJson(readFile(path));
 }
 
 std::string SweepManifest::toJson() const {
@@ -208,27 +228,7 @@ std::string SweepManifest::toJson() const {
 }
 
 bool SweepManifest::save(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "error: cannot open " << tmp << " for writing\n";
-      return false;
-    }
-    out << toJson();
-    if (!out) {
-      std::cerr << "error: short write to " << tmp << "\n";
-      return false;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::cerr << "error: cannot rename " << tmp << " -> " << path << ": "
-              << ec.message() << "\n";
-    return false;
-  }
-  return true;
+  return writeFileAtomic(path, toJson());
 }
 
 std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
@@ -242,17 +242,18 @@ std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
 
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx) {
-  RunConfig cfg;
-  cfg.machine = machineByName(spec.machine);
-  if (opts.jobCycleBudget > 0) cfg.machine.maxCycles = opts.jobCycleBudget;
-  cfg.system = systemByName(spec.system);
-  cfg.threads = spec.threads;
-  cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-  cfg.wallBudgetSeconds = opts.jobWallBudgetSeconds;
-  RunResult r = runSimulation(
-      cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
-  r.workload = spec.workload;
-  return r;
+  return simulateJob(spec, opts, machineByName(spec.machine),
+                     systemByName(spec.system), ctx);
+}
+
+JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>& systems) {
+  return [machine, systems](const JobSpec& spec, const OrchestratorOptions& opts,
+                            sim::SimContext& ctx) {
+    for (const SystemSpec& s : systems) {
+      if (s.name == spec.system) return simulateJob(spec, opts, machine, s, ctx);
+    }
+    throw std::invalid_argument("system " + spec.system + " is not in the grid");
+  };
 }
 
 bool isTransientFailure(const RunResult& r) {
@@ -272,135 +273,88 @@ namespace detail {
 
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx) {
-  auto crashed = [&](std::string diagnostic) {
-    RunResult r;
-    r.system = spec.system;
-    r.workload = spec.workload;
-    r.machine = spec.machine;
-    r.threads = spec.threads;
-    r.seed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-    r.status = RunStatus::Failed;
-    r.diagnostic = std::move(diagnostic);
-    return r;
-  };
   try {
     return run(spec, opts, ctx);
   } catch (const TransientJobError& e) {
-    return crashed(std::string(kTransientPrefix) + e.what());
+    return unrunResult(spec, RunStatus::Failed, std::string(kTransientPrefix) + e.what());
   } catch (const std::exception& e) {
-    return crashed(std::string("exception: ") + e.what());
+    return unrunResult(spec, RunStatus::Failed, std::string("exception: ") + e.what());
   } catch (...) {
-    return crashed("non-standard exception (not derived from std::exception)");
+    return unrunResult(spec, RunStatus::Failed,
+                       "non-standard exception (not derived from std::exception)");
   }
 }
 
-RunResult runJobWithRetries(
-    const JobSpec& spec, const OrchestratorOptions& opts, const JobRunner& run,
-    sim::SimContext& ctx, const std::function<unsigned()>& beginAttempt,
-    const std::function<void(unsigned, const RunResult&)>& onRetry) {
-  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
-  for (;;) {
-    const unsigned attempt = beginAttempt();
-    RunResult r = attemptJobOnce(spec, opts, run, ctx);
-    if (jobStateOf(r) == JobState::Ok || !isTransientFailure(r) ||
-        attempt >= maxAttempts) {
-      return r;
-    }
-    if (onRetry) onRetry(attempt, r);
-    if (opts.retryBackoffSeconds > 0.0) {
-      // A claim-inherited attempt count can be large; clamp the doubling so
-      // the shift stays defined and the sleep finite.
-      const unsigned exp = std::min(attempt - 1, 20u);
-      const double backoff =
-          opts.retryBackoffSeconds * static_cast<double>(1u << exp);
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-    }
-  }
-}
-
-}  // namespace detail
-
-OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
-                               const OrchestratorOptions& opts, const JobRunner& runner,
+OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOptions& opts,
+                               const JobRunner& runner, const ClaimSource& source,
                                std::vector<RunResult>* results) {
   const JobRunner run = runner ? runner : JobRunner(&runSpec);
+  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
   OrchestratorReport report;
-
   if (!manifest.artifactDir.empty()) {
     std::error_code ec;
     fs::create_directories(manifest.artifactDir, ec);
   }
 
-  // Normalize stale state from a previous (possibly killed) invocation.
-  std::vector<std::size_t> runnable;
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    JobRecord& j = manifest.jobs[i];
-    if (j.state == JobState::Running) j.state = JobState::Pending;
-    if (j.state == JobState::Ok &&
-        (j.artifact.empty() || !fs::exists(fs::path(j.artifact)))) {
-      j.state = JobState::Pending;  // artifact lost; the result is gone with it
-      j.artifact.clear();
-    }
-    if (opts.rerunFailed &&
-        (j.state == JobState::Failed || j.state == JobState::Hang ||
-         j.state == JobState::Timeout)) {
-      j.state = JobState::Pending;
-      j.diagnostic.clear();
-    }
-    if (j.state == JobState::Pending) {
-      runnable.push_back(i);
-    } else {
-      ++report.skipped;
-    }
-  }
-
-  std::mutex mu;  // guards manifest, report, progress, checkpoint saves
-  std::vector<char> ranNow(manifest.jobs.size(), 0);
+  std::mutex mu;  // guards manifest, report, the source's state and progress
   std::size_t started = 0;
-  std::size_t claimCursor = 0;
-  std::size_t doneThisRun = 0;
   const auto t0 = WallClock::now();
 
-  auto checkpoint = [&] {
-    if (!manifestPath.empty()) manifest.save(manifestPath);
-  };
-
   auto claim = [&]() -> std::ptrdiff_t {
-    std::lock_guard<std::mutex> lock(mu);
-    if (claimCursor >= runnable.size()) return -1;
-    if (opts.maxJobs != 0 && started >= opts.maxJobs) return -1;
-    const std::size_t i = runnable[claimCursor++];
-    ++started;
-    manifest.jobs[i].state = JobState::Running;
-    checkpoint();
-    return static_cast<std::ptrdiff_t>(i);
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (opts.maxJobs != 0 && started >= opts.maxJobs) return kNoMoreJobs;
+        const std::ptrdiff_t i = source.claim();
+        if (i != kPollAgain) {
+          if (i >= 0) ++started;
+          return i;
+        }
+      }
+      std::this_thread::sleep_for(std::chrono::duration<double>(source.pollSeconds));
+    }
   };
-
-  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
 
   auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
     const JobSpec spec = manifest.jobs[i].spec;
-    auto beginAttempt = [&]() -> unsigned {
-      std::lock_guard<std::mutex> lock(mu);
-      return ++manifest.jobs[i].attempts;
-    };
-    auto onRetry = [&](unsigned attempt, const RunResult& failed) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++report.retried;
-      if (opts.progress != nullptr) {
-        *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
-                       << "/" << maxAttempts << "): " << failed.diagnostic << "\n";
+    RunResult r;
+    for (;;) {
+      unsigned attempt = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        attempt = ++manifest.jobs[i].attempts;
+        if (source.attemptStarted) source.attemptStarted(i);
       }
-    };
-    RunResult r = detail::runJobWithRetries(spec, opts, run, ctx, beginAttempt,
-                                            onRetry);
+      r = attemptJobOnce(spec, opts, run, ctx);
+      if (jobStateOf(r) == JobState::Ok || !isTransientFailure(r) ||
+          attempt >= maxAttempts) {
+        break;
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++report.retried;
+        if (opts.progress != nullptr) {
+          *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
+                         << "/" << maxAttempts << "): " << r.diagnostic << "\n";
+        }
+      }
+      if (opts.retryBackoffSeconds > 0.0) {
+        // A claim-inherited attempt count can be large; clamp the doubling so
+        // the shift stays defined and the sleep finite.
+        const unsigned exp = std::min(attempt - 1, 20u);
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            opts.retryBackoffSeconds * static_cast<double>(1u << exp)));
+      }
+    }
 
     JobState state = jobStateOf(r);
     std::string artifactPath;
     if (state == JobState::Ok && !manifest.artifactDir.empty()) {
       artifactPath =
           (fs::path(manifest.artifactDir) / (jobFileStem(spec) + ".json")).string();
-      if (!writeStatsJsonFile(artifactPath, r)) {
+      std::ostringstream doc;
+      writeStatsJson(doc, r);
+      if (!writeFileAtomic(artifactPath, doc.str(), source.writer)) {
         state = JobState::Failed;
         r.status = RunStatus::Failed;
         r.diagnostic = "cannot write artifact " + artifactPath;
@@ -419,77 +373,127 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
       j.diagnostic = r.violations.front();
     }
     if (results != nullptr) (*results)[i] = std::move(r);
-    ranNow[i] = 1;
     ++report.ran;
-    ++doneThisRun;
-    checkpoint();
+    source.finished(i);
     if (opts.progress != nullptr) {
-      const std::size_t terminalTotal = report.skipped + doneThisRun;
+      const std::size_t total = manifest.jobs.size();
+      const std::size_t done = source.doneCount();
+      std::size_t left = total > done ? total - done : 0;
+      if (opts.maxJobs != 0) left = std::min(left, opts.maxJobs - report.ran);
       const double elapsed =
           std::chrono::duration<double>(WallClock::now() - t0).count();
-      const std::size_t target =
-          opts.maxJobs != 0 ? std::min(runnable.size(), opts.maxJobs) : runnable.size();
-      const std::size_t left = target > doneThisRun ? target - doneThisRun : 0;
-      // No completed jobs or zero measured wall time means there is no rate
-      // to extrapolate from — print "--" rather than a bogus "eta 0s".
+      // Zero measured wall time means there is no rate to extrapolate from —
+      // print "--" rather than a bogus "eta 0s".
       char etaStr[32];
-      if (doneThisRun > 0 && elapsed > 0.0) {
+      if (elapsed > 0.0) {
         std::snprintf(etaStr, sizeof(etaStr), "%.0fs",
-                      elapsed / static_cast<double>(doneThisRun) *
+                      elapsed / static_cast<double>(report.ran) *
                           static_cast<double>(left));
       } else {
         std::snprintf(etaStr, sizeof(etaStr), "--");
       }
       char line[256];
-      std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n",
-                    terminalTotal, manifest.jobs.size(), spec.id().c_str(),
-                    toString(state), j.wallSeconds, etaStr);
+      std::snprintf(line, sizeof(line), "[%zu/%zu] %s: %s (%.1fs) eta %s\n", done,
+                    total, spec.id().c_str(), toString(state), j.wallSeconds, etaStr);
       *opts.progress << line;
     }
   };
+
+  runWorkerPool(opts.hostThreads, source.capacity, claim, runOne);
+  return report;
+}
+
+}  // namespace detail
+
+OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
+                               const OrchestratorOptions& opts, const JobRunner& runner,
+                               std::vector<RunResult>* results) {
+  // Normalize stale state from a previous (possibly killed) invocation.
+  std::vector<std::size_t> runnable;
+  std::size_t skipped = 0;
+  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
+    JobRecord& j = manifest.jobs[i];
+    if (j.state == JobState::Running) j.state = JobState::Pending;
+    if (j.state == JobState::Ok &&
+        (j.artifact.empty() || !fs::exists(fs::path(j.artifact)))) {
+      j.state = JobState::Pending;  // artifact lost; the result is gone with it
+      j.artifact.clear();
+    }
+    if (opts.rerunFailed &&
+        (j.state == JobState::Failed || j.state == JobState::Hang ||
+         j.state == JobState::Timeout)) {
+      j.state = JobState::Pending;
+      j.diagnostic.clear();
+    }
+    if (j.state == JobState::Pending) {
+      runnable.push_back(i);
+    } else {
+      ++skipped;
+    }
+  }
+
+  auto checkpoint = [&] {
+    if (!manifestPath.empty()) manifest.save(manifestPath);
+  };
+  // The in-process claim source: a cursor over the runnable jobs, with the
+  // manifest checkpointed on every claim and completion.
+  std::vector<char> ranNow(manifest.jobs.size(), 0);
+  std::size_t cursor = 0;
+  std::size_t finishedNow = 0;
+  detail::ClaimSource source;
+  source.capacity = runnable.size();
+  source.claim = [&]() -> std::ptrdiff_t {
+    if (cursor >= runnable.size()) return detail::kNoMoreJobs;
+    const std::size_t i = runnable[cursor++];
+    manifest.jobs[i].state = JobState::Running;
+    checkpoint();
+    return static_cast<std::ptrdiff_t>(i);
+  };
+  source.finished = [&](std::size_t i) {
+    ranNow[i] = 1;
+    ++finishedNow;
+    checkpoint();
+  };
+  source.doneCount = [&] { return skipped + finishedNow; };
 
   if (results != nullptr) {
     results->clear();
     results->resize(manifest.jobs.size());
   }
-
-  detail::runWorkerPool(opts.hostThreads, runnable.size(), claim, runOne);
+  OrchestratorReport report = detail::executeJobs(manifest, opts, runner, source, results);
+  report.skipped = skipped;
+  report.ok = manifest.countIn(JobState::Ok);
+  report.failed = manifest.countIn(JobState::Failed) + manifest.countIn(JobState::Hang) +
+                  manifest.countIn(JobState::Timeout);
 
   // Hand back the complete result set: skipped-Ok jobs reload from their
-  // artifacts so figure code sees a resumed sweep exactly like a fresh one.
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
+  // artifacts so figure code sees a resumed sweep exactly like a fresh one;
+  // every other job that did not run here gets a result that can never pass
+  // for a real run.
+  for (std::size_t i = 0; results != nullptr && i < manifest.jobs.size(); ++i) {
+    if (ranNow[i] != 0) continue;
     const JobRecord& j = manifest.jobs[i];
-    if (j.state == JobState::Ok) ++report.ok;
-    if (j.state == JobState::Failed || j.state == JobState::Hang ||
-        j.state == JobState::Timeout) {
-      ++report.failed;
+    RunStatus status = RunStatus::Failed;
+    std::string diagnostic = j.diagnostic;
+    switch (j.state) {
+      case JobState::Ok:
+        try {
+          (*results)[i] = loadStatsArtifact(j.artifact);
+          continue;
+        } catch (const std::exception& e) {
+          diagnostic = std::string("exception: ") + e.what();
+        }
+        break;
+      case JobState::Hang: status = RunStatus::Hang; break;
+      case JobState::Timeout: status = RunStatus::Timeout; break;
+      case JobState::Failed: break;
+      case JobState::Pending:
+      case JobState::Running:
+        // maxJobs interrupted the invocation before this job ran.
+        diagnostic = "job not run (interrupted invocation)";
+        break;
     }
-    if (results == nullptr || ranNow[i] != 0) continue;
-    RunResult& slot = (*results)[i];
-    if (j.state == JobState::Ok) {
-      try {
-        slot = loadStatsArtifact(j.artifact);
-        continue;
-      } catch (const std::exception& e) {
-        slot.diagnostic = std::string("exception: ") + e.what();
-        slot.status = RunStatus::Failed;
-      }
-    }
-    slot.system = j.spec.system;
-    slot.workload = j.spec.workload;
-    slot.machine = j.spec.machine;
-    slot.threads = j.spec.threads;
-    slot.seed = j.spec.seed;
-    if (j.state == JobState::Hang) slot.status = RunStatus::Hang;
-    if (j.state == JobState::Timeout) slot.status = RunStatus::Timeout;
-    if (j.state == JobState::Failed) slot.status = RunStatus::Failed;
-    if (j.state == JobState::Pending || j.state == JobState::Running) {
-      // maxJobs interrupted the invocation before this job ran; make sure the
-      // placeholder can never pass for a real result.
-      slot.status = RunStatus::Failed;
-      slot.diagnostic = "job not run (interrupted invocation)";
-    }
-    if (slot.diagnostic.empty()) slot.diagnostic = j.diagnostic;
+    (*results)[i] = unrunResult(j.spec, status, std::move(diagnostic));
   }
 
   checkpoint();
@@ -505,19 +509,11 @@ bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPa
   w.beginArray();
   for (const JobRecord& j : manifest.jobs) {
     if (j.state != JobState::Ok) continue;
-    std::ifstream in(j.artifact, std::ios::binary);
-    if (!in) {
-      std::cerr << "error: cannot open artifact " << j.artifact << " for "
-                << j.spec.id() << "\n";
-      return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
     Value doc;
     try {
-      doc = stats::json::parse(ss.str());
+      doc = stats::json::parse(readFile(j.artifact));
     } catch (const std::exception& e) {
-      std::cerr << "error: " << j.artifact << ": " << e.what() << "\n";
+      std::cerr << "error: artifact of " << j.spec.id() << ": " << e.what() << "\n";
       return false;
     }
     const Value* runs = doc.find("runs");
@@ -540,13 +536,7 @@ bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPa
   w.endArray();
   w.endObject();
 
-  std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "error: cannot open " << outPath << " for writing\n";
-    return false;
-  }
-  out << os.str();
-  return static_cast<bool>(out);
+  return writeFileAtomic(outPath, os.str());
 }
 
 SweepManifest makeManifest(const std::string& artifactDir, const std::string& machine,

@@ -1,11 +1,14 @@
-// Manifest-driven experiment orchestrator: the layer between the raw
-// worker-pool sweep (config/sweep.hpp) and the figure suite. A sweep is
-// described by a persistent manifest ("lktm.manifest.v1", written through the
-// same JSON layer as the stats artifacts) recording every job's spec, seed,
+// Manifest-driven experiment orchestrator: the one way a sweep runs. A sweep
+// is described by a manifest ("lktm.manifest.v2", written through the same
+// JSON layer as the stats artifacts) recording every job's spec, seed,
 // state, attempt count and artifact path. runManifest() executes the pending
-// jobs, checkpoints the manifest after every completion, and writes one
-// lktm.stats.v1 artifact per job — so a killed sweep resumes exactly where it
-// stopped, skipping completed jobs.
+// jobs in process, checkpoints the manifest after every completion, and
+// writes one lktm.stats.v1 artifact per job — so a killed sweep resumes
+// exactly where it stopped, skipping completed jobs. With an empty manifest
+// path and artifact directory it is a plain in-memory grid run, which is
+// what sweepSystems() and the figure benches use. The distributed worker
+// (config/distrib.hpp) shares the same per-job executor and differs only in
+// where it claims jobs from.
 //
 // Determinism contract (regression-tested): an interrupted-and-resumed sweep
 // produces a merged artifact bit-identical to an uninterrupted one, at any
@@ -17,7 +20,8 @@
 // timeouts and TransientJobError throws are *transient* — the orchestrator
 // retries them in place with exponential backoff up to maxAttempts. Cycle-
 // budget timeouts, hangs, violations and crashes are deterministic: retrying
-// would reproduce them, so they fail fast and stay recorded.
+// would reproduce them, so they fail fast and stay recorded. Every result,
+// failed or not, carries the job's jobRunSeed().
 #pragma once
 
 #include <cstdint>
@@ -31,11 +35,9 @@
 
 namespace lktm::cfg {
 
-/// Current manifest schema. v2 adds the top-level "shards" count backing the
-/// distributed worker-pull protocol (config/distrib.hpp); v1 documents load
-/// transparently with shards = 1.
+/// Manifest schema; the top-level "shards" count backs the distributed
+/// worker-pull protocol (config/distrib.hpp).
 inline constexpr const char* kManifestSchema = "lktm.manifest.v2";
-inline constexpr const char* kManifestSchemaV1 = "lktm.manifest.v1";
 
 /// Throw this from a job runner to mark the failure as transient (worth a
 /// bounded retry): host resource hiccups, injected flakiness in tests, …
@@ -110,8 +112,8 @@ struct SweepManifest {
   static SweepManifest fromJson(const std::string& text);
   static SweepManifest load(const std::string& path);
   std::string toJson() const;
-  /// Atomic save: write to `path + ".tmp"` then rename, so a kill mid-write
-  /// can never truncate the manifest a resume depends on.
+  /// Atomic save (writeFileAtomic), so a kill mid-write can never truncate
+  /// the manifest a resume depends on.
   bool save(const std::string& path) const;
 };
 
@@ -147,6 +149,12 @@ using JobRunner =
 /// from jobRunSeed(), budgets from opts.
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx);
+
+/// runSpec on the caller's own MachineParams / SystemSpec objects: the spec's
+/// machine and system names are identity only, so a grid that tweaks params
+/// is still simulated faithfully. A spec naming a system outside `systems`
+/// fails the job.
+JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>& systems);
 
 /// Workload factory shared with lktm_sim: STAMP analogs by name, plus the
 /// micro workloads "counter" / "bank" / "linkedlist".
@@ -203,16 +211,36 @@ namespace detail {
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx);
 
-/// The PR-5 retry contract, shared by the in-process orchestrator and the
-/// distributed worker: run until Ok, a deterministic failure, or the attempt
-/// count reaches opts.maxAttempts; transient failures back off exponentially
-/// between attempts. `beginAttempt` hands out the (cumulative, possibly
-/// claim-inherited) 1-based attempt number under the caller's lock;
-/// `onRetry(attempt, r)` fires before each extra attempt (may be null).
-RunResult runJobWithRetries(
-    const JobSpec& spec, const OrchestratorOptions& opts, const JobRunner& run,
-    sim::SimContext& ctx, const std::function<unsigned()>& beginAttempt,
-    const std::function<void(unsigned, const RunResult&)>& onRetry);
+/// claim() results besides a manifest index.
+inline constexpr std::ptrdiff_t kNoMoreJobs = -1;  ///< this pool thread stops
+inline constexpr std::ptrdiff_t kPollAgain = -2;   ///< nothing claimable yet
+
+/// Where the executor's jobs come from and where their completions go — the
+/// only part runManifest (in-memory cursor + manifest checkpoints) and
+/// runWorker (claim spool + heartbeats) do not share. Every hook runs under
+/// the executor's lock.
+struct ClaimSource {
+  std::size_t capacity = 0;  ///< upper bound on claims (sizes the pool)
+  std::string writer;        ///< writer id of the atomic artifact writes
+  double pollSeconds = 0.0;  ///< host sleep after a kPollAgain claim
+  /// Next manifest index to run, kNoMoreJobs or kPollAgain.
+  std::function<std::ptrdiff_t()> claim;
+  /// Job i's attempt count was just bumped (may be null).
+  std::function<void(std::size_t)> attemptStarted;
+  /// Job i's JobRecord holds its final state.
+  std::function<void(std::size_t)> finished;
+  /// Jobs finished so far, for the "[done/total]" progress line.
+  std::function<std::size_t()> doneCount;
+};
+
+/// The one job executor: a worker pool that claims jobs from `source` until
+/// opts.maxJobs, runs each with the retry contract (transient failures back
+/// off exponentially up to opts.maxAttempts), writes the Ok artifact, updates
+/// the JobRecord and prints the progress/ETA line. `results`, when non-null,
+/// must already hold one slot per manifest job. Fills report.ran/retried.
+OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOptions& opts,
+                               const JobRunner& runner, const ClaimSource& source,
+                               std::vector<RunResult>* results);
 
 }  // namespace detail
 

@@ -1,10 +1,8 @@
 #include "config/sweep.hpp"
 
-#include <atomic>
 #include <thread>
 
 #include "config/orchestrator.hpp"
-#include "workloads/workload.hpp"
 
 namespace lktm::cfg {
 
@@ -57,70 +55,19 @@ std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
   return h ^ (h >> 31);
 }
 
-std::vector<RunResult> runSweep(std::vector<SweepJob> jobs, unsigned hostThreads) {
-  std::vector<RunResult> results(jobs.size());
-  std::atomic<std::size_t> next{0};
-  auto claim = [&]() -> std::ptrdiff_t {
-    const std::size_t i = next.fetch_add(1);
-    return i < jobs.size() ? static_cast<std::ptrdiff_t>(i) : -1;
-  };
-  auto failedResult = [&](std::size_t i, std::string diagnostic) {
-    RunResult r;
-    r.system = jobs[i].system.empty() ? jobs[i].label : jobs[i].system;
-    r.workload = jobs[i].workload;
-    r.threads = jobs[i].threads;
-    r.seed = jobs[i].seed;
-    r.status = RunStatus::Failed;
-    r.diagnostic = std::move(diagnostic);
-    return r;
-  };
-  auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
-    try {
-      results[i] = jobs[i].run(ctx);
-    } catch (const std::exception& e) {
-      results[i] = failedResult(i, std::string("exception: ") + e.what());
-    } catch (...) {
-      // A non-std::exception throw used to escape the worker thread and
-      // std::terminate the whole sweep; capture it like any other crash.
-      results[i] = failedResult(
-          i, "non-standard exception (not derived from std::exception)");
-    }
-  };
-  detail::runWorkerPool(hostThreads, jobs.size(), claim, runOne);
-  return results;
-}
-
 std::vector<RunResult> sweepSystems(const MachineParams& machine,
                                     const std::vector<SystemSpec>& systems,
                                     const std::vector<std::string>& workloads,
                                     const std::vector<unsigned>& threads,
                                     unsigned hostThreads) {
-  std::vector<SweepJob> jobs;
-  for (const auto& w : workloads) {
-    for (const auto& s : systems) {
-      for (unsigned t : threads) {
-        const std::uint64_t seed = kDefaultSweepSeed;
-        jobs.push_back(SweepJob{
-            .label = s.name + "/" + w + "@" + std::to_string(t),
-            .system = s.name,
-            .workload = w,
-            .threads = t,
-            .seed = seed,
-            .run = [machine, s, w, t, seed](sim::SimContext& ctx) {
-              RunConfig cfg;
-              cfg.machine = machine;
-              cfg.system = s;
-              cfg.threads = t;
-              cfg.rngSeed = jobRunSeed(seed, s.name, w, t);
-              // Same name registry as the manifest orchestrator, so a bench
-              // grid and a sweep job agree on every workload family (STAMP,
-              // micro, database traffic).
-              return runSimulation(cfg, [&] { return makeJobWorkload(w, seed); }, &ctx);
-            }});
-      }
-    }
-  }
-  return runSweep(std::move(jobs), hostThreads);
+  std::vector<std::string> names;
+  for (const SystemSpec& s : systems) names.push_back(s.name);
+  SweepManifest m = makeManifest("", machine.name, names, workloads, threads);
+  OrchestratorOptions opts;
+  opts.hostThreads = hostThreads;
+  std::vector<RunResult> results;
+  runManifest(m, "", opts, gridRunner(machine, systems), &results);
+  return results;
 }
 
 const RunResult* findResult(const std::vector<RunResult>& results,

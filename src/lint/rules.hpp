@@ -21,10 +21,6 @@
 //                            state (std::hash<T*>, std::less<T*>,
 //                            reinterpret_cast to [u]intptr_t) — deterministic
 //                            zone
-//   no-retired-symbols       the ad-hoc counter structs PR 4 deleted
-//                            (TxCounters/ProtocolCounters/BreakdownSummary)
-//                            and their member chains (.tx.*, .protocol.<raw
-//                            field>) — both zones
 //   stat-path-literal        StatRegistry paths must be string literals or
 //                            built with stats::statPath(...) — both zones
 //   suppression-needs-reason a `lktm-lint: allow(...)` directive without a

@@ -30,11 +30,10 @@ class SimulationHang : public std::runtime_error {
 
 /// Thrown when a run exhausts an explicit budget — the simulated-cycle
 /// ceiling or a host wall-clock deadline — rather than losing forward
-/// progress. Subclasses SimulationHang so legacy catch sites keep working,
-/// but the sweep orchestrator records it as `timeout`, not `hang`.
-class SimulationTimeout : public SimulationHang {
+/// progress. The sweep orchestrator records it as `timeout`, not `hang`.
+class SimulationTimeout : public std::runtime_error {
  public:
-  explicit SimulationTimeout(const std::string& what) : SimulationHang(what) {}
+  explicit SimulationTimeout(const std::string& what) : std::runtime_error(what) {}
 };
 
 /// Nondeterminism seam for the protocol model checker (src/verify): when an

@@ -22,6 +22,10 @@ struct AluCase {
   std::uint64_t expect;
 };
 
+// Without this gtest prints the raw bytes, which include the name pointer and
+// padding, so the listed test names would change from one build to the next.
+void PrintTo(const AluCase& tc, std::ostream* os) { *os << tc.name; }
+
 class AluTest : public ::testing::TestWithParam<AluCase> {};
 
 TEST_P(AluTest, ComputesAndStores) {

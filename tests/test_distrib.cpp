@@ -2,16 +2,14 @@
 // rename-based claim spool (exactly-one-winner take, attempts travelling
 // through reclaim, done-beats-claimed), dead-worker reclamation via frozen
 // heartbeat fingerprints, claim-state folding precedence, manifest v2
-// round-trip with v1 read-compat — and the headline guarantee that a sweep
+// round-trip (v1 is rejected) — and the headline guarantee that a sweep
 // split across workers (one of them "killed") merges byte-identical to a
 // single-process run.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -30,14 +28,6 @@ std::string tempDir(const std::string& name) {
   fs::remove_all(p);
   fs::create_directories(p);
   return p.string();
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 /// Micro-workload grid: every job finishes in milliseconds, small enough to
@@ -247,23 +237,18 @@ TEST(Distrib, ManifestV2RoundTripsShards) {
   EXPECT_EQ(back.shards, 5u);
   EXPECT_EQ(back.jobs.size(), m.jobs.size());
   EXPECT_NE(m.toJson().find(kManifestSchema), std::string::npos);
-}
 
-TEST(Distrib, ManifestV1StillLoads) {
-  // A pre-shards document (schema v1, no "shards" field) must load with
-  // shards = 1 — old manifests keep working after the bump.
-  SweepManifest m = testManifest("art");
+  // The pre-shards lktm.manifest.v1 format is no longer read: such a
+  // document is malformed, with or without a "shards" field.
   std::string v1 = m.toJson();
   const auto schemaAt = v1.find(kManifestSchema);
   ASSERT_NE(schemaAt, std::string::npos);
-  v1.replace(schemaAt, std::string(kManifestSchema).size(), kManifestSchemaV1);
-  const auto shardsAt = v1.find("\"shards\": 1,\n");
+  v1.replace(schemaAt, std::string(kManifestSchema).size(), "lktm.manifest.v1");
+  EXPECT_THROW((void)SweepManifest::fromJson(v1), std::runtime_error);
+  const auto shardsAt = v1.find("\"shards\": 5,\n");
   ASSERT_NE(shardsAt, std::string::npos);
-  v1.erase(shardsAt, std::string("\"shards\": 1,\n").size());
-
-  const SweepManifest back = SweepManifest::fromJson(v1);
-  EXPECT_EQ(back.shards, 1u);
-  EXPECT_EQ(back.jobs.size(), m.jobs.size());
+  v1.erase(shardsAt, std::string("\"shards\": 5,\n").size());
+  EXPECT_THROW((void)SweepManifest::fromJson(v1), std::runtime_error);
 }
 
 // ------------------------------------------------------------- runWorker
@@ -305,7 +290,7 @@ TEST(Distrib, TwoWorkersMergeBitIdenticalToSingleProcess) {
   ASSERT_TRUE(merged.allOk());
   ASSERT_TRUE(writeMergedArtifact(merged, dmulti + "/merged.json"));
 
-  EXPECT_EQ(slurp(dsingle + "/merged.json"), slurp(dmulti + "/merged.json"));
+  EXPECT_EQ(readFile(dsingle + "/merged.json"), readFile(dmulti + "/merged.json"));
 
   // Both workers actually did something (shard preference spread the work).
   std::set<std::string> finishers;

@@ -300,7 +300,7 @@ TEST(Engine, CycleBudgetEnforced) {
     e.schedule(10, tick);
   };
   e.schedule(1, tick);
-  EXPECT_THROW(e.run(/*maxCycles=*/500), SimulationHang);
+  EXPECT_THROW(e.run(/*maxCycles=*/500), SimulationTimeout);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 // counts completes, keeps atomicity, keeps SWMR, and is bit-deterministic.
 #include <gtest/gtest.h>
 
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/sweep.hpp"
 #include "config/systems.hpp"
-#include "workloads/micro.hpp"
 #include "workloads/workload.hpp"
 
 namespace lktm::cfg {
@@ -109,38 +109,31 @@ TEST(Integration, ThreadScalingKeepsTotalWork) {
 }
 
 TEST(Integration, SweepRunnerPreservesOrderAndLabels) {
-  std::vector<SweepJob> jobs;
-  for (unsigned t : {2u, 4u}) {
-    jobs.push_back({.label = "job" + std::to_string(t),
-                    .system = "Baseline",
-                    .workload = "counter",
-                    .threads = t,
-                    .run = [t](sim::SimContext& ctx) {
-                      RunConfig rc;
-                      rc.system = systemByName("Baseline");
-                      rc.threads = t;
-                      return runSimulation(
-                          rc, [] { return wl::makeCounter(4, 2, 64); }, &ctx);
-                    }});
+  // Results follow the cross product (workload x system x threads) no matter
+  // which host thread finished first.
+  const auto results = sweepSystems(MachineParams::typical(),
+                                    {systemByName("Baseline"), systemByName("CGL")},
+                                    {"counter"}, {2u, 4u}, 2);
+  ASSERT_EQ(results.size(), 4u);
+  const std::vector<std::pair<std::string, unsigned>> want = {
+      {"Baseline", 2u}, {"Baseline", 4u}, {"CGL", 2u}, {"CGL", 4u}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(results[i].system, want[i].first) << i;
+    EXPECT_EQ(results[i].workload, "counter") << i;
+    EXPECT_EQ(results[i].threads, want[i].second) << i;
+    EXPECT_TRUE(results[i].ok()) << results[i].str();
   }
-  const auto results = runSweep(std::move(jobs), 2);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].threads, 2u);
-  EXPECT_EQ(results[1].threads, 4u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_TRUE(results[1].ok());
 }
 
 TEST(Integration, SweepCapturesExceptionsAsFailures) {
-  std::vector<SweepJob> jobs;
-  jobs.push_back({.label = "boom",
-                  .system = "SysX",
-                  .workload = "wlY",
-                  .threads = 4,
-                  .run = [](sim::SimContext&) -> RunResult {
-                    throw std::runtime_error("boom");
-                  }});
-  const auto results = runSweep(std::move(jobs), 1);
+  SweepManifest m;
+  m.jobs.resize(1);
+  m.jobs[0].spec = JobSpec{"SysX", "wlY", "typical", 4, kDefaultSweepSeed};
+  std::vector<RunResult> results;
+  runManifest(m, "", {},
+              [](const JobSpec&, const OrchestratorOptions&,
+                 sim::SimContext&) -> RunResult { throw std::runtime_error("boom"); },
+              &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].ok());
   EXPECT_NE(results[0].diagnostic.find("boom"), std::string::npos);
@@ -156,7 +149,7 @@ TEST(Integration, SweepCapturesExceptionsAsFailures) {
 }
 
 TEST(Integration, SweepHandlesEmptyJobList) {
-  const auto results = runSweep({}, 4);
+  const auto results = sweepSystems(MachineParams::typical(), {}, {}, {}, 4);
   EXPECT_TRUE(results.empty());
 }
 

@@ -537,10 +537,11 @@ TEST(StatsJson, ArtifactValidatesAgainstSchema) {
   ASSERT_EQ(runs->array->size(), 1u);
   const json::Value& run = runs->array->front();
   for (const char* k : {"system", "workload", "machine", "threads", "cycles",
-                        "ok", "hang", "wall_seconds", "violations", "derived",
+                        "ok", "status", "wall_seconds", "violations", "derived",
                         "stats"}) {
     EXPECT_NE(run.find(k), nullptr) << k;
   }
+  EXPECT_EQ(run.find("hang"), nullptr);  // "status" carries it
   EXPECT_EQ(run.find("system")->text, "LockillerTM");
   const json::Value* stats = run.find("stats");
   ASSERT_TRUE(stats->isArray());

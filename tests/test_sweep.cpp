@@ -1,13 +1,11 @@
-// The sweep path end to end: worker-pool exception capture, per-job
-// determinism across host-thread counts, the manifest orchestrator
-// (checkpoint/resume, retry classification, budgets) and the bit-identical
-// merged-artifact guarantee an interrupted sweep must keep.
+// The sweep path end to end: exception capture, per-job determinism across
+// host-thread counts, one seed meaning for every result, the manifest
+// orchestrator (checkpoint/resume, retry classification, budgets) and the
+// bit-identical merged-artifact guarantee an interrupted sweep must keep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "config/artifact.hpp"
 #include "config/orchestrator.hpp"
@@ -27,14 +25,6 @@ std::string tempDir(const std::string& name) {
   return p.string();
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
 /// The small real grid the orchestrator tests run: micro workloads so every
 /// job finishes in milliseconds.
 SweepManifest testManifest(const std::string& artifactDir) {
@@ -42,18 +32,28 @@ SweepManifest testManifest(const std::string& artifactDir) {
                       {"counter", "bank"}, {2}, kDefaultSweepSeed);
 }
 
-// ---------------------------------------------------------------- runSweep
+/// A one-job manifest whose runner always throws `thrown`.
+template <typename Thrown>
+std::vector<RunResult> runThrowingJob(const JobSpec& spec, Thrown thrown) {
+  SweepManifest m;
+  m.jobs.resize(1);
+  m.jobs[0].spec = spec;
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  std::vector<RunResult> results;
+  runManifest(m, "", opts,
+              [thrown](const JobSpec&, const OrchestratorOptions&,
+                       sim::SimContext&) -> RunResult { throw thrown; },
+              &results);
+  return results;
+}
+
+// ------------------------------------------------------------------- sweeps
 
 TEST(Sweep, NonStdExceptionIsCapturedAsFailure) {
   // A throw that is not derived from std::exception used to escape the
   // worker thread and std::terminate the whole process.
-  std::vector<SweepJob> jobs;
-  jobs.push_back({.label = "boom",
-                  .system = "S",
-                  .workload = "w",
-                  .threads = 2,
-                  .run = [](sim::SimContext&) -> RunResult { throw 42; }});
-  const auto results = runSweep(std::move(jobs), 1);
+  const auto results = runThrowingJob(JobSpec{"S", "w", "typical", 2, 11}, 42);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, RunStatus::Failed);
   EXPECT_NE(results[0].diagnostic.find("non-standard exception"), std::string::npos);
@@ -61,18 +61,51 @@ TEST(Sweep, NonStdExceptionIsCapturedAsFailure) {
 }
 
 TEST(Sweep, JobSeedTravelsIntoFailedResults) {
-  std::vector<SweepJob> jobs;
-  jobs.push_back({.label = "boom",
-                  .system = "S",
-                  .workload = "w",
-                  .threads = 2,
-                  .seed = 0x9e3779b97f4a7c15ull,
-                  .run = [](sim::SimContext&) -> RunResult {
-                    throw std::runtime_error("x");
-                  }});
-  const auto results = runSweep(std::move(jobs), 1);
+  // A failed job carries the seed its run used — jobRunSeed of its
+  // coordinates, the same as a successful one — so failure artifacts stay
+  // reproducible.
+  const JobSpec spec{"S", "w", "typical", 2, 0x9e3779b97f4a7c15ull};
+  const auto results = runThrowingJob(spec, std::runtime_error("x"));
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].seed, 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(results[0].status, RunStatus::Failed);
+  EXPECT_EQ(results[0].seed, jobRunSeed(0x9e3779b97f4a7c15ull, "S", "w", 2));
+}
+
+TEST(Sweep, ResumedResultsAllCarryJobRunSeed) {
+  // Results that never ran in this invocation — a Failed job skipped on
+  // resume, jobs left Pending by maxJobs — carry jobRunSeed too, exactly
+  // like the job that did run.
+  const std::string dir = tempDir("resume_seeds");
+  const std::string path = dir + "/sweep.json";
+  SweepManifest planned = testManifest(dir + "/runs");
+  planned.jobs[0].state = JobState::Failed;
+  planned.jobs[0].diagnostic = "exception: earlier crash";
+  ASSERT_TRUE(planned.save(path));
+
+  SweepManifest m = SweepManifest::load(path);
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  opts.maxJobs = 1;
+  std::vector<RunResult> results;
+  const OrchestratorReport rep = runManifest(m, path, opts, {}, &results);
+  EXPECT_EQ(rep.ran, 1u);
+  EXPECT_EQ(rep.skipped, 1u);
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].status, RunStatus::Failed);
+  EXPECT_EQ(results[0].diagnostic, "exception: earlier crash");
+  EXPECT_TRUE(results[1].ok()) << results[1].str();
+  for (std::size_t i = 2; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].status, RunStatus::Failed);
+    EXPECT_NE(results[i].diagnostic.find("not run"), std::string::npos);
+  }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const JobSpec& s = m.jobs[i].spec;
+    EXPECT_EQ(results[i].seed, jobRunSeed(s.seed, s.system, s.workload, s.threads))
+        << "job " << i;
+    EXPECT_EQ(results[i].system, s.system);
+    EXPECT_EQ(results[i].workload, s.workload);
+    EXPECT_EQ(results[i].threads, s.threads);
+  }
 }
 
 TEST(Sweep, JobRunSeedDependsOnEveryCoordinate) {
@@ -147,7 +180,12 @@ TEST(Orchestrator, ManifestSaveIsAtomicAndLoadable) {
   const std::string path = dir + "/sweep.json";
   SweepManifest m = testManifest(dir + "/runs");
   ASSERT_TRUE(m.save(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));  // tmp renamed away
+  // The tmp file was renamed away: the manifest is the directory's only entry.
+  std::vector<std::string> entries;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    entries.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"sweep.json"});
   const SweepManifest back = SweepManifest::load(path);
   ASSERT_EQ(back.jobs.size(), m.jobs.size());
   EXPECT_EQ(back.artifactDir, m.artifactDir);
@@ -250,7 +288,7 @@ TEST(Orchestrator, KillAndResumeMergesBitIdentical) {
   ASSERT_TRUE(resumed.allOk());
   ASSERT_TRUE(writeMergedArtifact(resumed, dirB + "/merged.json"));
 
-  EXPECT_EQ(slurp(dirA + "/merged.json"), slurp(dirB + "/merged.json"))
+  EXPECT_EQ(readFile(dirA + "/merged.json"), readFile(dirB + "/merged.json"))
       << "interrupted+resumed merge must be bit-identical to uninterrupted";
 }
 
@@ -412,6 +450,30 @@ TEST(Orchestrator, CycleBudgetEndsRunAsDeterministicTimeout) {
 
 // ----------------------------------------------------------------- artifacts
 
+TEST(Orchestrator, AtomicWriteFailureLeavesNothingBehind) {
+  const std::string dir = tempDir("atomic_fail");
+  // The directory does not exist: nothing can be written.
+  const std::string missing = dir + "/absent/out.json";
+  EXPECT_FALSE(writeFileAtomic(missing, "{}", "w0"));
+  EXPECT_FALSE(fs::exists(missing));
+  EXPECT_FALSE(fs::exists(dir + "/absent"));
+  // The tmp file is written but cannot be renamed over the target (a
+  // non-empty directory): the tmp file must be cleaned up.
+  const std::string blocked = dir + "/out.json";
+  fs::create_directories(blocked + "/keep");
+  EXPECT_FALSE(writeFileAtomic(blocked, "{}", "w0"));
+  EXPECT_TRUE(fs::is_directory(blocked + "/keep"));
+  std::vector<std::string> entries;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    entries.push_back(e.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"out.json"});
+  // The same helper succeeds once the target is writable.
+  const std::string ok = dir + "/ok.json";
+  EXPECT_TRUE(writeFileAtomic(ok, "{}\n", "w0"));
+  EXPECT_EQ(readFile(ok), "{}\n");
+}
+
 TEST(Orchestrator, ArtifactRoundTripReconstructsRunResult) {
   const std::string dir = tempDir("artifact_rt");
   SweepManifest m;
@@ -448,7 +510,7 @@ TEST(Orchestrator, MergedArtifactIsValidStatsV1) {
   ASSERT_TRUE(m.allOk());
   ASSERT_TRUE(writeMergedArtifact(m, dir + "/merged.json"));
 
-  const auto doc = stats::json::parse(slurp(dir + "/merged.json"));
+  const auto doc = stats::json::parse(readFile(dir + "/merged.json"));
   const auto* schema = doc.find("schema");
   ASSERT_NE(schema, nullptr);
   EXPECT_EQ(schema->text, kStatsSchema);

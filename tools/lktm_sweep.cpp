@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -154,12 +153,12 @@ cfg::SweepManifest planPreset(const std::string& preset, const std::string& arti
       "bigcores-128 | bigcores-256)");
 }
 
-std::string slurpFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+/// Condense the merged lktm.stats.v1 at `inPath` into lktm.summary.v1 at
+/// `outPath`.
+bool summarize(const std::string& inPath, const std::string& outPath) {
+  std::ostringstream os;
+  cfg::writeSummaryArtifact(stats::json::parse(cfg::readFile(inPath)), os);
+  return cfg::writeFileAtomic(outPath, os.str());
 }
 
 /// Test hook: LKTM_SWEEP_JOB_DELAY_MS=N sleeps N ms before each job so CI
@@ -267,14 +266,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: summarize needs --in and --out\n");
         return 2;
       }
-      const auto doc = stats::json::parse(slurpFile(inPath));
-      std::ofstream out(outPath, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     outPath.c_str());
-        return 1;
-      }
-      cfg::writeSummaryArtifact(doc, out);
+      if (!summarize(inPath, outPath)) return 1;
       if (!quiet) std::printf("summarized %s -> %s\n", inPath.c_str(), outPath.c_str());
       return 0;
     }
@@ -417,16 +409,7 @@ int main(int argc, char** argv) {
       }
       if (saveManifest && !m.save(manifestPath)) return 1;
       if (!cfg::writeMergedArtifact(m, outPath)) return 1;
-      if (!summaryPath.empty()) {
-        const auto doc = stats::json::parse(slurpFile(outPath));
-        std::ofstream sout(summaryPath, std::ios::binary | std::ios::trunc);
-        if (!sout) {
-          std::fprintf(stderr, "error: cannot open %s for writing\n",
-                       summaryPath.c_str());
-          return 1;
-        }
-        cfg::writeSummaryArtifact(doc, sout);
-      }
+      if (!summaryPath.empty() && !summarize(outPath, summaryPath)) return 1;
       if (!quiet) {
         std::size_t merged = m.countIn(cfg::JobState::Ok);
         std::printf("merged %zu runs into %s\n", merged, outPath.c_str());

@@ -21,10 +21,9 @@
 # (summary must cmp equal to the committed lktm.summary.v1), build + test
 # the trace preset (LKTM_TRACE=ON), run the lktm_lint determinism linter
 # (self-test must catch every planted violation; src/ and tools/ must be
-# clean; bench/ and examples/ must be free of retired counter structs; the
-# lktm.lint.v1 artifact must validate), build the TSan preset and run the
-# host-parallel sweep tests under ThreadSanitizer, then build the release
-# tree and run the gated kernel microbenchmarks
+# clean; the lktm.lint.v1 artifact must validate), build the TSan preset
+# and run the host-parallel sweep tests under ThreadSanitizer, then build the
+# release tree and run the gated kernel microbenchmarks
 # (writes BENCH_kernel.json; fails if any gated benchmark regresses below the
 # required speedup against the recorded baseline).
 #
@@ -292,17 +291,6 @@ if find bench -type f -size +262144c | grep .; then
   echo "bench/ contains files over 256 KiB (see above) — commit summaries, not raw grids" >&2
   exit 1
 fi
-
-echo "== retired-symbol gate: bench/ + examples/ read the stat registry =="
-# Token-level replacement for the old grep gate: lktm_lint lexes the sources,
-# so retired-field mentions in strings/comments cannot trip it, and the
-# legitimate MachineParams::protocol latency knobs (m.protocol.llcLatency)
-# never match.
-./build/tools/lktm_lint --root . --rules no-retired-symbols --quiet \
-  bench examples || {
-  echo "bench//examples/ still scrape retired counter structs" >&2
-  exit 1
-}
 
 echo "== configure + build: trace (LKTM_TRACE=ON) =="
 cmake --preset trace >/dev/null

@@ -1,6 +1,6 @@
 // validate_stats_json: check that a versioned JSON artifact conforms to its
 // declared schema — lktm.stats.v1 run artifacts (src/config/artifact.hpp),
-// lktm.manifest.v1/v2 sweep manifests (src/config/orchestrator.hpp),
+// lktm.manifest.v2 sweep manifests (src/config/orchestrator.hpp),
 // lktm.summary.v1 condensed grids or lktm.lint.v1 findings reports
 // (src/lint/rules.hpp); the file's
 // own "schema" field picks the checker. Used as a CI stage in
@@ -172,11 +172,8 @@ void checkRun(const Value& run, unsigned idx) {
   if (banksV != nullptr && banksV->isNumber() && banksV->number < 1) {
     fail(where + ": banks must be >= 1");
   }
-  for (const char* key : {"ok", "hang"}) {
-    const Value* v = run.find(key);
-    if (v == nullptr || v->kind != Value::Kind::Bool) {
-      fail(where + ": missing or non-boolean \"" + key + "\"");
-    }
+  if (const Value* ok = run.find("ok"); ok == nullptr || ok->kind != Value::Kind::Bool) {
+    fail(where + ": missing or non-boolean \"ok\"");
   }
   const Value* status = run.find("status");
   lktm::cfg::RunStatus parsed;
@@ -268,10 +265,8 @@ void checkManifest(const Value& doc) {
   if (dir == nullptr || !dir->isString()) {
     fail("missing or non-string \"artifact_dir\"");
   }
-  // "shards" arrived with lktm.manifest.v2; v1 documents omit it (readers
-  // treat that as a single shard).
   const Value* shardsV = doc.find("shards");
-  if (shardsV != nullptr && (!shardsV->isNumber() || shardsV->number < 1)) {
+  if (shardsV == nullptr || !shardsV->isNumber() || shardsV->number < 1) {
     fail("\"shards\" must be a number >= 1");
   }
   const Value* jobs = doc.find("jobs");
@@ -446,8 +441,7 @@ bool validateFile(const std::string& file) {
           checkRun(runs->array->at(i), i);
         }
       }
-    } else if (schema->text == lktm::cfg::kManifestSchema ||
-               schema->text == lktm::cfg::kManifestSchemaV1) {
+    } else if (schema->text == lktm::cfg::kManifestSchema) {
       schemaName = schema->text;
       checkManifest(doc);
     } else if (schema->text == lktm::cfg::kSummarySchema) {
@@ -459,7 +453,7 @@ bool validateFile(const std::string& file) {
     } else {
       fail("schema is \"" + schema->text + "\", expected \"" +
            lktm::cfg::kStatsSchema + "\", \"" + lktm::cfg::kManifestSchema +
-           "\" (or v1), \"" + lktm::cfg::kSummarySchema + "\", or \"" +
+           "\", \"" + lktm::cfg::kSummarySchema + "\", or \"" +
            lktm::lint::kLintSchema + "\"");
     }
   }

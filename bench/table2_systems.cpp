@@ -24,7 +24,10 @@ int main() {
                   : "-",
               p.htmEnabled ? core::toString(p.priority) : "-",
               p.htmLock ? "yes" : "no", p.switching ? "yes" : "no",
-              p.htmEnabled ? (p.subscribeLock ? "yes" : "no") : "-"});
+              // Only Listing 1's stock flavour reads the fallback-lock word
+              // inside the transaction; hybrid subscribes the STM clock.
+              p.htmEnabled ? (backend == "lockiller" && !p.htmLock ? "yes" : "no")
+                           : "-"});
   }
   std::printf("%s\n", t.str().c_str());
   return 0;

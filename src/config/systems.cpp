@@ -45,7 +45,6 @@ TmPolicy recovery(RejectAction action, PriorityKind prio) {
 
 TmPolicy withHtmLock(TmPolicy p) {
   p.htmLock = true;
-  p.subscribeLock = false;  // the grey software change of Listing 1
   return p;
 }
 
@@ -54,19 +53,12 @@ TmPolicy withSwitching(TmPolicy p) {
   return p;
 }
 
-/// Policy backing a backend-defined Table II row. The backend decides the
-/// execution path itself; the policy only has to agree with it about whether
-/// the HTM hardware may be engaged.
+/// Policy backing a backend-defined Table II row (tl2, hybrid). The backend
+/// decides the execution path itself; the policy only has to agree with it
+/// about whether the HTM hardware may be engaged.
 TmPolicy policyForBackend(const char* backendName) {
   TmPolicy p;
-  if (std::strcmp(backendName, "tl2") == 0 ||
-      std::strcmp(backendName, "cgl") == 0) {
-    p.htmEnabled = false;  // pure software: HTM never engaged
-  } else {
-    // hybrid: best-effort HTM, but no fallback-lock subscription — the HTM
-    // path subscribes the STM commit clock instead.
-    p.subscribeLock = false;
-  }
+  p.htmEnabled = std::strcmp(backendName, "tl2") != 0;  // tl2: pure software
   return p;
 }
 }  // namespace

@@ -69,8 +69,6 @@ struct TmPolicy {
   /// transaction. Off in every Table II system; exercised by the ablation
   /// benches.
   bool switchOnFault = false;
-  bool subscribeLock = true;  ///< xbegin reads the fallback-lock word
-                              ///< (disabled by the HTMLock software change)
 };
 
 class ConflictManager {

@@ -60,14 +60,43 @@ std::string defaultBackendFor(const core::TmPolicy& policy) {
   return policy.htmEnabled ? "lockiller" : "cgl";
 }
 
+HtmAttempt emitHtmAttemptStart(cpu::ProgramBuilder& b,
+                               const rt::RetryPolicy& retry,
+                               const HtmLoopRegs& regs) {
+  if (retry.maxRetries == 0) {
+    throw std::invalid_argument(
+        "RetryPolicy::maxRetries must be at least 1 for an HTM attempt loop "
+        "(0 would retry forever and never take the fallback path)");
+  }
+  b.li(regs.retries, static_cast<std::int64_t>(retry.maxRetries));
+  const auto retryLabel = b.here();
+  b.xbegin(regs.status);
+  b.li(regs.scratch, static_cast<std::int64_t>(cpu::kTxStarted));
+  return {retryLabel, b.beq(regs.status, regs.scratch)};
+}
+
+std::vector<std::size_t> emitHtmAttemptRetry(cpu::ProgramBuilder& b,
+                                             const rt::RetryPolicy& retry,
+                                             const HtmLoopRegs& regs,
+                                             cpu::ProgramBuilder::Label retryLabel) {
+  b.addi(regs.retries, regs.retries, -1);
+  std::vector<std::size_t> giveUp;
+  if (retry.skipRetriesOnPersistent) {
+    for (AbortCause cause : {AbortCause::Overflow, AbortCause::Fault}) {
+      b.li(regs.scratch, static_cast<std::int64_t>(cpu::statusOf(cause)));
+      giveUp.push_back(b.beq(regs.status, regs.scratch));
+    }
+  }
+  giveUp.push_back(b.beq(regs.retries, cpu::kZeroReg));
+  b.compute(static_cast<std::int64_t>(retry.backoff));
+  b.jmp(retryLabel);
+  return giveUp;
+}
+
 std::unique_ptr<Backend> makeBackend(const std::string& name,
                                      const BackendConfig& cfg) {
-  if (name == "lockiller") {
-    return std::make_unique<LockillerBackend>(cfg, rt::runtimeFor(cfg.policy),
-                                              "lockiller");
-  }
-  if (name == "cgl") {
-    return std::make_unique<LockillerBackend>(cfg, rt::RuntimeKind::CGL, "cgl");
+  if (name == "lockiller" || name == "cgl") {
+    return std::make_unique<LockillerBackend>(cfg, name == "cgl");
   }
   if (name == "tl2") return std::make_unique<Tl2Backend>(cfg);
   if (name == "hybrid") return std::make_unique<HybridBackend>(cfg);

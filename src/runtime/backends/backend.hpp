@@ -11,17 +11,43 @@
 //
 // The interface is emission-level rather than a runtime dispatch layer on
 // purpose: programs stay plain bytecode interpreted by the unmodified
-// in-order cores, so the lockiller backend reproduces the pre-refactor
-// instruction stream byte-for-byte (golden-trace tests pin this), and
-// software backends pay their bookkeeping in *simulated* instructions, which
-// is exactly the cost model the paper's comparison needs.
+// in-order cores (a digest test pins every emitted program), and software
+// backends pay their bookkeeping in *simulated* instructions, which is
+// exactly the cost model the paper's comparison needs.
 //
 // begin/commit/abort are folded into emitTransaction(): with statically
 // emitted programs the backend lays out the whole attempt/retry/fallback
 // structure around the body, and the abort path is a branch target inside
 // that structure, not a callback. The contention manager is the RetryPolicy
 // each backend receives in its BackendConfig (attempt budgets, backoff
-// shape); `contentionPolicy()` exposes it for ablation benches.
+// shape). The HTM attempt loop that lockiller and hybrid share is emitted by
+// emitHtmAttemptStart/emitHtmAttemptRetry below.
+//
+// Register use (32 registers; programs of different backends never mix):
+//
+//   reg  owner                                      lifetime
+//   r0   hardwired zero
+//   r1-5 workload bodies (addrReg/valReg, pointers)  across backend calls
+//   r20  tl2/hybrid: xorshift64 backoff state        whole program
+//   r21  tl2/hybrid: backoff accumulator             one transaction
+//   r22  tl2/hybrid: orec locks held                 one transaction
+//   r23  tl2/hybrid: write version                   one transaction
+//   r24  tl2/hybrid: read version                    one transaction
+//   r25  lockiller: MCS temporary                    one lock operation
+//        hybrid: HTM attempts left                   one HTM attempt loop
+//   r26  lockiller: this thread's MCS queue node     whole program
+//        hybrid: xbegin status                       one HTM attempt loop
+//   r27  lockiller: spin-backoff delay               one lock acquire
+//   r28  lockiller: fallback-lock address            whole program
+//        tl2/hybrid: abort-cause selector            one transaction
+//   r29  lockiller: xbegin / ttest / lock status     one section
+//        tl2/hybrid: temporary T3                    one transaction
+//   r30  lockiller: HTM attempts left                one section
+//        tl2/hybrid: temporary T2                    one transaction
+//   r31  lockiller: temporary                        one section
+//        tl2/hybrid: temporary T1 (hybrid loop too)  one transaction
+//
+// Workload bodies keep live values in r1-r5 only; r6-r19 are unused.
 #pragma once
 
 #include <cstdint>
@@ -75,10 +101,8 @@ class Backend {
   virtual void emitTransaction(cpu::ProgramBuilder& b, const BodyFn& body) = 0;
 
   // ---- access hooks, valid only inside a `body` callback ----
-  // `addrReg`/`valReg` preserve each workload's historical register
-  // allocation so the lockiller backend reproduces the pre-refactor byte
-  // sequences exactly. Backends reserve r21-r31 inside transactions;
-  // workload bodies keep live values in r1-r5 only.
+  // `addrReg`/`valReg` are the workload's registers (r1-r5, see the table
+  // above).
 
   /// valReg = *addr.
   virtual void emitRead(cpu::ProgramBuilder& b, Addr addr, unsigned addrReg,
@@ -105,15 +129,39 @@ class Backend {
   /// True when the backend keeps software-TM metadata above kStmScratchBase
   /// (the runner rejects workloads whose footprint would collide).
   virtual bool usesStmScratch() const { return false; }
-
-  /// Contention-manager hook: the retry/backoff strategy this backend emits
-  /// between attempts.
-  const rt::RetryPolicy& contentionPolicy() const { return retry_; }
-
- protected:
-  explicit Backend(const rt::RetryPolicy& retry) : retry_(retry) {}
-  rt::RetryPolicy retry_;
 };
+
+/// Registers of one HTM attempt loop.
+struct HtmLoopRegs {
+  unsigned status;   ///< xbegin status
+  unsigned retries;  ///< attempts left
+  unsigned scratch;  ///< comparison temporary
+};
+
+/// Branch points of an emitted attempt.
+struct HtmAttempt {
+  cpu::ProgramBuilder::Label retry;  ///< the xbegin every retry jumps back to
+  std::size_t started;  ///< branch taken when xbegin started a transaction;
+                        ///< the caller patches it to its speculative path
+};
+
+/// Load the attempt budget and emit the xbegin. Falling through the returned
+/// `started` branch is the abort path. Throws std::invalid_argument when
+/// `retry.maxRetries` is 0: the budget is decremented before it is tested,
+/// so 0 would retry forever and never reach the fallback path.
+HtmAttempt emitHtmAttemptStart(cpu::ProgramBuilder& b,
+                               const rt::RetryPolicy& retry,
+                               const HtmLoopRegs& regs);
+
+/// Abort path of the attempt loop (Listing 1's retry_strategy): consume an
+/// attempt, give up at once on a persistent cause (overflow, fault) when
+/// `retry.skipRetriesOnPersistent`, give up when the budget is spent, and
+/// otherwise back off and jump to `retryLabel`. Returns the give-up branches
+/// for the caller to patch to its fallback path.
+std::vector<std::size_t> emitHtmAttemptRetry(cpu::ProgramBuilder& b,
+                                             const rt::RetryPolicy& retry,
+                                             const HtmLoopRegs& regs,
+                                             cpu::ProgramBuilder::Label retryLabel);
 
 /// One registry row. Backends that exist as their own Table II system carry
 /// the row's name/description here, so adding a backend in the registry adds

@@ -8,7 +8,7 @@ using lktm::cpu::ProgramBuilder;
 namespace lktm::tm {
 
 HybridBackend::HybridBackend(const BackendConfig& cfg)
-    : Backend(cfg.retry), stm_(cfg.retry) {
+    : retry_(cfg.retry), stm_(cfg.retry) {
   if (!cfg.policy.htmEnabled) {
     throw std::invalid_argument(
         "hybrid backend: the system's policy disables HTM (htmEnabled=false); "
@@ -63,28 +63,15 @@ void HybridBackend::stampOrec(ProgramBuilder& b, Addr addr) {
 
 void HybridBackend::emitTransaction(ProgramBuilder& b, const BodyFn& body) {
   b.mark(TimeCat::Htm);
-  b.li(kRegHyRetries, static_cast<std::int64_t>(retry_.maxRetries));
-  const auto retryLoop = b.here();
-  b.xbegin(kRegHyStatus);
-  b.li(kRegT1, static_cast<std::int64_t>(cpu::kTxStarted));
-  const auto toHtm = b.beq(kRegHyStatus, kRegT1);
-  // --- abort fall-through: every cause consumes an attempt (there is no
-  // global lock to poll free; a mutex abort here means an STM writeback was
-  // in flight, and backoff gives it time to release). ---
-  b.addi(kRegHyRetries, kRegHyRetries, -1);
-  std::vector<std::size_t> toStm;
-  if (retry_.skipRetriesOnPersistent) {
-    b.li(kRegT1, static_cast<std::int64_t>(cpu::statusOf(AbortCause::Overflow)));
-    toStm.push_back(b.beq(kRegHyStatus, kRegT1));
-    b.li(kRegT1, static_cast<std::int64_t>(cpu::statusOf(AbortCause::Fault)));
-    toStm.push_back(b.beq(kRegHyStatus, kRegT1));
-  }
-  toStm.push_back(b.beq(kRegHyRetries, cpu::kZeroReg));
-  b.compute(static_cast<std::int64_t>(retry_.backoff));
-  b.jmp(retryLoop);
+  // Every abort cause consumes an attempt: there is no global lock to poll
+  // free; a mutex abort here means an STM writeback was in flight, and
+  // backoff gives it time to release.
+  const HtmLoopRegs regs{kRegHyStatus, kRegHyRetries, kRegT1};
+  const HtmAttempt attempt = emitHtmAttemptStart(b, retry_, regs);
+  const auto toStm = emitHtmAttemptRetry(b, retry_, regs, attempt.retry);
 
   // --- hardware attempt ---
-  b.patchTarget(toHtm, b.here());
+  b.patchTarget(attempt.started, b.here());
   htmMode_ = true;
   htmWrote_ = false;
   htmChecked_.clear();

@@ -31,7 +31,7 @@
 namespace lktm::tm {
 
 /// xbegin status / retry counter for the hybrid HTM attempt loop (dead once
-/// the STM fallback engages, so they may overlap the Tl2Emitter's scratch).
+/// the STM fallback engages; see the register table in backend.hpp).
 inline constexpr unsigned kRegHyStatus = 26;
 inline constexpr unsigned kRegHyRetries = 25;
 
@@ -57,6 +57,7 @@ class HybridBackend final : public Backend {
                                  unsigned valReg, std::int64_t off) override;
 
  private:
+  rt::RetryPolicy retry_;
   Tl2Emitter stm_;
   bool htmMode_ = false;  ///< which pass of the body is being emitted
   bool htmWrote_ = false;

@@ -1,40 +1,51 @@
-// The first backend: the pre-refactor lock-elision runtime (tm_runtime.*)
-// behind the Backend interface. Covers two registry rows:
+// The lock-elision backend: critical-section entry/exit code emitted as
+// bytecode, matching the paper's Listings 1 and 2. Covers two registry rows:
 //
-//  * "lockiller" — the policy-driven flavour (CGL / BestEffort / HtmLock via
-//    rt::runtimeFor), i.e. exactly what every Table II row emitted before
-//    backends existed. Golden-trace tests pin that the instruction stream is
-//    byte-identical to the pre-refactor tree.
-//  * "cgl"       — the same wrapper with RuntimeKind::CGL forced, so
-//    `-be=cgl` turns any system's sections into plain coarse-grained
-//    locking regardless of its HTM policy.
+//  * "lockiller" — the flavour follows the system's Table II policy:
+//      - CGL        when HTM is disabled: MCS queue lock (or test-and-test-
+//                   and-set, per RetryPolicy::cglLock) around the section;
+//      - BestEffort Listing 1 as recommended for commercial HTM: xbegin,
+//                   subscribe the fallback-lock word, xabort if held, retry
+//                   loop, spin-acquire fallback;
+//      - HtmLock    when the policy enables HTMLock: Listing 1 with the grey
+//                   modifications (no lock-word subscription; hlbegin after
+//                   acquiring the lock) plus the Listing 2 release that
+//                   dispatches on the extended ttest, so it transparently
+//                   supports switchingMode (STL).
+//  * "cgl"       — the CGL flavour whatever the policy, so `-be=cgl` turns
+//    any system's sections into plain coarse-grained locking.
+//
+// Registers: see the table in backend.hpp.
 #pragma once
 
+#include <cstdint>
+
 #include "runtime/backends/backend.hpp"
-#include "runtime/tm_runtime.hpp"
 
 namespace lktm::tm {
 
+inline constexpr unsigned kRegMcsTmp = 25;
+inline constexpr unsigned kRegMcsNode = 26;  ///< this thread's MCS queue node
+inline constexpr unsigned kRegScratch2 = 27;
+inline constexpr unsigned kRegLockAddr = 28;
+inline constexpr unsigned kRegStatus = 29;
+inline constexpr unsigned kRegRetries = 30;
+inline constexpr unsigned kRegScratch = 31;
+
 class LockillerBackend final : public Backend {
  public:
-  LockillerBackend(const BackendConfig& cfg, rt::RuntimeKind kind,
-                   const char* name)
-      : Backend(cfg.retry),
-        runtime_(kind, cfg.lockAddr, cfg.retry),
-        name_(name) {}
+  /// `forceCgl` selects the "cgl" registry row.
+  LockillerBackend(const BackendConfig& cfg, bool forceCgl);
 
   const char* name() const override { return name_; }
 
+  /// Materialize the lock address and, for the MCS coarse-grained lock, this
+  /// thread's queue node (a line in the reserved lock region).
   void emitProgramStart(cpu::ProgramBuilder& b, unsigned tid,
-                        unsigned /*nthreads*/) override {
-    runtime_.emitPrologue(b, tid);
-  }
+                        unsigned nthreads) override;
 
-  void emitTransaction(cpu::ProgramBuilder& b, const BodyFn& body) override {
-    runtime_.emitEnter(b);
-    body(b);
-    runtime_.emitExit(b);
-  }
+  /// lock_acquire_elided(); body; lock_release_elided().
+  void emitTransaction(cpu::ProgramBuilder& b, const BodyFn& body) override;
 
   void emitRead(cpu::ProgramBuilder& b, Addr addr, unsigned addrReg,
                 unsigned valReg) override {
@@ -66,11 +77,23 @@ class LockillerBackend final : public Backend {
     b.store(addrReg, valReg, off);
   }
 
-  const rt::TmRuntime& runtime() const { return runtime_; }
-
  private:
-  rt::TmRuntime runtime_;
+  enum class Flavour : std::uint8_t { Cgl, BestEffort, HtmLock };
+
+  Flavour flavour_;
   const char* name_;
+  Addr lockAddr_;
+  rt::RetryPolicy retry_;
+
+  void emitSpinAcquire(cpu::ProgramBuilder& b) const;
+  void emitMcsAcquire(cpu::ProgramBuilder& b) const;
+  void emitMcsRelease(cpu::ProgramBuilder& b) const;
+  void emitEnterCgl(cpu::ProgramBuilder& b) const;
+  void emitEnterBestEffort(cpu::ProgramBuilder& b) const;
+  void emitEnterHtmLock(cpu::ProgramBuilder& b) const;
+  void emitExitCgl(cpu::ProgramBuilder& b) const;
+  void emitExitBestEffort(cpu::ProgramBuilder& b) const;
+  void emitExitHtmLock(cpu::ProgramBuilder& b) const;
 };
 
 }  // namespace lktm::tm

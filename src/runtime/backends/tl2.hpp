@@ -74,9 +74,7 @@ inline Addr threadScratchBase(unsigned tid) {
   return kThreadScratchBase + static_cast<Addr>(tid) * kThreadScratchStride;
 }
 
-// Registers the STM emitters reserve inside transactions (workload bodies
-// keep live values in r1-r5; the lock-elision runtime's r25-r31 reservation
-// is disjoint from any program that reaches these emitters).
+// Registers the STM emitters reserve (see the table in backend.hpp).
 inline constexpr unsigned kRegT1 = 31;
 inline constexpr unsigned kRegT2 = 30;
 inline constexpr unsigned kRegT3 = 29;
@@ -163,7 +161,7 @@ class Tl2Emitter {
 class Tl2Backend final : public Backend {
  public:
   explicit Tl2Backend(const BackendConfig& cfg)
-      : Backend(cfg.retry), emitter_(cfg.retry) {}
+      : emitter_(cfg.retry) {}
 
   const char* name() const override { return "tl2"; }
   bool usesStmScratch() const override { return true; }

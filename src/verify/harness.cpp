@@ -153,7 +153,6 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
     cfg.cores = 2;
     cfg.l1 = mem::CacheGeometry{2 * kLineBytes, 1};
     cfg.policy.htmLock = true;
-    cfg.policy.subscribeLock = false;
     cfg.lines = {1, 2, 3};
     cfg.programs = {
         {{OpKind::HlBegin}, {OpKind::Store, 1, 11}, {OpKind::Store, 2, 12},

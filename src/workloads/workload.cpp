@@ -6,7 +6,7 @@
 namespace lktm::wl {
 
 namespace {
-// Workload body registers (backends reserve r21-r31 inside transactions).
+// Workload body registers (r1-r5; see the register table in backend.hpp).
 constexpr unsigned kRegAddr = 1;
 constexpr unsigned kRegVal = 2;
 constexpr unsigned kRegPriv = 3;

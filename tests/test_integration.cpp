@@ -184,7 +184,6 @@ TEST(Integration, Table2RegistryMatchesPaper) {
   EXPECT_FALSE(systems[0].policy.htmEnabled);
   EXPECT_EQ(systems[1].name, "Baseline");
   EXPECT_EQ(systems[1].policy.conflict, core::ConflictPolicy::RequesterWins);
-  EXPECT_TRUE(systems[1].policy.subscribeLock);
   EXPECT_EQ(systems[2].name, "LosaTM-SAFU");
   EXPECT_EQ(systems[2].policy.priority, core::PriorityKind::Progression);
   EXPECT_EQ(systems[5].name, "Lockiller-RWI");
@@ -196,7 +195,6 @@ TEST(Integration, Table2RegistryMatchesPaper) {
   EXPECT_EQ(systems[8].name, "LockillerTM");
   EXPECT_TRUE(systems[8].policy.htmLock);
   EXPECT_TRUE(systems[8].policy.switching);
-  EXPECT_FALSE(systems[8].policy.subscribeLock);
   // Backend-defined rows come from the backend registry, after the paper's.
   EXPECT_EQ(systems[9].name, "TL2-STM");
   EXPECT_EQ(systems[9].backend, "tl2");
@@ -204,7 +202,6 @@ TEST(Integration, Table2RegistryMatchesPaper) {
   EXPECT_EQ(systems[10].name, "Hybrid-TM");
   EXPECT_EQ(systems[10].backend, "hybrid");
   EXPECT_TRUE(systems[10].policy.htmEnabled);
-  EXPECT_FALSE(systems[10].policy.subscribeLock);
   EXPECT_THROW(systemByName("nope"), std::invalid_argument);
 }
 

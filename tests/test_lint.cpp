@@ -147,7 +147,7 @@ TEST(LintZones, PathClassification) {
   for (const char* det :
        {"src/sim/engine.cpp", "src/coherence/directory.cpp", "src/core/a.hpp",
         "src/cpu/core.cpp", "src/mem/mshr.cpp", "src/noc/mesh.cpp",
-        "src/runtime/tm_runtime.cpp", "src/runtime/backends/tl2.cpp",
+        "src/runtime/backends/lockiller.cpp", "src/runtime/backends/tl2.cpp",
         "src/workloads/micro.cpp", "src/workloads/db_traffic.cpp",
         "src/workloads/zipfian.cpp", "src/verify/checker.cpp"}) {
     EXPECT_EQ(lint::zoneForPath(det), Zone::Deterministic) << det;

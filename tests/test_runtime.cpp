@@ -1,9 +1,17 @@
-// The software layer: Listing 1 / Listing 2 codegen, lock implementations,
-// retry strategy — validated structurally and end-to-end on real CPUs.
+// The software layer: Listing 1 / Listing 2 codegen of the lock-elision
+// backend, lock implementations, retry strategy — validated structurally and
+// end-to-end on real CPUs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "cpu_harness.hpp"
-#include "runtime/tm_runtime.hpp"
+#include "runtime/backends/lockiller.hpp"
 #include "workloads/address_space.hpp"
 
 namespace lktm::test {
@@ -11,24 +19,37 @@ namespace {
 
 using cpu::Op;
 using cpu::ProgramBuilder;
-using rt::RuntimeKind;
-using rt::TmRuntime;
 
 constexpr Addr kCounter = 0x100000;
 
-cpu::Program incrementProgram(const TmRuntime& runtime, unsigned tid,
+/// The lock-elision backend the runner would pick for `policy`.
+std::unique_ptr<tm::Backend> backendFor(const core::TmPolicy& policy,
+                                        const rt::RetryPolicy& retry = {}) {
+  return tm::makeBackend(tm::defaultBackendFor(policy),
+                         tm::BackendConfig{policy, retry, wl::kFallbackLockAddr});
+}
+
+core::TmPolicy cglPolicy() {
+  core::TmPolicy p;
+  p.htmEnabled = false;
+  return p;
+}
+
+void emitIncrement(ProgramBuilder& b) {
+  b.li(1, kCounter);
+  b.load(2, 1);
+  b.addi(2, 2, 1);
+  b.store(1, 2);
+}
+
+cpu::Program incrementProgram(tm::Backend& backend, unsigned tid,
                               unsigned iters) {
   ProgramBuilder b;
-  runtime.emitPrologue(b, tid);
+  backend.emitProgramStart(b, tid, 4);
   b.mark(TimeCat::NonTran);
   b.compute(static_cast<std::int64_t>(5 + 3 * tid));
   for (unsigned i = 0; i < iters; ++i) {
-    runtime.emitEnter(b);
-    b.li(1, kCounter);
-    b.load(2, 1);
-    b.addi(2, 2, 1);
-    b.store(1, 2);
-    runtime.emitExit(b);
+    backend.emitTransaction(b, emitIncrement);
     b.compute(15);
   }
   b.barrier();
@@ -45,19 +66,26 @@ unsigned countOps(const cpu::Program& p, Op op) {
 // ------------------------------------------------------------- structural
 
 TEST(Runtime, KindSelection) {
-  core::TmPolicy cgl;
-  cgl.htmEnabled = false;
-  EXPECT_EQ(rt::runtimeFor(cgl), RuntimeKind::CGL);
-  core::TmPolicy base;
-  EXPECT_EQ(rt::runtimeFor(base), RuntimeKind::BestEffort);
+  // HTM disabled: CGL, no speculation.
+  const auto cgl = incrementProgram(*backendFor(cglPolicy()), 0, 1);
+  EXPECT_EQ(countOps(cgl, Op::XBegin), 0u);
+  EXPECT_EQ(countOps(cgl, Op::HlBegin), 0u);
+  // Plain HTM: best effort, subscribing the lock word (xabort if held).
+  const auto base = incrementProgram(*backendFor(core::TmPolicy{}), 0, 1);
+  EXPECT_EQ(countOps(base, Op::XBegin), 1u);
+  EXPECT_EQ(countOps(base, Op::XAbort), 1u);
+  EXPECT_EQ(countOps(base, Op::HlBegin), 0u);
+  // HTMLock: hlbegin fallback, no subscription.
   core::TmPolicy hl;
   hl.htmLock = true;
-  EXPECT_EQ(rt::runtimeFor(hl), RuntimeKind::HtmLock);
+  const auto htmLock = incrementProgram(*backendFor(hl), 0, 1);
+  EXPECT_EQ(countOps(htmLock, Op::XBegin), 1u);
+  EXPECT_EQ(countOps(htmLock, Op::XAbort), 0u);
+  EXPECT_EQ(countOps(htmLock, Op::HlBegin), 1u);
 }
 
 TEST(Runtime, CglUsesNoTransactions) {
-  TmRuntime r(RuntimeKind::CGL, wl::kFallbackLockAddr);
-  const auto p = incrementProgram(r, 0, 1);
+  const auto p = incrementProgram(*backendFor(cglPolicy()), 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 0u);
   EXPECT_EQ(countOps(p, Op::HlBegin), 0u);
   EXPECT_GT(countOps(p, Op::Cas), 0u);  // lock acquisition
@@ -65,8 +93,7 @@ TEST(Runtime, CglUsesNoTransactions) {
 
 TEST(Runtime, BestEffortSubscribesAndAbortsOnHeldLock) {
   // Listing 1 lines 8-9: load of the lock word inside the tx + xabort.
-  TmRuntime r(RuntimeKind::BestEffort, wl::kFallbackLockAddr);
-  const auto p = incrementProgram(r, 0, 1);
+  const auto p = incrementProgram(*backendFor(core::TmPolicy{}), 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 1u);
   EXPECT_EQ(countOps(p, Op::XAbort), 1u);
   EXPECT_EQ(countOps(p, Op::HlBegin), 0u);
@@ -76,8 +103,7 @@ TEST(Runtime, BestEffortSubscribesAndAbortsOnHeldLock) {
 TEST(Runtime, HtmLockDoesNotSubscribeAndUsesListing2) {
   // The grey modifications: no lock-word subscription (no xabort), hlbegin
   // on the fallback path, ttest-dispatched release.
-  TmRuntime r(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
-  const auto p = incrementProgram(r, 0, 1);
+  const auto p = incrementProgram(*backendFor(htmLockPolicy()), 0, 1);
   EXPECT_EQ(countOps(p, Op::XBegin), 1u);
   EXPECT_EQ(countOps(p, Op::XAbort), 0u);
   EXPECT_EQ(countOps(p, Op::HlBegin), 1u);
@@ -86,31 +112,46 @@ TEST(Runtime, HtmLockDoesNotSubscribeAndUsesListing2) {
 }
 
 TEST(Runtime, McsNodesAreDistinctLines) {
-  TmRuntime r(RuntimeKind::CGL, wl::kFallbackLockAddr);
-  EXPECT_NE(lineOf(r.mcsNodeAddr(0)), lineOf(wl::kFallbackLockAddr));
+  // Each thread's MCS queue node is the immediate of the prologue's
+  // `li r26` (tm::kRegMcsNode).
+  auto backend = backendFor(cglPolicy());
+  std::vector<Addr> nodes;
+  for (unsigned tid = 0; tid < 32; ++tid) {
+    ProgramBuilder b;
+    backend->emitProgramStart(b, tid, 32);
+    const cpu::Program p = b.build();
+    const auto li = std::find_if(p.code.begin(), p.code.end(), [](const cpu::Instr& i) {
+      return i.op == Op::Li && i.rd == tm::kRegMcsNode;
+    });
+    ASSERT_NE(li, p.code.end()) << "tid " << tid;
+    nodes.push_back(static_cast<Addr>(li->imm));
+  }
+  EXPECT_NE(lineOf(nodes[0]), lineOf(wl::kFallbackLockAddr));
   for (unsigned a = 0; a < 32; ++a) {
     for (unsigned b = a + 1; b < 32; ++b) {
-      EXPECT_NE(lineOf(r.mcsNodeAddr(a)), lineOf(r.mcsNodeAddr(b)));
+      EXPECT_NE(lineOf(nodes[a]), lineOf(nodes[b]));
     }
   }
 }
 
 // -------------------------------------------------------------- end-to-end
 
-class RuntimeE2E : public ::testing::TestWithParam<RuntimeKind> {};
+/// The three flavours of the lock-elision backend.
+enum class Flavour : std::uint8_t { Cgl, BestEffort, HtmLock };
+
+class RuntimeE2E : public ::testing::TestWithParam<Flavour> {};
 
 TEST_P(RuntimeE2E, CriticalSectionsExecuteExactlyOnce) {
-  const RuntimeKind kind = GetParam();
-  rt::RetryPolicy retry;
-  TmRuntime runtime(kind, wl::kFallbackLockAddr, retry);
+  const Flavour flavour = GetParam();
   TestSystemOptions opt;
   opt.cores = 4;
-  opt.policy = kind == RuntimeKind::HtmLock ? htmLockPolicy(true) : recoveryPolicy();
-  if (kind == RuntimeKind::CGL) opt.policy.htmEnabled = false;
+  opt.policy = flavour == Flavour::HtmLock ? htmLockPolicy(true) : recoveryPolicy();
+  if (flavour == Flavour::Cgl) opt.policy.htmEnabled = false;
+  auto backend = backendFor(opt.policy);
   CpuHarness h(4, opt);
   const unsigned iters = 20;
   for (CoreId c = 0; c < 4; ++c) {
-    h.setProgram(c, incrementProgram(runtime, static_cast<unsigned>(c), iters));
+    h.setProgram(c, incrementProgram(*backend, static_cast<unsigned>(c), iters));
   }
   h.run();
   EXPECT_EQ(h.read(kCounter), 4u * iters);
@@ -118,26 +159,27 @@ TEST_P(RuntimeE2E, CriticalSectionsExecuteExactlyOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, RuntimeE2E,
-                         ::testing::Values(RuntimeKind::CGL, RuntimeKind::BestEffort,
-                                           RuntimeKind::HtmLock),
-                         [](const auto& info) {
-                           std::string s = toString(info.param);
-                           for (auto& c : s) {
-                             if (c == '-') c = '_';
+                         ::testing::Values(Flavour::Cgl, Flavour::BestEffort,
+                                           Flavour::HtmLock),
+                         [](const auto& info) -> std::string {
+                           switch (info.param) {
+                             case Flavour::Cgl: return "cgl";
+                             case Flavour::BestEffort: return "best_effort";
+                             case Flavour::HtmLock: return "htmlock";
                            }
-                           return s;
+                           return "?";
                          });
 
 TEST(Runtime, TestAndSetCglAlsoCorrect) {
   rt::RetryPolicy retry;
   retry.cglLock = rt::LockImpl::TestAndSet;
-  TmRuntime runtime(RuntimeKind::CGL, wl::kFallbackLockAddr, retry);
+  auto backend = backendFor(cglPolicy(), retry);
   TestSystemOptions opt;
   opt.cores = 4;
   opt.policy.htmEnabled = false;
   CpuHarness h(4, opt);
   for (CoreId c = 0; c < 4; ++c) {
-    h.setProgram(c, incrementProgram(runtime, static_cast<unsigned>(c), 15));
+    h.setProgram(c, incrementProgram(*backend, static_cast<unsigned>(c), 15));
   }
   h.run();
   EXPECT_EQ(h.read(kCounter), 60u);
@@ -146,21 +188,21 @@ TEST(Runtime, TestAndSetCglAlsoCorrect) {
 TEST(Runtime, BestEffortFallsBackOnFault) {
   // A syscall inside every critical section: best-effort HTM cannot commit a
   // single one speculatively; all must complete via the fallback lock.
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr);
+  auto backend = backendFor(core::TmPolicy{});
   TestSystemOptions opt;
   opt.cores = 2;
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    backend->emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 5; ++i) {
-      runtime.emitEnter(b);
-      b.li(1, kCounter);
-      b.load(2, 1);
-      b.addi(2, 2, 1);
-      b.syscall();
-      b.store(1, 2);
-      runtime.emitExit(b);
+      backend->emitTransaction(b, [](ProgramBuilder& pb) {
+        pb.li(1, kCounter);
+        pb.load(2, 1);
+        pb.addi(2, 2, 1);
+        pb.syscall();
+        pb.store(1, 2);
+      });
     }
     b.barrier();
     b.halt();
@@ -175,22 +217,22 @@ TEST(Runtime, BestEffortFallsBackOnFault) {
 }
 
 TEST(Runtime, HtmLockFaultGoesToTlAndSurvives) {
-  TmRuntime runtime(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
   TestSystemOptions opt;
   opt.cores = 2;
   opt.policy = htmLockPolicy(true);
+  auto backend = backendFor(opt.policy);
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    backend->emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 5; ++i) {
-      runtime.emitEnter(b);
-      b.li(1, kCounter);
-      b.load(2, 1);
-      b.addi(2, 2, 1);
-      b.syscall();
-      b.store(1, 2);
-      runtime.emitExit(b);
+      backend->emitTransaction(b, [](ProgramBuilder& pb) {
+        pb.li(1, kCounter);
+        pb.load(2, 1);
+        pb.addi(2, 2, 1);
+        pb.syscall();
+        pb.store(1, 2);
+      });
     }
     b.barrier();
     b.halt();
@@ -205,26 +247,26 @@ TEST(Runtime, HtmLockFaultGoesToTlAndSurvives) {
 TEST(Runtime, SwitchingModeCompletesOverflowingSections) {
   // Critical sections whose write sets overflow a tiny L1: with switchingMode
   // they complete as STL without ever acquiring the software lock.
-  TmRuntime runtime(RuntimeKind::HtmLock, wl::kFallbackLockAddr);
   TestSystemOptions opt;
   opt.cores = 2;
   opt.policy = htmLockPolicy(true);
   opt.l1 = mem::CacheGeometry{8 * 1024, 4};  // 32 sets
+  auto backend = backendFor(opt.policy);
   CpuHarness h(2, opt);
   for (CoreId c = 0; c < 2; ++c) {
     ProgramBuilder b;
-    runtime.emitPrologue(b, static_cast<unsigned>(c));
+    backend->emitProgramStart(b, static_cast<unsigned>(c), 2);
     for (int i = 0; i < 3; ++i) {
-      runtime.emitEnter(b);
-      // Six same-set lines (disjoint per core) force an overflow.
-      for (int j = 0; j < 6; ++j) {
-        b.li(1, static_cast<std::int64_t>(0x100000 + c * 0x40000 +
-                                          static_cast<Addr>(j) * 32 * kLineBytes));
-        b.load(2, 1);
-        b.addi(2, 2, 1);
-        b.store(1, 2);
-      }
-      runtime.emitExit(b);
+      backend->emitTransaction(b, [c](ProgramBuilder& pb) {
+        // Six same-set lines (disjoint per core) force an overflow.
+        for (int j = 0; j < 6; ++j) {
+          pb.li(1, static_cast<std::int64_t>(0x100000 + c * 0x40000 +
+                                             static_cast<Addr>(j) * 32 * kLineBytes));
+          pb.load(2, 1);
+          pb.addi(2, 2, 1);
+          pb.store(1, 2);
+        }
+      });
       b.compute(20);
     }
     b.barrier();
@@ -277,27 +319,49 @@ TEST(Runtime, HugeSpinBackoffCapRunsCorrectly) {
   rt::RetryPolicy retry;
   retry.maxRetries = 1;  // force the lock path under conflicts
   retry.spinBackoffMax = std::numeric_limits<Cycle>::max();
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr, retry);
+  auto backend = backendFor(core::TmPolicy{}, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   CpuHarness h(4, opt);
   for (CoreId c = 0; c < 4; ++c) {
-    h.setProgram(c, incrementProgram(runtime, static_cast<unsigned>(c), 25));
+    h.setProgram(c, incrementProgram(*backend, static_cast<unsigned>(c), 25));
   }
   h.run();
   EXPECT_EQ(h.read(kCounter), 100u);
 }
 
+TEST(Runtime, ZeroMaxRetriesIsRejected) {
+  // The attempt budget is decremented before it is tested, so a budget of 0
+  // would retry forever and never reach the fallback path: every HTM attempt
+  // loop refuses it at emission.
+  rt::RetryPolicy retry;
+  retry.maxRetries = 0;
+  core::TmPolicy htmLock;
+  htmLock.htmLock = true;
+  const std::pair<const char*, core::TmPolicy> htmBackends[] = {
+      {"lockiller", core::TmPolicy{}}, {"lockiller", htmLock}, {"hybrid", {}}};
+  for (const auto& [name, policy] : htmBackends) {
+    auto backend = tm::makeBackend(
+        name, tm::BackendConfig{policy, retry, wl::kFallbackLockAddr});
+    ProgramBuilder b;
+    backend->emitProgramStart(b, 0, 1);
+    EXPECT_THROW(backend->emitTransaction(b, emitIncrement), std::invalid_argument)
+        << name << (policy.htmLock ? " (HTMLock)" : "");
+  }
+  // Coarse-grained locking has no attempt loop, so the budget is unused.
+  EXPECT_NO_THROW(incrementProgram(*backendFor(cglPolicy(), retry), 0, 1));
+}
+
 TEST(Runtime, RetryExhaustionTakesFallback) {
-  // With zero retries every conflict abort goes straight to the lock.
+  // With a single attempt every conflict abort goes straight to the lock.
   rt::RetryPolicy retry;
   retry.maxRetries = 1;
-  TmRuntime runtime(RuntimeKind::BestEffort, wl::kFallbackLockAddr, retry);
+  auto backend = backendFor(core::TmPolicy{}, retry);
   TestSystemOptions opt;
   opt.cores = 4;
   CpuHarness h(4, opt);
   for (CoreId c = 0; c < 4; ++c) {
-    h.setProgram(c, incrementProgram(runtime, static_cast<unsigned>(c), 25));
+    h.setProgram(c, incrementProgram(*backend, static_cast<unsigned>(c), 25));
   }
   h.run();
   EXPECT_EQ(h.read(kCounter), 100u);

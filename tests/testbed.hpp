@@ -179,7 +179,6 @@ inline core::TmPolicy recoveryPolicy(
 inline core::TmPolicy htmLockPolicy(bool switching = false) {
   core::TmPolicy p = recoveryPolicy();
   p.htmLock = true;
-  p.subscribeLock = false;
   p.switching = switching;
   return p;
 }

@@ -9,7 +9,9 @@
 # diagnostic), run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
 # (interrupt + resume must merge bit-identical to an uninterrupted run, under
-# the default and sanitize builds), smoke the distributed fan-out (3 workers
+# the default and sanitize builds), run the end-to-end benchmark's smoke mode
+# (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
+# of all four benchmark workloads), smoke the distributed fan-out (3 workers
 # on one claim spool, one SIGKILLed mid-job and reclaimed via heartbeat
 # lease, merge must cmp equal to a single-process run — default and sanitize
 # builds), smoke the database-traffic family (ycsb on the TL2 backend must
@@ -96,6 +98,12 @@ run_backend_smoke() {
   }
 }
 run_backend_smoke build
+
+echo "== end-to-end benchmark: smoke cells + fingerprint gate (bench/e2e) =="
+# Two cells per workload, with and without tracing; each must match the
+# committed fingerprints (expected_seed11.json) and print the metric names
+# BENCHMARK.json declares.
+bash bench/e2e/run.sh --smoke
 
 echo "== model checker: TL2 commit footprint (stm-commit, exhaustive) =="
 ./build/tools/lktm_check --config stm-commit --depth 4000 | grep -q "CLEAN" \

@@ -24,7 +24,8 @@ struct RetryPolicy {
       static_cast<Cycle>(std::numeric_limits<std::int64_t>::max() / 2);
 
   LockImpl cglLock = LockImpl::Mcs;
-  unsigned maxRetries = 8;    ///< attempts before taking the fallback path
+  unsigned maxRetries = 8;    ///< attempts before taking the fallback path;
+                              ///< at least 1 wherever HTM is attempted
   Cycle backoff = 40;         ///< pause between speculative attempts
   Cycle spinBackoff = 24;     ///< initial pause between lock-word polls
   Cycle spinBackoffMax = 512;  ///< exponential backoff cap while spinning

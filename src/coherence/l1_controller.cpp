@@ -12,6 +12,24 @@ namespace lktm::coh {
 
 using sim::TraceCat;
 
+namespace {
+
+/// The port of an L1 that no CPU drives: priority 0, aborts and STL switches
+/// go unobserved. Stateless, so one instance serves every such L1.
+class IdleCpuPort final : public L1Controller::CpuPort {
+ public:
+  std::uint64_t priorityValue() const override { return 0; }
+  void onAbort(AbortCause) override {}
+  void onSwitchedToStl() override {}
+};
+
+L1Controller::CpuPort& idleCpuPort() {
+  static IdleCpuPort port;
+  return port;
+}
+
+}  // namespace
+
 L1Controller::L1Controller(sim::SimContext& ctx, noc::Network& net, CoreId id,
                            mem::CacheGeometry geometry, ProtocolParams params,
                            core::TmPolicy policy, unsigned numCores)
@@ -24,10 +42,13 @@ L1Controller::L1Controller(sim::SimContext& ctx, noc::Network& net, CoreId id,
       policy_(policy),
       cm_(policy.conflict, policy.rejectAction),
       numCores_(numCores),
+      port_(&idleCpuPort()),
       mshr_(params.mshrCapacity),
       txc_(ctx.stats(), stats::statPath("core", id)),
       hits_(ctx.stats().counter(stats::statPath("core", id, "l1.hits"))),
-      misses_(ctx.stats().counter(stats::statPath("core", id, "l1.misses"))) {}
+      misses_(ctx.stats().counter(stats::statPath("core", id, "l1.misses"))) {
+  txMarks_.resize((cache_.numEntries() + 63) / 64);
+}
 
 // ---------------------------------------------------------------- messaging
 
@@ -44,7 +65,7 @@ core::ReqSide L1Controller::myReqSide(bool wantsExclusive) const {
       .core = id_,
       .isTx = inAnyTx(),
       .lockMode = isLockMode(mode_),
-      .priority = cb_.priorityValue(),
+      .priority = port_->priorityValue(),
       .wantsExclusive = wantsExclusive,
   };
 }
@@ -53,7 +74,7 @@ core::LocalSide L1Controller::myLocalSide(LineAddr line) const {
   return core::LocalSide{
       .core = id_,
       .lockMode = isLockMode(mode_),
-      .priority = cb_.priorityValue(),
+      .priority = port_->priorityValue(),
       .lineIsLockWord = line == lockLine_,
   };
 }
@@ -127,6 +148,7 @@ void L1Controller::completeOnLine(mem::CacheEntry& e) {
   cache_.touch(e);
   const unsigned w = wordOf(op_.addr);
   if (inAnyTx()) {
+    markTx(e);
     if (op_.kind == OpKind::Load) {
       e.txRead = true;
     } else {
@@ -227,7 +249,7 @@ void L1Controller::issueRequest(LineAddr line, bool wantsExclusive) {
   mem::MshrEntry& m = mshr_.allocate(line);
   m.isWrite = wantsExclusive;
   m.fromTx = inAnyTx();
-  m.priority = cb_.priorityValue();
+  m.priority = port_->priorityValue();
   Msg req{.type = wantsExclusive ? MsgType::GetX : MsgType::GetS,
           .line = line,
           .req = myReqSide(wantsExclusive)};
@@ -238,7 +260,7 @@ void L1Controller::reissue(mem::MshrEntry& m) {
   m.state = mem::MshrState::Issued;
   m.earlyWakeup = false;
   ++m.retries;
-  m.priority = cb_.priorityValue();
+  m.priority = port_->priorityValue();
   Msg req{.type = m.isWrite ? MsgType::GetX : MsgType::GetS,
           .line = m.line,
           .req = myReqSide(m.isWrite)};
@@ -282,8 +304,10 @@ void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine)
   for (LineAddr l : toRelease) mshr_.release(l);
 
   // Discard speculatively-written lines; tell the directory so it stops
-  // considering us the owner (the LLC still holds pre-images).
-  cache_.forEachValid([&](mem::CacheEntry& e) {
+  // considering us the owner (the LLC still holds pre-images). Only marked
+  // entries can carry tx bits; the rest would fall through to the no-op
+  // `txRead = false` branch.
+  drainTxMarks([&](mem::CacheEntry& e) {
     if (exceptLine != nullptr && e.line == *exceptLine) return;  // caller handles
     if (e.txWrite) {
       Msg inv{.type = MsgType::TxAbortInv, .line = e.line};
@@ -304,11 +328,11 @@ void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine)
   sim::traceEnd(ctx_, TraceCat::Txn, "txn", id_,
                 {"abort_cause", static_cast<std::uint64_t>(cause)});
   if (op_.active) op_ = CpuOp{};  // the CPU rolls back; never complete this op
-  cb_.onAbort(cause);
+  port_->onAbort(cause);
 }
 
 void L1Controller::clearTxBitsAndWake() {
-  cache_.forEachValid([](mem::CacheEntry& e) { e.txRead = e.txWrite = false; });
+  drainTxMarks([](mem::CacheEntry& e) { e.txRead = e.txWrite = false; });
   for (const auto& wkp : wakeups_.drainAll()) {
     sendWakeup(wkp.core, wkp.line);
     ++txc_.wakeupsSent;
@@ -498,7 +522,7 @@ void L1Controller::onHlaGrant() {
     ++txc_.switchGrants;
     sim::traceBegin(ctx_, TraceCat::LockMode, "lock_mode", id_,
                     {"mode", static_cast<std::uint64_t>(TxMode::STL)});
-    cb_.onSwitchedToStl();
+    port_->onSwitchedToStl();
     drainBlockedExternal();
     if (switchDone_) {
       auto done = std::move(switchDone_);

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <deque>
-#include <functional>
+#include <vector>
 
 #include "core/conflict_manager.hpp"
 #include "core/wakeup_table.hpp"
@@ -40,14 +40,20 @@ class L1Controller final : public MsgSink {
   using DoneValFn = sim::SmallFn<void(std::uint64_t), 64>;
   using DoneBoolFn = sim::SmallFn<void(bool)>;
 
-  /// Hooks into the owning CPU model.
-  struct Callbacks {
+  /// What the L1 asks of the CPU driving it. Implemented by cpu::Cpu (and by
+  /// the test and model-checker drivers); an L1 with no port installed sees
+  /// priority 0 and ignores aborts and STL switches.
+  class CpuPort {
+   public:
     /// Current priority value per the configured PriorityKind.
-    std::function<std::uint64_t()> priorityValue = [] { return std::uint64_t{0}; };
+    virtual std::uint64_t priorityValue() const = 0;
     /// The local transaction was killed (conflict loss, overflow, fault...).
-    std::function<void(AbortCause)> onAbort = [](AbortCause) {};
+    virtual void onAbort(AbortCause cause) = 0;
     /// switchingMode succeeded; the CPU is now in STL mode.
-    std::function<void()> onSwitchedToStl = [] {};
+    virtual void onSwitchedToStl() = 0;
+
+   protected:
+    ~CpuPort() = default;
   };
 
   L1Controller(sim::SimContext& ctx, noc::Network& net, CoreId id,
@@ -57,7 +63,9 @@ class L1Controller final : public MsgSink {
   void connectDirectory(MsgSink* dir) { dir_ = dir; }
   /// Peer L1s, indexed by core id, for direct wakeup messages.
   void connectPeers(std::vector<MsgSink*> peers) { peers_ = std::move(peers); }
-  void setCallbacks(Callbacks cb) { cb_ = std::move(cb); }
+  /// Install the CPU driving this L1. Not owned; it must outlive the L1's
+  /// last event.
+  void setCpuPort(CpuPort& port) { port_ = &port; }
   /// Address of the fallback-lock word, for the `mutex` abort classification.
   void setLockLine(LineAddr line) { lockLine_ = line; }
 
@@ -134,7 +142,7 @@ class L1Controller final : public MsgSink {
   unsigned numCores_;
   MsgSink* dir_ = nullptr;
   std::vector<MsgSink*> peers_;
-  Callbacks cb_;
+  CpuPort* port_;
   LineAddr lockLine_ = static_cast<LineAddr>(-1);
 
   CpuOp op_;
@@ -142,6 +150,10 @@ class L1Controller final : public MsgSink {
   sim::FlatLineTable<mem::LineData> wb_;  ///< dirty evictions awaiting PutAck
   core::WakeupTable wakeups_;
   sim::FlatLineSet ofRd_, ofWr_;  ///< exact local view of the LLC signatures
+  /// One bit per flat cache index, set wherever a CPU op sets txRead or
+  /// txWrite. Commit and abort visit only these entries; a bit can go stale
+  /// (line evicted, way refilled) but never misses a tx-marked entry.
+  std::vector<std::uint64_t> txMarks_;
 
   TxMode mode_ = TxMode::None;
   bool triedSwitch_ = false;
@@ -190,6 +202,24 @@ class L1Controller final : public MsgSink {
   void drainBlockedExternal();
 
   // transactions
+  void markTx(const mem::CacheEntry& e) {
+    const std::size_t i = cache_.indexOf(e);
+    txMarks_[i / 64] |= 1ull << (i % 64);
+  }
+  /// Visit every valid tx-marked entry in ascending flat index order — the
+  /// order forEachValid uses — and clear the marks.
+  template <class Fn>
+  void drainTxMarks(Fn&& fn) {
+    for (std::size_t w = 0; w < txMarks_.size(); ++w) {
+      std::uint64_t bits = txMarks_[w];
+      txMarks_[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        mem::CacheEntry& e =
+            cache_.entryAt(w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+        if (e.valid()) fn(e);
+      }
+    }
+  }
   void txAbortInternal(AbortCause cause, const LineAddr* exceptLine);
   void clearTxBitsAndWake();
 };

@@ -21,11 +21,7 @@ Cpu::Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& ba
       commitLatency_(ctx.stats().histogram(
           stats::statPath("core." + std::to_string(id), "latency.commit"),
           "cycles from critical-section begin to commit, spanning retries")) {
-  l1_.setCallbacks(coh::L1Controller::Callbacks{
-      .priorityValue = [this] { return priorityValue(); },
-      .onAbort = [this](AbortCause c) { onAbort(c); },
-      .onSwitchedToStl = [] {},  // attribution happens at hlend
-  });
+  l1_.setCpuPort(*this);
 }
 
 void Cpu::start() {

@@ -25,7 +25,7 @@ struct CpuParams {
   bool switchOnFault = false;
 };
 
-class Cpu {
+class Cpu final : private coh::L1Controller::CpuPort {
  public:
   Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& barrier,
       Program program, CpuParams params, std::function<void()> onHalt = [] {});
@@ -103,8 +103,10 @@ class Cpu {
   }
   bool inTx() const { return nestDepth_ > 0 || l1_.mode() != TxMode::None; }
 
-  std::uint64_t priorityValue() const;
-  void onAbort(AbortCause cause);
+  // coh::L1Controller::CpuPort
+  std::uint64_t priorityValue() const override;
+  void onAbort(AbortCause cause) override;
+  void onSwitchedToStl() override {}  // attribution happens at hlend
   void execMem(const Instr& i);
   void execTx(const Instr& i);
 };

@@ -54,38 +54,15 @@ CacheEntry* CacheArray::invalidWay(LineAddr line) {
   return nullptr;
 }
 
-CacheEntry* CacheArray::lruWay(LineAddr line,
-                               const std::function<bool(const CacheEntry&)>& pred) {
-  CacheEntry* b = base(setOf(line));
-  CacheEntry* best = nullptr;
-  for (unsigned w = 0; w < geo_.assoc; ++w) {
-    if (!b[w].valid() || !pred(b[w])) continue;
-    if (best == nullptr || b[w].lru < best->lru) best = &b[w];
-  }
-  return best;
-}
-
 void CacheArray::install(CacheEntry& e, LineAddr line, MesiState st, const LineData& data) {
   assert(!e.valid());
-  assert(setOf(line) == static_cast<unsigned>((&e - entries_.data()) / geo_.assoc));
+  assert(setOf(line) == static_cast<unsigned>(indexOf(e) / geo_.assoc));
   e.line = line;
   e.state = st;
   e.dirty = false;
   e.txRead = e.txWrite = false;
   e.data = data;
   touch(e);
-}
-
-void CacheArray::forEachValid(const std::function<void(CacheEntry&)>& fn) {
-  for (auto& e : entries_) {
-    if (e.valid()) fn(e);
-  }
-}
-
-void CacheArray::forEachValid(const std::function<void(const CacheEntry&)>& fn) const {
-  for (const auto& e : entries_) {
-    if (e.valid()) fn(e);
-  }
 }
 
 void CacheArray::hashState(sim::StateHasher& h) const {
@@ -111,14 +88,6 @@ void CacheArray::hashState(sim::StateHasher& h) const {
       for (std::uint64_t word : e.data) h.put(word);
     }
   }
-}
-
-std::uint64_t CacheArray::countIf(const std::function<bool(const CacheEntry&)>& pred) const {
-  std::uint64_t n = 0;
-  for (const auto& e : entries_) {
-    if (e.valid() && pred(e)) ++n;
-  }
-  return n;
 }
 
 }  // namespace lktm::mem

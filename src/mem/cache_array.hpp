@@ -4,8 +4,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/state_hash.hpp"
@@ -79,7 +80,16 @@ class CacheArray {
   CacheEntry* invalidWay(LineAddr line);
 
   /// Least-recently-used valid way satisfying `pred`, or nullptr.
-  CacheEntry* lruWay(LineAddr line, const std::function<bool(const CacheEntry&)>& pred);
+  template <class Pred>
+  CacheEntry* lruWay(LineAddr line, Pred&& pred) {
+    CacheEntry* b = base(setOf(line));
+    CacheEntry* best = nullptr;
+    for (unsigned w = 0; w < geo_.assoc; ++w) {
+      if (!b[w].valid() || !pred(std::as_const(b[w]))) continue;
+      if (best == nullptr || b[w].lru < best->lru) best = &b[w];
+    }
+    return best;
+  }
 
   /// Mark `e` as most recently used.
   void touch(CacheEntry& e) { e.lru = ++stamp_; }
@@ -87,9 +97,27 @@ class CacheArray {
   /// Install `line` into the given (previously victimized) entry.
   void install(CacheEntry& e, LineAddr line, MesiState st, const LineData& data);
 
-  /// Iterate over every valid entry (used for commit/abort walks & checkers).
-  void forEachValid(const std::function<void(CacheEntry&)>& fn);
-  void forEachValid(const std::function<void(const CacheEntry&)>& fn) const;
+  /// Iterate over every valid entry in flat (set-major, then way) order.
+  template <class Fn>
+  void forEachValid(Fn&& fn) {
+    for (CacheEntry& e : entries_) {
+      if (e.valid()) fn(e);
+    }
+  }
+  template <class Fn>
+  void forEachValid(Fn&& fn) const {
+    for (const CacheEntry& e : entries_) {
+      if (e.valid()) fn(e);
+    }
+  }
+
+  /// Flat index of an entry (set * assoc + way): the order forEachValid
+  /// visits. entryAt() is its inverse; numEntries() bounds it.
+  std::size_t indexOf(const CacheEntry& e) const {
+    return static_cast<std::size_t>(&e - entries_.data());
+  }
+  CacheEntry& entryAt(std::size_t index) { return entries_[index]; }
+  std::size_t numEntries() const { return entries_.size(); }
 
   /// Fold the array's behaviour-relevant state into a model-checker
   /// fingerprint: per (set, way) the tag/state/dirty/tx bits and data, plus
@@ -98,7 +126,14 @@ class CacheArray {
   /// victim selection, so only the rank is hashed.
   void hashState(sim::StateHasher& h) const;
 
-  std::uint64_t countIf(const std::function<bool(const CacheEntry&)>& pred) const;
+  template <class Pred>
+  std::uint64_t countIf(Pred&& pred) const {
+    std::uint64_t n = 0;
+    for (const CacheEntry& e : entries_) {
+      if (e.valid() && pred(e)) ++n;
+    }
+    return n;
+  }
 
  private:
   CacheGeometry geo_;

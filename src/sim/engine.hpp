@@ -6,6 +6,7 @@
 #include <chrono>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -27,7 +28,10 @@ class Engine {
   /// outlive every run it steers.
   void setScheduleOracle(ScheduleOracle* oracle) { q_.setOracle(oracle); }
 
-  void schedule(Cycle delay, EventQueue::Action fn) { q_.schedule(delay, std::move(fn)); }
+  template <class F>
+  void schedule(Cycle delay, F&& fn) {
+    q_.schedule(delay, std::forward<F>(fn));
+  }
 
   /// Rewind to a pristine pre-run state (clock, watchdog, diagnostics) while
   /// keeping the event queue's node slabs. Used by SimContext::beginRun so a

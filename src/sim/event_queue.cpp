@@ -1,9 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
-#include <utility>
 
 #include "sim/kernel_stats.hpp"
 
@@ -13,145 +11,39 @@ EventQueue::EventQueue() : ring_(kHorizon) {}
 
 EventQueue::~EventQueue() = default;
 
-EventQueue::Node* EventQueue::allocNode() {
-  if (free_ == nullptr) {
-    slabs_.emplace_back(new Node[kSlabNodes]);
-    Node* s = slabs_.back().get();
-    for (std::size_t i = kSlabNodes; i > 0; --i) {
-      s[i - 1].next = free_;
-      free_ = &s[i - 1];
-    }
-    kstats::queueSlabs.fetch_add(1, std::memory_order_relaxed);
+void EventQueue::growSlab() {
+  slabs_.emplace_back(new Node[kSlabNodes]);
+  Node* s = slabs_.back().get();
+  for (std::size_t i = kSlabNodes; i > 0; --i) {
+    s[i - 1].next = free_;
+    free_ = &s[i - 1];
   }
-  Node* n = free_;
-  free_ = n->next;
+  kstats::queueSlabs.fetch_add(1, std::memory_order_relaxed);
+}
+
+void EventQueue::throwBadCycle(const char* where, const char* what, Cycle when) const {
+  throw std::logic_error(std::string("EventQueue::") + where + ": cycle " +
+                         std::to_string(when) + " " + what + " (now=" +
+                         std::to_string(now_) + ")");
+}
+
+void EventQueue::pushOverflow(Node* n) {
+  overflow_.push_back(n);
+  std::push_heap(overflow_.begin(), overflow_.end(), laterInHeap);
+}
+
+EventQueue::Node* EventQueue::popOverflow() {
+  std::pop_heap(overflow_.begin(), overflow_.end(), laterInHeap);
+  Node* n = overflow_.back();
+  overflow_.pop_back();
   n->next = nullptr;
   return n;
 }
 
-void EventQueue::recycleNode(Node* n) {
-  n->fn = nullptr;  // release captured state eagerly
-  n->next = free_;
-  free_ = n;
-}
-
-void EventQueue::scheduleAt(Cycle when, Action fn) {
-  if (when < now_) {
-    throw std::logic_error("EventQueue::scheduleAt: cycle " + std::to_string(when) +
-                           " is in the past (now=" + std::to_string(now_) + ")");
-  }
-  insert(when, std::move(fn));
-}
-
-void EventQueue::insert(Cycle when, Action fn) {
-  // Guards the `when - now_` horizon test below against u64 wrap: a delay
-  // large enough to overflow `now_ + delay` would otherwise alias into a ring
-  // bucket of an earlier "day" and run kHorizon cycles early.
-  if (when < now_) {
-    throw std::logic_error("EventQueue::insert: cycle " + std::to_string(when) +
-                           " wrapped past now=" + std::to_string(now_));
-  }
-  Node* n = allocNode();
-  n->when = when;
-  n->seq = seq_++;
-  n->fn = std::move(fn);
-  ++size_;
-  if (when - now_ < kHorizon) {
-    appendToRing(n);
-  } else {
-    overflow_.push_back(n);
-    std::push_heap(overflow_.begin(), overflow_.end(), laterInHeap);
-  }
-}
-
-void EventQueue::appendToRing(Node* n) {
-  // Day-rollover bounds check: the ring covers exactly [now_, now_+kHorizon),
-  // so an event outside that window would collide with a bucket belonging to
-  // a different cycle (same index mod kHorizon) and fire at the wrong time.
-  assert(n->when >= now_ && n->when - now_ < kHorizon &&
-         "calendar ring day rollover: event outside the horizon window");
-  Bucket& b = ring_[n->when & kMask];
-  if (b.head == nullptr) {
-    b.head = b.tail = n;
-    occ_[(n->when & kMask) / 64] |= 1ull << ((n->when & kMask) % 64);
-  } else {
-    b.tail->next = n;
-    b.tail = n;
-  }
-  ++ringSize_;
-}
-
 void EventQueue::migrateOverflow() {
   while (!overflow_.empty() && overflow_.front()->when - now_ < kHorizon) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), laterInHeap);
-    Node* n = overflow_.back();
-    overflow_.pop_back();
-    n->next = nullptr;
-    appendToRing(n);
+    appendToRing(popOverflow());
   }
-}
-
-std::size_t EventQueue::earliestRingIndex() const {
-  // All ring events live in [now_, now_ + kHorizon), so scanning the
-  // occupancy bitmap in wrapped index order starting at now_ visits buckets
-  // in cycle order. Each bucket holds exactly one cycle's events, FIFO.
-  const std::size_t start = now_ & kMask;
-  std::size_t word = start / 64;
-  std::uint64_t bits = occ_[word] & (~0ull << (start % 64));
-  for (std::size_t scanned = 0; scanned <= kOccWords; ++scanned) {
-    if (bits != 0) {
-      return word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
-    }
-    word = (word + 1) % kOccWords;
-    bits = occ_[word];
-  }
-  return static_cast<std::size_t>(-1);
-}
-
-EventQueue::Node* EventQueue::popEarliestRing() {
-  const std::size_t idx = earliestRingIndex();
-  if (idx == static_cast<std::size_t>(-1)) return nullptr;
-  Bucket& b = ring_[idx];
-  Node* n = b.head;
-  b.head = n->next;
-  if (b.head == nullptr) {
-    b.tail = nullptr;
-    occ_[idx / 64] &= ~(1ull << (idx % 64));
-  }
-  --ringSize_;
-  return n;
-}
-
-bool EventQueue::runOne() {
-  if (size_ == 0) return false;
-  Node* n = oracle_ != nullptr ? popWithOracle() : popDefault();
-  --size_;
-  ++executed_;
-  Action fn = std::move(n->fn);
-  recycleNode(n);
-  fn();
-  return true;
-}
-
-EventQueue::Node* EventQueue::popDefault() {
-  Node* n;
-  if (ringSize_ > 0) {
-    n = popEarliestRing();
-    assert(n != nullptr && "occupancy bitmap out of sync");
-  } else {
-    // Jump across the empty window to the earliest far-future event.
-    std::pop_heap(overflow_.begin(), overflow_.end(), laterInHeap);
-    n = overflow_.back();
-    overflow_.pop_back();
-    n->next = nullptr;
-  }
-  assert(n->when >= now_);
-  now_ = n->when;
-  // Pull newly-in-horizon events into the ring *before* running the action,
-  // so same-cycle ring appends from the action keep their seq order behind
-  // any older overflow events for the same bucket.
-  migrateOverflow();
-  return n;
 }
 
 EventQueue::Node* EventQueue::popWithOracle() {

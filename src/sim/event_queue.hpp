@@ -11,9 +11,11 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/small_fn.hpp"
@@ -68,19 +70,37 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedule `fn` to run `delay` cycles from now. delay==0 runs later in the
-  /// current cycle (after currently pending same-cycle events).
-  void schedule(Cycle delay, Action fn) { insert(now_ + delay, std::move(fn)); }
+  /// current cycle (after currently pending same-cycle events). The callable
+  /// is constructed directly inside the event node's inline buffer.
+  template <class F>
+  void schedule(Cycle delay, F&& fn) {
+    insert(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Schedule at an absolute cycle. Throws std::logic_error when `when` is in
   /// the past — a protocol component computed a stale timestamp.
-  void scheduleAt(Cycle when, Action fn);
+  template <class F>
+  void scheduleAt(Cycle when, F&& fn) {
+    if (when < now_) [[unlikely]] throwBadCycle("scheduleAt", "is in the past", when);
+    insert(when, std::forward<F>(fn));
+  }
 
   Cycle now() const { return now_; }
   bool empty() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
 
-  /// Run the next event; returns false if the queue is empty.
-  bool runOne();
+  /// Run the next event; returns false if the queue is empty. The action runs
+  /// in place inside its node, which returns to the free list afterwards —
+  /// also when the action throws.
+  bool runOne() {
+    if (size_ == 0) return false;
+    Node* n = oracle_ != nullptr ? popWithOracle() : popDefault();
+    --size_;
+    ++executed_;
+    const RecycleOnExit recycle{*this, n};
+    n->fn();
+    return true;
+  }
 
   /// Run until the queue drains or `maxCycles` simulated cycles elapse.
   /// Throws SimulationHang if the budget is exceeded.
@@ -121,12 +141,20 @@ class EventQueue {
     Node* head = nullptr;
     Node* tail = nullptr;
   };
+  /// Returns a node to the free list when runOne leaves, normally or by throw.
+  struct RecycleOnExit {
+    EventQueue& q;
+    Node* n;
+    ~RecycleOnExit() { q.recycleNode(n); }
+  };
 
   static constexpr std::size_t kMask = kHorizon - 1;
   static constexpr std::size_t kOccWords = kHorizon / 64;
   static constexpr std::size_t kSlabNodes = 256;
   static_assert((kHorizon & kMask) == 0, "horizon must be a power of two");
 
+  // The ring stays on the heap: an inline 4096-bucket array would add 64 KiB
+  // to every queue (and to every SimContext) and raised peak RSS measurably.
   std::vector<Bucket> ring_;
   std::array<std::uint64_t, kOccWords> occ_{};
   std::vector<Node*> overflow_;  ///< min-heap on (when, seq)
@@ -144,15 +172,116 @@ class EventQueue {
     return a->when != b->when ? a->when > b->when : a->seq > b->seq;
   }
 
-  Node* allocNode();
-  void recycleNode(Node* n);
-  void insert(Cycle when, Action fn);
-  void appendToRing(Node* n);
+  // ---- per-event fast path (inline) ----
+
+  Node* allocNode() {
+    if (free_ == nullptr) [[unlikely]] growSlab();
+    Node* n = free_;
+    free_ = n->next;
+    n->next = nullptr;
+    return n;
+  }
+
+  void recycleNode(Node* n) {
+    n->fn = nullptr;  // release captured state eagerly
+    n->next = free_;
+    free_ = n;
+  }
+
+  template <class F>
+  void insert(Cycle when, F&& fn) {
+    // Guards the `when - now_` horizon test below against u64 wrap: a delay
+    // large enough to overflow `now_ + delay` would otherwise alias into a
+    // ring bucket of an earlier "day" and run kHorizon cycles early.
+    if (when < now_) [[unlikely]] throwBadCycle("insert", "wrapped past", when);
+    Node* n = allocNode();
+    try {
+      n->fn = std::forward<F>(fn);
+    } catch (...) {
+      recycleNode(n);
+      throw;
+    }
+    n->when = when;
+    n->seq = seq_++;
+    ++size_;
+    if (when - now_ < kHorizon) [[likely]] {
+      appendToRing(n);
+    } else {
+      pushOverflow(n);
+    }
+  }
+
+  void appendToRing(Node* n) {
+    // Day-rollover bounds check: the ring covers exactly [now_, now_+kHorizon),
+    // so an event outside that window would collide with a bucket belonging
+    // to a different cycle (same index mod kHorizon) and fire at the wrong
+    // time.
+    assert(n->when >= now_ && n->when - now_ < kHorizon &&
+           "calendar ring day rollover: event outside the horizon window");
+    const std::size_t idx = n->when & kMask;
+    Bucket& b = ring_[idx];
+    if (b.head == nullptr) {
+      b.head = b.tail = n;
+      occ_[idx / 64] |= 1ull << (idx % 64);
+    } else {
+      b.tail->next = n;
+      b.tail = n;
+    }
+    ++ringSize_;
+  }
+
+  std::size_t earliestRingIndex() const {
+    // All ring events live in [now_, now_ + kHorizon), so scanning the
+    // occupancy bitmap in wrapped index order starting at now_ visits buckets
+    // in cycle order. Each bucket holds exactly one cycle's events, FIFO.
+    const std::size_t start = now_ & kMask;
+    std::size_t word = start / 64;
+    std::uint64_t bits = occ_[word] & (~0ull << (start % 64));
+    for (std::size_t scanned = 0; scanned <= kOccWords; ++scanned) {
+      if (bits != 0) {
+        return word * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      }
+      word = (word + 1) % kOccWords;
+      bits = occ_[word];
+    }
+    return static_cast<std::size_t>(-1);
+  }
+
+  Node* popEarliestRing() {
+    const std::size_t idx = earliestRingIndex();
+    assert(idx != static_cast<std::size_t>(-1) && "occupancy bitmap out of sync");
+    Bucket& b = ring_[idx];
+    Node* n = b.head;
+    b.head = n->next;
+    if (b.head == nullptr) {
+      b.tail = nullptr;
+      occ_[idx / 64] &= ~(1ull << (idx % 64));
+    }
+    --ringSize_;
+    return n;
+  }
+
+  Node* popDefault() {
+    // With the ring empty, jump across the empty window to the earliest
+    // far-future event.
+    Node* n = ringSize_ > 0 ? popEarliestRing() : popOverflow();
+    assert(n->when >= now_);
+    now_ = n->when;
+    // Pull newly-in-horizon events into the ring *before* running the action,
+    // so same-cycle ring appends from the action keep their seq order behind
+    // any older overflow events for the same bucket.
+    if (!overflow_.empty() && overflow_.front()->when - now_ < kHorizon) migrateOverflow();
+    return n;
+  }
+
+  // ---- rare paths (out of line) ----
+
+  void growSlab();
+  void pushOverflow(Node* n);
+  Node* popOverflow();
   void migrateOverflow();
-  std::size_t earliestRingIndex() const;
-  Node* popEarliestRing();
-  Node* popDefault();
   Node* popWithOracle();
+  [[noreturn]] void throwBadCycle(const char* where, const char* what, Cycle when) const;
 };
 
 }  // namespace lktm::sim

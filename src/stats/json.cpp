@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <locale>
 #include <stdexcept>
+#include <string>
 
 namespace lktm::stats::json {
 
@@ -47,8 +48,16 @@ class Parser {
   Value value() {
     skipWs();
     switch (peek()) {
-      case '{': return objectValue();
-      case '[': return arrayValue();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth) + " levels");
+        }
+        ++depth_;
+        Value v = peek() == '{' ? objectValue() : arrayValue();
+        --depth_;
+        return v;
+      }
       case '"': return stringValue();
       case 't': return literal("true", boolValue(true));
       case 'f': return literal("false", boolValue(false));
@@ -173,6 +182,7 @@ class Parser {
 
   const std::string& src_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;  ///< arrays and objects open around pos_
 };
 
 }  // namespace

@@ -44,8 +44,12 @@ struct Value {
   bool isObject() const { return kind == Kind::Object && object != nullptr; }
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once per
+/// level, so the limit keeps hostile input from overflowing the stack.
+inline constexpr unsigned kMaxParseDepth = 512;
+
 /// Parse a complete JSON document. Throws std::runtime_error with a byte
-/// offset on malformed input.
+/// offset on malformed input, including nesting deeper than kMaxParseDepth.
 Value parse(const std::string& src);
 
 /// Unsigned 64-bit view of a parsed number: exact (std::from_chars over the

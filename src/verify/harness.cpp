@@ -186,12 +186,10 @@ ModelHarness::ModelHarness(const ModelConfig& cfg)
         cfg_.cores));
     l1s_.back()->connectDirectory(&dir_);
     dir_.connectL1(static_cast<CoreId>(i), l1s_.back().get());
-    const CoreId id = static_cast<CoreId>(i);
-    l1s_.back()->setCallbacks(coh::L1Controller::Callbacks{
-        .priorityValue = [this, id] { return drivers_[static_cast<std::size_t>(id)].insts; },
-        .onAbort = [this, id](AbortCause) { onAbort(id); },
-        .onSwitchedToStl = [] {},
-    });
+    Driver& d = drivers_[i];
+    d.harness = this;
+    d.id = static_cast<CoreId>(i);
+    l1s_.back()->setCpuPort(d);
   }
   std::vector<coh::MsgSink*> peers;
   for (auto& l1 : l1s_) peers.push_back(l1.get());

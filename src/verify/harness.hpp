@@ -93,13 +93,20 @@ class ModelHarness {
   std::string programStatus() const;
 
  private:
-  struct Driver {
+  /// One core's program driver; it is also the CPU port of that core's L1.
+  struct Driver final : coh::L1Controller::CpuPort {
+    ModelHarness* harness = nullptr;
+    CoreId id = 0;
     std::size_t pc = 0;
     std::size_t attemptStart = 0;  ///< rewind target on abort
     std::uint64_t gen = 0;         ///< attempt generation (staleness guard)
     std::uint64_t insts = 0;       ///< ops completed this attempt (= priority)
     bool done = false;
     unsigned aborts = 0;
+
+    std::uint64_t priorityValue() const override { return insts; }
+    void onAbort(AbortCause) override { harness->onAbort(id); }
+    void onSwitchedToStl() override {}
   };
 
   void step(CoreId c);

@@ -3,6 +3,9 @@
 // the three reject actions, pre-image flushing (Fig 3) and wakeups.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "testbed.hpp"
 
 namespace lktm::test {
@@ -327,6 +330,137 @@ TEST(Recovery, TxBitsClearAfterCommitAndAbort) {
             0u);
   sys.drain();
   sys.expectCoherent();
+}
+
+// ---------------------------------------------------------------------------
+// Commit and abort visit only the entries the L1 marked when it set a tx bit.
+// A full scan of the array in forEachValid order is the reference: the same
+// TxAbortInv messages in the same order, and the same final entries.
+
+/// Records the line of every TxAbortInv at send time.
+struct TxAbortInvTap final : coh::MsgTap {
+  std::vector<LineAddr> lines;
+  void onSend(const coh::Msg& m, noc::NodeId, noc::NodeId) override {
+    if (m.type == coh::MsgType::TxAbortInv) lines.push_back(m.line);
+  }
+  void onDeliver(const coh::Msg&, noc::NodeId, noc::NodeId) override {}
+};
+
+struct ExpectedEntry {
+  const mem::CacheEntry* entry;
+  mem::CacheEntry want;
+};
+
+/// Apply the full-scan commit (abort = false) or abort rules to a copy of
+/// every valid entry; returns the TxAbortInv lines in scan order.
+std::vector<LineAddr> fullScanReference(const mem::CacheArray& c, bool abort,
+                                        bool invalidateReadSet,
+                                        std::vector<ExpectedEntry>& out) {
+  std::vector<LineAddr> invs;
+  c.forEachValid([&](const mem::CacheEntry& e) {
+    mem::CacheEntry x = e;
+    if (!abort) {
+      x.txRead = x.txWrite = false;
+    } else if (x.txWrite) {
+      invs.push_back(x.line);
+      x.invalidate();
+    } else if (x.txRead && invalidateReadSet && !x.dirty) {
+      x.invalidate();
+    } else {
+      x.txRead = false;
+    }
+    out.push_back({&e, x});
+  });
+  return invs;
+}
+
+void expectEntries(const std::vector<ExpectedEntry>& expected) {
+  for (const ExpectedEntry& x : expected) {
+    const mem::CacheEntry& e = *x.entry;
+    SCOPED_TRACE("line " + std::to_string(x.want.line));
+    EXPECT_EQ(e.line, x.want.line);
+    EXPECT_EQ(e.state, x.want.state);
+    EXPECT_EQ(e.dirty, x.want.dirty);
+    EXPECT_EQ(e.txRead, x.want.txRead);
+    EXPECT_EQ(e.txWrite, x.want.txWrite);
+    EXPECT_EQ(e.data, x.want.data);
+    EXPECT_EQ(e.lru, x.want.lru);
+  }
+}
+
+constexpr LineAddr kBase = 0x4000;  // set 0 of the 4-set L1 below
+
+/// A 4-set, 2-way L1 whose transaction fills every way. Then two marked
+/// entries change behind the controller's back: one way is refilled with a
+/// non-transactional line (a stale mark), the other is left invalid.
+TestSystemOptions smallL1(bool invalidateReadSet) {
+  TestSystemOptions opt;
+  opt.l1 = mem::CacheGeometry{4 * 2 * kLineBytes, 2};
+  opt.protocol.invalidateReadSetOnAbort = invalidateReadSet;
+  return opt;
+}
+
+void markEveryWayThenEvictTwo(TestSystem& sys) {
+  const auto at = [](LineAddr l) { return byteOf(kBase + l); };
+  sys.store(0, at(1), 7);  // dirty before the transaction: survives an abort
+  sys.l1(0).txBegin();
+  sys.load(0, at(0));
+  sys.store(0, at(4), 1);
+  sys.load(0, at(1));
+  sys.store(0, at(5), 2);
+  sys.store(0, at(2), 3);
+  sys.load(0, at(6));
+  sys.load(0, at(3));
+  sys.store(0, at(7), 4);
+  sys.drain();
+  mem::CacheArray& c = sys.l1(0).cacheMut();
+  mem::CacheEntry* stale = c.find(kBase + 6);
+  ASSERT_NE(stale, nullptr);
+  ASSERT_TRUE(stale->txRead);
+  stale->invalidate();
+  c.install(*stale, kBase + 10, mem::MesiState::S, mem::LineData{});
+  mem::CacheEntry* gone = c.find(kBase + 3);
+  ASSERT_NE(gone, nullptr);
+  gone->invalidate();
+}
+
+TEST(TxMarks, AbortMatchesFullScanWithStaleMark) {
+  for (const bool invalidateReadSet : {true, false}) {
+    SCOPED_TRACE(invalidateReadSet ? "invalidate read set" : "keep read set");
+    TxAbortInvTap tap;
+    TestSystem sys(smallL1(invalidateReadSet));
+    markEveryWayThenEvictTwo(sys);
+    std::vector<ExpectedEntry> expected;
+    const std::vector<LineAddr> invs =
+        fullScanReference(sys.l1(0).cache(), /*abort=*/true, invalidateReadSet, expected);
+    // One speculatively written line per set, sent in set order.
+    ASSERT_EQ(invs, (std::vector<LineAddr>{kBase + 4, kBase + 5, kBase + 2, kBase + 7}));
+    sys.ctx().setVerifyTap(&tap);
+    sys.l1(0).txAbort(AbortCause::Explicit);
+    sys.ctx().setVerifyTap(nullptr);
+    EXPECT_EQ(tap.lines, invs);
+    expectEntries(expected);
+    ASSERT_NE(sys.l1(0).cache().find(kBase + 10), nullptr);  // the stale mark's line
+    EXPECT_FALSE(sys.l1(0).cache().find(kBase + 10)->transactional());
+  }
+}
+
+TEST(TxMarks, CommitMatchesFullScanWithStaleMark) {
+  TxAbortInvTap tap;
+  TestSystem sys(smallL1(true));
+  markEveryWayThenEvictTwo(sys);
+  std::vector<ExpectedEntry> expected;
+  fullScanReference(sys.l1(0).cache(), /*abort=*/false, true, expected);
+  sys.ctx().setVerifyTap(&tap);
+  bool done = false;
+  sys.l1(0).txCommit([&] { done = true; });
+  sys.ctx().setVerifyTap(nullptr);
+  EXPECT_TRUE(tap.lines.empty());
+  expectEntries(expected);
+  EXPECT_EQ(sys.l1(0).cache().countIf(
+                [](const mem::CacheEntry& e) { return e.transactional(); }),
+            0u);
+  sys.runUntil(done);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <stdexcept>
 #include <vector>
 
 #include "coherence/messages.hpp"
@@ -192,6 +193,50 @@ TEST(KernelPools, FullSimulationIsAllocationFreeAfterWarmup) {
   EXPECT_EQ(after.queueSlabs, before.queueSlabs);
   EXPECT_EQ(after.poolSlabs, before.poolSlabs);
   EXPECT_EQ(after.heapCallables, before.heapCallables);
+}
+
+// ---------------------------------------------------------------------------
+// In-place invocation: runOne calls the action inside its node and returns
+// the node to the free list afterwards, on the throwing path too.
+
+TEST(KernelQueue, ThrowingActionReturnsItsNode) {
+  sim::EventQueue q;
+  int ran = 0;
+  q.schedule(1, [&] { ++ran; });  // warm-up allocates the first slab
+  ASSERT_TRUE(q.runOne());
+  const std::size_t slabs = q.slabsAllocated();
+  const auto before = sim::kstats::snapshot();
+  // Far more throws than one slab holds: a leaked node per throw would force
+  // new slabs.
+  for (int i = 0; i < 4 * 256; ++i) {
+    q.schedule(1, [] { throw std::runtime_error("action failed"); });
+    q.schedule(1, [&] { ++ran; });
+    EXPECT_THROW(q.runOne(), std::runtime_error);
+    EXPECT_EQ(q.pending(), 1u);
+    ASSERT_TRUE(q.runOne());
+    EXPECT_EQ(q.pending(), 0u);
+  }
+  EXPECT_EQ(ran, 1 + 4 * 256);
+  EXPECT_EQ(q.slabsAllocated(), slabs);
+  EXPECT_EQ(sim::kstats::snapshot().queueSlabs, before.queueSlabs);
+}
+
+TEST(KernelQueue, ZeroDelayFromRunningActionRunsAfterPendingSameCycle) {
+  sim::EventQueue q;
+  std::vector<int> order;
+  q.schedule(1, [&] {
+    order.push_back(0);
+    // Scheduled while event 0 still occupies its node: it must queue behind
+    // events 1 and 2, which are already pending for this cycle.
+    q.schedule(0, [&] {
+      order.push_back(3);
+      q.schedule(0, [&] { order.push_back(4); });
+    });
+  });
+  q.schedule(1, [&] { order.push_back(1); });
+  q.schedule(1, [&] { order.push_back(2); });
+  while (q.runOne()) EXPECT_EQ(q.now(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 // ---------------------------------------------------------------------------

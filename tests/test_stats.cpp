@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "config/artifact.hpp"
@@ -578,6 +579,24 @@ TEST(StatsJson, ArtifactValidatesAgainstSchema) {
 // Running the same configuration twice through one SimContext (the sweep
 // reuse path) must yield identical snapshots: beginRun() clears the registry,
 // so nothing can leak from iteration to iteration.
+TEST(StatsJson, NestingLimitIsAParseErrorNotACrash) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(json::parse(nested(json::kMaxParseDepth)).isArray());
+  // The first bracket past the limit sits at byte kMaxParseDepth.
+  for (const std::string& doc :
+       {nested(json::kMaxParseDepth + 1), std::string(100'000, '[')}) {
+    try {
+      json::parse(doc);
+      ADD_FAILURE() << "no parse error for " << doc.size() << " bytes";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "JSON parse error at byte 512: nesting deeper than 512 levels");
+    }
+  }
+}
+
 TEST(StatReset, BackToBackRunsAreIdentical) {
   sim::SimContext ctx;
   const cfg::RunResult first = runCounter(&ctx);

@@ -33,22 +33,14 @@ class TestSystem {
       : opt_(opt),
         net_(ctx_, noc::MeshParams{}),
         dir_(ctx_, net_, memory_, opt.protocol, opt.tiles, opt.banks, opt.sig) {
-    prio_.resize(opt.cores, 0);
-    aborts_.resize(opt.cores);
-    switched_.resize(opt.cores, 0);
+    ports_.resize(opt.cores);
     for (unsigned i = 0; i < opt.cores; ++i) {
       l1s_.push_back(std::make_unique<coh::L1Controller>(
           ctx_, net_, static_cast<CoreId>(i), opt.l1, opt.protocol, opt.policy,
           opt.tiles));
       l1s_.back()->connectDirectory(&dir_);
       dir_.connectL1(static_cast<CoreId>(i), l1s_.back().get());
-      auto* self = this;
-      const CoreId id = static_cast<CoreId>(i);
-      l1s_.back()->setCallbacks(coh::L1Controller::Callbacks{
-          .priorityValue = [self, id] { return self->prio_[id]; },
-          .onAbort = [self, id](AbortCause c) { self->aborts_[id].push_back(c); },
-          .onSwitchedToStl = [self, id] { ++self->switched_[id]; },
-      });
+      l1s_.back()->setCpuPort(ports_[i]);
     }
     std::vector<coh::MsgSink*> peers;
     for (auto& l1 : l1s_) peers.push_back(l1.get());
@@ -60,9 +52,9 @@ class TestSystem {
   mem::MainMemory& memory() { return memory_; }
   coh::DirectoryController& dir() { return dir_; }
   coh::L1Controller& l1(CoreId c) { return *l1s_.at(static_cast<std::size_t>(c)); }
-  std::vector<AbortCause>& aborts(CoreId c) { return aborts_.at(static_cast<std::size_t>(c)); }
-  unsigned switchedCount(CoreId c) const { return switched_.at(static_cast<std::size_t>(c)); }
-  void setPriority(CoreId c, std::uint64_t v) { prio_.at(static_cast<std::size_t>(c)) = v; }
+  std::vector<AbortCause>& aborts(CoreId c) { return ports_.at(static_cast<std::size_t>(c)).aborts; }
+  unsigned switchedCount(CoreId c) const { return ports_.at(static_cast<std::size_t>(c)).switched; }
+  void setPriority(CoreId c, std::uint64_t v) { ports_.at(static_cast<std::size_t>(c)).prio = v; }
 
   /// Run the event queue until `done` becomes true (or fail after budget).
   void runUntil(const bool& done, Cycle budget = 1'000'000) {
@@ -155,15 +147,25 @@ class TestSystem {
   }
 
  private:
+  /// Stands in for each core's CPU: a settable priority, and a record of the
+  /// aborts and STL switches the L1 reports.
+  struct RecordingPort final : coh::L1Controller::CpuPort {
+    std::uint64_t prio = 0;
+    std::vector<AbortCause> aborts;
+    unsigned switched = 0;
+
+    std::uint64_t priorityValue() const override { return prio; }
+    void onAbort(AbortCause c) override { aborts.push_back(c); }
+    void onSwitchedToStl() override { ++switched; }
+  };
+
   TestSystemOptions opt_;
   sim::SimContext ctx_;
   mem::MainMemory memory_;
   noc::MeshNetwork net_;
   coh::DirectoryController dir_;
+  std::vector<RecordingPort> ports_;
   std::vector<std::unique_ptr<coh::L1Controller>> l1s_;
-  std::vector<std::uint64_t> prio_;
-  std::vector<std::vector<AbortCause>> aborts_;
-  std::vector<unsigned> switched_;
 };
 
 /// Recovery-enabled policy shorthand.

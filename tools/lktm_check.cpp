@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_number.hpp"
 #include "verify/checker.hpp"
 #include "verify/harness.hpp"
 
@@ -34,13 +35,6 @@ void usage() {
       "  --cex-out FILE     write the first counterexample to FILE\n"
       "  --replay FILE      re-run the schedule in a counterexample file\n"
       "  --list             list configurations and exit\n");
-}
-
-std::uint64_t parseU64(const char* s, bool& ok) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  ok = end != nullptr && *end == '\0' && end != s;
-  return static_cast<std::uint64_t>(v);
 }
 
 void printResult(const lktm::verify::CheckResult& r) {
@@ -96,30 +90,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--depth") {
       const char* v = next("--depth");
       if (v == nullptr) return 2;
-      bool ok = false;
-      opt.maxEventsPerPath = parseU64(v, ok);
-      if (!ok || opt.maxEventsPerPath == 0) {
+      const auto n = lktm::cli::parseUnsigned<std::uint64_t>(v);
+      if (!n.has_value() || *n == 0) {
         std::fprintf(stderr, "lktm_check: bad --depth value '%s'\n", v);
         return 2;
       }
+      opt.maxEventsPerPath = *n;
     } else if (arg == "--max-paths") {
       const char* v = next("--max-paths");
       if (v == nullptr) return 2;
-      bool ok = false;
-      opt.maxPaths = parseU64(v, ok);
-      if (!ok || opt.maxPaths == 0) {
+      const auto n = lktm::cli::parseUnsigned<std::uint64_t>(v);
+      if (!n.has_value() || *n == 0) {
         std::fprintf(stderr, "lktm_check: bad --max-paths value '%s'\n", v);
         return 2;
       }
+      opt.maxPaths = *n;
     } else if (arg == "--max-states") {
       const char* v = next("--max-states");
       if (v == nullptr) return 2;
-      bool ok = false;
-      opt.maxStates = parseU64(v, ok);
-      if (!ok || opt.maxStates == 0) {
+      const auto n = lktm::cli::parseUnsigned<std::uint64_t>(v);
+      if (!n.has_value() || *n == 0) {
         std::fprintf(stderr, "lktm_check: bad --max-states value '%s'\n", v);
         return 2;
       }
+      opt.maxStates = *n;
     } else if (arg == "--inject-bug") {
       const char* v = next("--inject-bug");
       if (v == nullptr) return 2;

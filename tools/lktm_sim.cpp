@@ -9,9 +9,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
+#include "cli_number.hpp"
 #include "config/artifact.hpp"
 #include "config/orchestrator.hpp"
 #include "config/runner.hpp"
@@ -107,27 +110,34 @@ int main(int argc, char** argv) {
     } else if (a == "--workload") {
       workload = next();
     } else if (a == "--threads") {
-      threads = static_cast<unsigned>(std::atoi(next()));
+      threads = cli::unsignedArg<unsigned>("lktm-sim", "--threads", next());
     } else if (a == "--machine") {
       machineName = next();
     } else if (a == "--cores") {
-      overrides.cores = static_cast<unsigned>(std::atoi(next()));
+      overrides.cores = cli::unsignedArg<unsigned>("lktm-sim", "--cores", next());
       if (overrides.cores == 0) {
         std::fprintf(stderr, "--cores needs a positive core count\n");
         return 2;
       }
     } else if (a == "--banks") {
-      overrides.banks = static_cast<unsigned>(std::atoi(next()));
+      overrides.banks = cli::unsignedArg<unsigned>("lktm-sim", "--banks", next());
       if (overrides.banks == 0) {
         std::fprintf(stderr, "--banks needs a positive bank count\n");
         return 2;
       }
     } else if (a == "--mesh") {
-      if (std::sscanf(next(), "%ux%u", &overrides.meshCols, &overrides.meshRows) != 2 ||
-          overrides.meshCols == 0 || overrides.meshRows == 0) {
+      const std::string_view wxh = next();
+      const std::size_t x = wxh.find('x');
+      const auto cols = cli::parseUnsigned<unsigned>(wxh.substr(0, x));
+      const auto rows = x == std::string_view::npos
+                            ? std::nullopt
+                            : cli::parseUnsigned<unsigned>(wxh.substr(x + 1));
+      if (!cols.has_value() || !rows.has_value() || *cols == 0 || *rows == 0) {
         std::fprintf(stderr, "--mesh wants WxH, e.g. --mesh 16x8\n");
         return 2;
       }
+      overrides.meshCols = *cols;
+      overrides.meshRows = *rows;
     } else if (a == "--backend") {
       overrides.backend = next();
       if (!tm::isBackendName(overrides.backend)) {
@@ -137,7 +147,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(next()));
+      seed = cli::unsignedArg<std::uint64_t>("lktm-sim", "--seed", next());
     } else if (a == "--breakdown") {
       breakdown = true;
     } else if (a == "--stats-json") {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "config/artifact.hpp"
 #include "config/distrib.hpp"
 #include "config/machine.hpp"
@@ -213,9 +214,9 @@ int main(int argc, char** argv) {
     } else if (a == "--preset") {
       preset = next();
     } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      seed = cli::unsignedArg<std::uint64_t>("lktm_sweep", "--seed", next());
     } else if (a == "--shards") {
-      shards = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
+      shards = cli::unsignedArg<std::uint64_t>("lktm_sweep", "--shards", next());
     } else if (a == "--out") {
       outPath = next();
     } else if (a == "--in") {
@@ -229,7 +230,7 @@ int main(int argc, char** argv) {
     } else if (a == "--claim-dir") {
       wopts.claimDir = next();
     } else if (a == "--shard") {
-      wopts.shard = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      wopts.shard = cli::unsignedArg<std::size_t>("lktm_sweep", "--shard", next());
     } else if (a == "--heartbeat") {
       wopts.heartbeatSeconds = std::atof(next());
     } else if (a == "--lease") {
@@ -237,17 +238,17 @@ int main(int argc, char** argv) {
     } else if (a == "--poll") {
       wopts.pollSeconds = std::atof(next());
     } else if (a == "--host-threads") {
-      opts.hostThreads = static_cast<unsigned>(std::atoi(next()));
+      opts.hostThreads = cli::unsignedArg<unsigned>("lktm_sweep", "--host-threads", next());
     } else if (a == "--max-jobs") {
-      opts.maxJobs = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      opts.maxJobs = cli::unsignedArg<std::size_t>("lktm_sweep", "--max-jobs", next());
     } else if (a == "--max-attempts") {
-      opts.maxAttempts = static_cast<unsigned>(std::atoi(next()));
+      opts.maxAttempts = cli::unsignedArg<unsigned>("lktm_sweep", "--max-attempts", next());
     } else if (a == "--retry-backoff") {
       opts.retryBackoffSeconds = std::atof(next());
     } else if (a == "--wall-budget") {
       opts.jobWallBudgetSeconds = std::atof(next());
     } else if (a == "--cycle-budget") {
-      opts.jobCycleBudget = static_cast<Cycle>(std::strtoull(next(), nullptr, 10));
+      opts.jobCycleBudget = cli::unsignedArg<Cycle>("lktm_sweep", "--cycle-budget", next());
     } else if (a == "--rerun-failed") {
       opts.rerunFailed = true;
     } else if (a == "--quiet") {

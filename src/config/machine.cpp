@@ -36,11 +36,8 @@ void MachineParams::validate() const {
   if (numCores > sim::CoreMask::kMaxCores) {
     throw std::invalid_argument(
         "machine '" + name + "': " + std::to_string(numCores) +
-        " cores exceed this build's CoreMask cap of " +
-        std::to_string(sim::CoreMask::kMaxCores) +
-        " (reconfigure with -DLKTM_MAX_CORES=" +
-        std::to_string(numCores <= 128 ? 128 : (numCores <= 256 ? 256 : 512)) +
-        " or use the 'bigcores' preset)");
+        " cores exceed the simulator's limit of " +
+        std::to_string(sim::CoreMask::kMaxCores) + " cores");
   }
   if (numBanks == 0 || (numBanks & (numBanks - 1)) != 0) {
     throw std::invalid_argument("machine '" + name + "': bank count must be a power of two, got " +

@@ -44,8 +44,8 @@ struct MachineParams {
   static MachineParams largeCache();
 
   /// Reject inconsistent configurations with a diagnostic instead of letting
-  /// an assert fire deep in the simulator: core count within the compiled
-  /// CoreMask cap (with a rebuild hint), bank count a power of two within
+  /// an assert fire deep in the simulator: core count within the 512-core
+  /// CoreMask limit, bank count a power of two within
   /// [1, numCores], and mesh tiles >= numCores so every core gets a tile.
   /// Throws std::invalid_argument.
   void validate() const;

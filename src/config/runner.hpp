@@ -132,8 +132,8 @@ struct RunConfig {
   bool verifyWorkload = true;
   /// Warm the inclusive LLC with the workload footprint (steady-state runs).
   bool warmLlc = true;
-  /// Optional event-trace sink (only records in LKTM_TRACE builds). The run
-  /// installs it on the SimContext for its duration; caller keeps ownership.
+  /// Optional event-trace sink. The run installs it on the SimContext for its
+  /// duration; caller keeps ownership.
   sim::TraceSink* traceSink = nullptr;
 };
 

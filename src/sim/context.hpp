@@ -86,8 +86,8 @@ class SimContext {
   const stats::StatRegistry& stats() const { return stats_; }
 
   /// Optional event-trace sink (see sim/trace.hpp). Not owned; null unless a
-  /// driver attached one. Instrumentation sites are additionally compiled out
-  /// entirely unless the build sets LKTM_TRACE.
+  /// caller attached one. With no sink each instrumentation site costs one
+  /// pointer test.
   void setTraceSink(TraceSink* sink) { traceSink_ = sink; }
   TraceSink* traceSink() const { return traceSink_; }
 

@@ -3,15 +3,10 @@
 // via countr_zero, which matches std::set's order exactly, so every drain /
 // fan-out that used to walk a set stays bit-deterministic.
 //
-// CoreMaskT<Words> holds Words * 64 cores; the project-wide CoreMask alias is
-// selected by the compile-time LKTM_MAX_CORES cap (64/128/256/512, CMake
-// cache variable of the same name). The default 64-core build uses the
-// single-word CoreMaskT<1> specialization below, whose code is identical to
-// the pre-template u64 mask — the multi-word generalization costs the small
-// configurations nothing. The cap is a build-time ceiling, not a hard
-// architectural limit: exceeding it is a configuration error reported by the
-// checked() assert (and by cfg::MachineParams::validate() with a rebuild
-// hint, before any assert can fire).
+// CoreMask holds kMaxCores = 512 cores in eight 64-bit words, one width for
+// every build. The cap is a configuration limit, not an architectural one:
+// cfg::MachineParams::validate() rejects a larger machine before any mask is
+// built, and the checked() assert catches a stray id.
 #pragma once
 
 #include <array>
@@ -22,39 +17,14 @@
 
 #include "sim/types.hpp"
 
-#ifndef LKTM_MAX_CORES
-#define LKTM_MAX_CORES 64
-#endif
-
 namespace lktm::sim {
 
-namespace detail {
-/// Range check shared by every CoreMaskT instantiation. On violation it
-/// reports the configured cap and the offending id (a bare assert cannot
-/// format runtime values) before asserting.
-inline unsigned checkedCoreId(CoreId c, unsigned maxCores) {
-#ifndef NDEBUG
-  if (c < 0 || static_cast<unsigned>(c) >= maxCores) {
-    std::fprintf(stderr,
-                 "CoreMask: core id %d out of range for this build's "
-                 "kMaxCores=%u (rebuild with a larger -DLKTM_MAX_CORES)\n",
-                 c, maxCores);
-    assert(false && "core id exceeds the CoreMask build cap");
-  }
-#endif
-  return static_cast<unsigned>(c);
-}
-}  // namespace detail
-
-template <unsigned Words>
-class CoreMaskT {
-  static_assert(Words >= 1, "CoreMaskT needs at least one word");
-
+class CoreMask {
  public:
-  static constexpr unsigned kMaxCores = Words * 64;
-  static constexpr unsigned kWords = Words;
+  static constexpr unsigned kWords = 8;
+  static constexpr unsigned kMaxCores = kWords * 64;
 
-  constexpr CoreMaskT() = default;
+  constexpr CoreMask() = default;
 
   void insert(CoreId c) {
     const unsigned i = checked(c);
@@ -86,15 +56,14 @@ class CoreMaskT {
   }
 
   /// Raw storage words, lowest cores first. Callers folding a mask into a
-  /// hash or a fingerprint must consume every word — the old single-word
-  /// raw() accessor is gone precisely so no caller can silently truncate a
-  /// >64-core mask to its first word.
-  const std::array<std::uint64_t, Words>& rawWords() const { return words_; }
+  /// hash or a fingerprint must consume every word, so no caller can
+  /// silently truncate a >64-core mask to its first word.
+  const std::array<std::uint64_t, kWords>& rawWords() const { return words_; }
 
   /// Visit members in ascending core order (== std::set<CoreId> order).
   template <typename Fn>
   void forEach(Fn&& fn) const {
-    for (unsigned w = 0; w < Words; ++w) {
+    for (unsigned w = 0; w < kWords; ++w) {
       for (std::uint64_t rest = words_[w]; rest != 0; rest &= rest - 1) {
         fn(static_cast<CoreId>(w * 64 + static_cast<unsigned>(std::countr_zero(rest))));
       }
@@ -102,10 +71,10 @@ class CoreMaskT {
   }
 
   /// Minimal forward iterator so range-for and set-style loops keep working.
-  /// Skips empty words eagerly, so end() is simply {mask, Words, 0}.
+  /// Skips empty words eagerly, so end() is simply {mask, kWords, 0}.
   class iterator {
    public:
-    iterator(const CoreMaskT* m, unsigned word, std::uint64_t rest)
+    iterator(const CoreMask* m, unsigned word, std::uint64_t rest)
         : mask_(m), word_(word), rest_(rest) {
       advancePastEmpty();
     }
@@ -125,90 +94,35 @@ class CoreMaskT {
 
    private:
     void advancePastEmpty() {
-      while (rest_ == 0 && word_ < Words) {
+      while (rest_ == 0 && word_ < kWords) {
         ++word_;
-        rest_ = word_ < Words ? mask_->words_[word_] : 0;
+        rest_ = word_ < kWords ? mask_->words_[word_] : 0;
       }
     }
-    const CoreMaskT* mask_;
+    const CoreMask* mask_;
     unsigned word_;
     std::uint64_t rest_;
   };
   iterator begin() const { return iterator(this, 0, words_[0]); }
-  iterator end() const { return iterator(this, Words, 0); }
+  iterator end() const { return iterator(this, kWords, 0); }
 
-  bool operator==(const CoreMaskT& o) const { return words_ == o.words_; }
+  bool operator==(const CoreMask& o) const { return words_ == o.words_; }
 
  private:
-  static unsigned checked(CoreId c) { return detail::checkedCoreId(c, kMaxCores); }
-
-  std::array<std::uint64_t, Words> words_{};
-};
-
-/// Single-word fast path: the exact pre-template u64 mask. Every hot loop
-/// (sharer fan-out, wakeup drains, checker walks) compiles to the same
-/// branch-free countr_zero/popcount code as before the multi-word refactor.
-template <>
-class CoreMaskT<1> {
- public:
-  static constexpr unsigned kMaxCores = 64;
-  static constexpr unsigned kWords = 1;
-
-  constexpr CoreMaskT() = default;
-
-  void insert(CoreId c) { bits_ |= bitFor(c); }
-  void erase(CoreId c) { bits_ &= ~bitFor(c); }
-  void clear() { bits_ = 0; }
-
-  /// std::set-compatible membership test: 0 or 1.
-  std::size_t count(CoreId c) const { return (bits_ >> checked(c)) & 1u; }
-  bool contains(CoreId c) const { return count(c) != 0; }
-
-  std::size_t size() const { return static_cast<std::size_t>(std::popcount(bits_)); }
-  bool empty() const { return bits_ == 0; }
-
-  /// See the primary template: hash/fingerprint callers consume every word.
-  std::array<std::uint64_t, 1> rawWords() const { return {bits_}; }
-
-  /// Visit members in ascending core order (== std::set<CoreId> order).
-  template <typename Fn>
-  void forEach(Fn&& fn) const {
-    for (std::uint64_t rest = bits_; rest != 0; rest &= rest - 1) {
-      fn(static_cast<CoreId>(std::countr_zero(rest)));
+  /// Range check. On violation it reports the cap and the offending id (a
+  /// bare assert cannot format runtime values) before asserting.
+  static unsigned checked(CoreId c) {
+#ifndef NDEBUG
+    if (c < 0 || static_cast<unsigned>(c) >= kMaxCores) {
+      std::fprintf(stderr, "CoreMask: core id %d out of range (kMaxCores=%u)\n", c,
+                   kMaxCores);
+      assert(false && "core id exceeds the CoreMask cap");
     }
+#endif
+    return static_cast<unsigned>(c);
   }
 
-  /// Minimal forward iterator so range-for and set-style loops keep working.
-  class iterator {
-   public:
-    explicit iterator(std::uint64_t rest) : rest_(rest) {}
-    CoreId operator*() const { return static_cast<CoreId>(std::countr_zero(rest_)); }
-    iterator& operator++() {
-      rest_ &= rest_ - 1;
-      return *this;
-    }
-    bool operator==(const iterator& o) const { return rest_ == o.rest_; }
-    bool operator!=(const iterator& o) const { return rest_ != o.rest_; }
-
-   private:
-    std::uint64_t rest_;
-  };
-  iterator begin() const { return iterator(bits_); }
-  iterator end() const { return iterator(0); }
-
-  bool operator==(const CoreMaskT& o) const { return bits_ == o.bits_; }
-
- private:
-  static unsigned checked(CoreId c) { return detail::checkedCoreId(c, kMaxCores); }
-  static std::uint64_t bitFor(CoreId c) { return std::uint64_t{1} << checked(c); }
-
-  std::uint64_t bits_ = 0;
+  std::array<std::uint64_t, kWords> words_{};
 };
-
-static_assert(LKTM_MAX_CORES % 64 == 0 && LKTM_MAX_CORES >= 64 &&
-                  LKTM_MAX_CORES <= 512,
-              "LKTM_MAX_CORES must be one of 64, 128, 256, 512");
-
-using CoreMask = CoreMaskT<LKTM_MAX_CORES / 64>;
 
 }  // namespace lktm::sim

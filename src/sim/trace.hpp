@@ -1,9 +1,8 @@
-// Event tracing for the instrumentation spine: compile-time gated
-// (configure with -DLKTM_TRACE=ON) and runtime-filtered (category mask on the
-// sink). Instrumentation sites call the inline trace*() helpers below; when
-// tracing is compiled out (`kTraceEnabled == false`) the `if constexpr`
-// bodies are discarded and the hot paths carry zero overhead — the release
-// bench gate asserts full-sim times stay within noise of the untraced build.
+// Event tracing for the instrumentation spine, compiled into every build and
+// filtered at run time: instrumentation sites call the inline trace*()
+// helpers below, which record only when a sink is attached and its category
+// mask wants the event. With no sink attached each site costs one pointer
+// test.
 //
 // The sink collects Chrome trace_event records ('B'/'E' duration pairs per
 // core lane, 'i' instants) and serializes them as Chrome JSON, so a run dump
@@ -21,12 +20,6 @@
 #include "sim/types.hpp"
 
 namespace lktm::sim {
-
-#if defined(LKTM_TRACE)
-inline constexpr bool kTraceEnabled = true;
-#else
-inline constexpr bool kTraceEnabled = false;
-#endif
 
 enum class TraceCat : std::uint8_t {
   Txn = 0,    ///< transaction begin/commit/abort (with cause)
@@ -92,16 +85,12 @@ class TraceSink {
   std::vector<TraceEvent> events_;
 };
 
-/// ---- instrumentation-site helpers (compile to nothing when gated out) ----
+/// ---- instrumentation-site helpers (one pointer test when no sink) ----
 
 inline void traceEmit(SimContext& ctx, TraceCat cat, char ph, const char* name,
                       std::int32_t tid, TraceArg a0 = {}, TraceArg a1 = {}) {
-  if constexpr (kTraceEnabled) {
-    if (TraceSink* t = ctx.traceSink(); t != nullptr && t->wants(cat)) {
-      t->record(TraceEvent{name, cat, ph, ctx.now(), tid, a0, a1});
-    }
-  } else {
-    (void)ctx, (void)cat, (void)ph, (void)name, (void)tid, (void)a0, (void)a1;
+  if (TraceSink* t = ctx.traceSink(); t != nullptr && t->wants(cat)) {
+    t->record(TraceEvent{name, cat, ph, ctx.now(), tid, a0, a1});
   }
 }
 

@@ -116,19 +116,45 @@ class Parser {
     return v;
   }
 
+  bool isDigitAt(std::size_t i) const {
+    return i < src_.size() && std::isdigit(static_cast<unsigned char>(src_[i])) != 0;
+  }
+
+  /// Consume one or more digits; fail with `what` if there is none.
+  void digits(const char* what) {
+    if (!isDigitAt(pos_)) fail(what);
+    while (isDigitAt(pos_)) ++pos_;
+  }
+
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
   Value numberValue() {
     const std::size_t start = pos_;
-    while (pos_ < src_.size() &&
-           (std::isdigit(static_cast<unsigned char>(src_[pos_])) != 0 ||
-            src_[pos_] == '-' || src_[pos_] == '+' || src_[pos_] == '.' ||
-            src_[pos_] == 'e' || src_[pos_] == 'E')) {
-      ++pos_;
+    if (src_[pos_] == '-') ++pos_;
+    if (!isDigitAt(pos_)) {
+      fail(pos_ == start ? "expected a value" : "expected a digit after '-'");
     }
-    if (pos_ == start) fail("expected a value");
+    if (src_[pos_++] != '0') {
+      while (isDigitAt(pos_)) ++pos_;
+    }
+    if (pos_ < src_.size() && src_[pos_] == '.') {
+      ++pos_;
+      digits("expected a digit after '.'");
+    }
+    if (pos_ < src_.size() && (src_[pos_] == 'e' || src_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < src_.size() && (src_[pos_] == '+' || src_[pos_] == '-')) ++pos_;
+      digits("expected an exponent digit");
+    }
     Value v;
     v.kind = Value::Kind::Number;
     v.text = src_.substr(start, pos_ - start);  // raw literal, kept for re-emission
-    v.number = std::stod(v.text);
+    const char* end = v.text.data() + v.text.size();
+    // from_chars reports both overflow and underflow to zero as out of range.
+    const auto [stop, ec] = std::from_chars(v.text.data(), end, v.number);
+    if (ec != std::errc{} || stop != end) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return v;
   }
 

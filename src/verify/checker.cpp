@@ -72,14 +72,11 @@ ModelChecker::PathOutcome ModelChecker::runPath(const ModelConfig& cfg,
   harness.engine().setScheduleOracle(&oracle);
 
   // Record the path's event trace so a counterexample dump carries the full
-  // txn/coherence timeline next to the delivery schedule. Compiles to a
-  // never-written sink unless LKTM_TRACE is on.
+  // txn/coherence timeline next to the delivery schedule.
   sim::TraceSink sink;
   harness.ctx().setTraceSink(&sink);
   const auto captureTrace = [&] {
-    if (sim::kTraceEnabled && !out.violations.empty()) {
-      out.traceJson = sink.chromeJson();
-    }
+    if (!out.violations.empty()) out.traceJson = sink.chromeJson();
   };
 
   const SystemView view = harness.view();

@@ -72,7 +72,7 @@ struct Counterexample {
   std::vector<std::size_t> schedule;  ///< forced choice at each branch
   std::string trace;                  ///< message deliveries, replay style
   /// Chrome trace_event JSON of the violating path (txn/lock-mode spans,
-  /// reject/wakeup/directory instants). Empty unless built with LKTM_TRACE.
+  /// reject/wakeup/directory instants).
   std::string traceJson;
 };
 
@@ -108,7 +108,7 @@ class ModelChecker {
   struct PathOutcome {
     std::vector<Violation> violations;
     std::string trace;
-    std::string traceJson;  ///< Chrome JSON, filled on violation (LKTM_TRACE)
+    std::string traceJson;  ///< Chrome JSON, filled on violation
     bool pruned = false;
     bool truncated = false;
     std::uint64_t events = 0;

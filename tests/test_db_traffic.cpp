@@ -39,7 +39,7 @@ TEST(Zipfian, SameSeedSameSequence) {
 
 // Pinned golden sequence: the sampled keys are part of the determinism
 // contract (the distributed sweep merges artifacts bit-identically across
-// hosts and LKTM_MAX_CORES builds, so the generator may never drift).
+// hosts, so the generator may never drift).
 TEST(Zipfian, GoldenSequenceIsPinned) {
   const Zipfian z(100, 0.99);
   sim::Rng rng(31);

@@ -2,6 +2,7 @@
 // counts completes, keeps atomicity, keeps SWMR, and is bit-deterministic.
 #include <gtest/gtest.h>
 
+#include "config/machine.hpp"
 #include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/sweep.hpp"
@@ -215,6 +216,29 @@ TEST(Integration, MachinePresetsMatchPaper) {
   EXPECT_EQ(typical.mesh.cols * typical.mesh.rows, 32u);
   EXPECT_EQ(MachineParams::smallCache().l1.sizeBytes, 8u * 1024);
   EXPECT_EQ(MachineParams::largeCache().l1.sizeBytes, 128u * 1024);
+}
+
+// Every build supports 512 cores; one more is a configuration error whose
+// message names the limit and gives no rebuild hint.
+TEST(Integration, MachineCoreLimitIs512) {
+  const MachineParams max = machineByName("typical-c512-b16");
+  EXPECT_EQ(max.numCores, 512u);
+  EXPECT_NO_THROW(max.validate());
+
+  const MachineParams over = machineByName("typical-c513-b16");
+  EXPECT_EQ(over.numCores, 513u);
+  try {
+    over.validate();
+    FAIL() << "513 cores validated";
+  } catch (const std::invalid_argument& e) {
+    const std::string why = e.what();
+    EXPECT_NE(why.find("513"), std::string::npos) << why;
+    EXPECT_NE(why.find("512"), std::string::npos) << why;
+    // No rebuild hint: neither a -D cache flag nor a preset to switch to.
+    EXPECT_EQ(why.find("-D"), std::string::npos) << why;
+    EXPECT_EQ(why.find("reconfigure"), std::string::npos) << why;
+    EXPECT_EQ(why.find("bigcores"), std::string::npos) << why;
+  }
 }
 
 }  // namespace

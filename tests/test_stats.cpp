@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/artifact.hpp"
@@ -22,6 +23,7 @@
 #include "stats/registry.hpp"
 #include "stats/report.hpp"
 #include "stats/tx_stats.hpp"
+#include "trace_decode.hpp"
 #include "workloads/micro.hpp"
 
 namespace lktm::stats {
@@ -597,6 +599,42 @@ TEST(StatsJson, NestingLimitIsAParseErrorNotACrash) {
   }
 }
 
+// Numbers follow the RFC 8259 grammar. Anything else, including a value too
+// large for a double, is the parse error with its byte offset, never a
+// std::stod exception and never a raw literal kept for re-emission.
+TEST(StatsJson, NumbersFollowTheRfcGrammar) {
+  for (const std::string text : {"0", "-0", "7", "-12", "3.25", "1e3", "1E+2", "2.5e-3",
+                                 "18446744073709551615"}) {
+    const json::Value v = json::parse("[" + text + "]").array->at(0);
+    EXPECT_EQ(v.kind, json::Value::Kind::Number) << text;
+    EXPECT_EQ(v.text, text);
+    EXPECT_DOUBLE_EQ(v.number, std::stod(text)) << text;
+  }
+  const std::pair<std::string, std::string> bad[] = {
+      {"[-]", "byte 2: expected a digit after '-'"},
+      {"[1e999]", "byte 1: number out of range"},
+      {"[-1e999]", "byte 1: number out of range"},
+      {"[0, 1e-400]", "byte 4: number out of range"},
+      {R"({"a":[1-2, 3.4.5, 7e]})", "byte 7: expected ']'"},
+      {"[3.4.5]", "byte 4: expected ']'"},
+      {"[7e]", "byte 3: expected an exponent digit"},
+      {"[1.]", "byte 3: expected a digit after '.'"},
+      {"[.5]", "byte 1: expected a value"},
+      {"[+1]", "byte 1: expected a value"},
+      {"[01]", "byte 2: expected ']'"},
+      {"[1e+]", "byte 4: expected an exponent digit"},
+      {"-", "byte 1: expected a digit after '-'"},
+  };
+  for (const auto& [doc, why] : bad) {
+    try {
+      json::parse(doc);
+      ADD_FAILURE() << "parsed " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "JSON parse error at " + why) << doc;
+    }
+  }
+}
+
 TEST(StatReset, BackToBackRunsAreIdentical) {
   sim::SimContext ctx;
   const cfg::RunResult first = runCounter(&ctx);
@@ -668,44 +706,28 @@ TEST(Trace, ChromeJsonRoundTripPreservesNesting) {
   sink.record({"txn", TraceCat::Txn, 'E', 200, 2, {"committed", 1}});
   sink.record({"dir_busy", TraceCat::Directory, 'i', 120, sim::kDirectoryLane});
 
-  const json::Value doc = json::parse(sink.chromeJson());
-  const json::Value* events = doc.find("traceEvents");
-  ASSERT_TRUE(events != nullptr && events->isArray());
-
-  // Reconstruct the event stream from the parsed JSON (skipping "M" lane
-  // metadata) and re-run the nesting validator on it.
-  std::vector<TraceEvent> decoded;
-  std::vector<std::string> names;  // keep storage alive for the char* views
-  names.reserve(events->array->size());
-  unsigned metadata = 0;
-  for (const json::Value& e : *events->array) {
-    const std::string ph = e.find("ph")->text;
-    if (ph == "M") {
-      ++metadata;
-      continue;
-    }
-    names.push_back(e.find("name")->text);
-    TraceEvent ev;
-    ev.name = names.back().c_str();
-    ev.ph = ph.at(0);
-    ev.ts = static_cast<Cycle>(e.find("ts")->number);
-    ev.tid = static_cast<std::int32_t>(e.find("tid")->number);
-    decoded.push_back(ev);
-    if (ev.ph == 'i') EXPECT_EQ(e.find("s")->text, "t");
-  }
-  ASSERT_EQ(decoded.size(), 4u);
-  EXPECT_EQ(metadata, 2u);  // lanes: core 2 + directory
+  // Reconstruct the event stream from the JSON (skipping "M" lane metadata)
+  // and re-run the nesting validator on it.
+  const test::DecodedTrace decoded = test::decodeChromeTrace(sink.chromeJson());
+  ASSERT_EQ(decoded.events.size(), 4u);
+  EXPECT_EQ(decoded.metadata, 2u);  // lanes: core 2 + directory
   std::string why;
-  EXPECT_TRUE(TraceSink::nestingWellFormed(decoded, &why)) << why;
+  EXPECT_TRUE(TraceSink::nestingWellFormed(decoded.events, &why)) << why;
 
-  // Args survive serialization.
-  const json::Value& begin = events->array->at(metadata);
+  // Instants are thread-scoped, and args survive serialization.
+  const json::Value doc = json::parse(sink.chromeJson());
+  const json::Array& events = *doc.find("traceEvents")->array;
+  for (const json::Value& e : events) {
+    if (e.find("ph")->text == "i") {
+      EXPECT_EQ(e.find("s")->text, "t");
+    }
+  }
+  const json::Value& begin = events.at(decoded.metadata);
   EXPECT_DOUBLE_EQ(begin.find("args")->find("prio")->number, 1.0);
 }
 
-// In instrumented builds (-DLKTM_TRACE=ON) a real run must produce a
-// well-formed stream: every txn/lock_mode span closes, LIFO per lane. In
-// normal builds the hooks compile to nothing and the sink stays empty.
+// A real run must produce a well-formed stream: every txn/lock_mode span
+// closes, LIFO per lane.
 TEST(Trace, SimulationStreamIsWellFormed) {
   TraceSink sink;
   cfg::RunConfig rc;
@@ -715,10 +737,6 @@ TEST(Trace, SimulationStreamIsWellFormed) {
   const cfg::RunResult r =
       cfg::runSimulation(rc, [] { return wl::makeCounter(4, 2, 64, 11); });
   ASSERT_TRUE(r.ok());
-  if (!sim::kTraceEnabled) {
-    EXPECT_EQ(sink.size(), 0u);
-    return;
-  }
   EXPECT_GT(sink.size(), 0u);
   std::string why;
   EXPECT_TRUE(TraceSink::nestingWellFormed(sink.events(), &why)) << why;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "trace_decode.hpp"
 #include "verify/checker.hpp"
 #include "verify/harness.hpp"
 #include "verify/invariants.hpp"
@@ -225,6 +226,13 @@ TEST(Checker, InjectedSwmrBugIsFound) {
   ASSERT_TRUE(r.cex.has_value());
   EXPECT_FALSE(r.cex->schedule.empty());
   EXPECT_FALSE(r.cex->trace.empty());
+  // The counterexample carries the violating path's event stream in every
+  // build, and its spans nest.
+  ASSERT_FALSE(r.cex->traceJson.empty());
+  const test::DecodedTrace decoded = test::decodeChromeTrace(r.cex->traceJson);
+  EXPECT_FALSE(decoded.events.empty());
+  std::string why;
+  EXPECT_TRUE(sim::TraceSink::nestingWellFormed(decoded.events, &why)) << why;
 }
 
 TEST(Checker, CounterexampleRoundTripsAndReplays) {

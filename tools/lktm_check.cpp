@@ -192,14 +192,10 @@ int main(int argc, char** argv) {
 
   if (result.cex.has_value() && !cexOut.empty()) {
     lktm::verify::writeCounterexample(cexOut, *result.cex);
-    if (result.cex->traceJson.empty()) {
-      std::printf("counterexample written to %s\n", cexOut.c_str());
-    } else {
-      std::printf(
-          "counterexample written to %s (embedded trace-event stream: %zu "
-          "bytes, extract the trace-events section for Perfetto)\n",
-          cexOut.c_str(), result.cex->traceJson.size());
-    }
+    std::printf(
+        "counterexample written to %s (embedded trace-event stream: %zu "
+        "bytes, extract the trace-events section for Perfetto)\n",
+        cexOut.c_str(), result.cex->traceJson.size());
   }
   return result.clean() ? 0 : 1;
 }

@@ -43,9 +43,9 @@ void usage() {
       "  --machine M            typical | small | large, optionally with\n"
       "                         scale suffixes, e.g. typical-c128-b8\n"
       "                         (default typical)\n"
-      "  --cores N              scale the machine to N cores (needs a build\n"
-      "                         with -DLKTM_MAX_CORES >= N; derives a\n"
-      "                         near-square mesh unless --mesh is given)\n"
+      "  --cores N              scale the machine to N cores (at most 512;\n"
+      "                         derives a near-square mesh unless --mesh\n"
+      "                         is given)\n"
       "  --banks N              LLC directory banks (power of two <= cores)\n"
       "  --mesh WxH             mesh geometry, e.g. --mesh 16x8\n"
       "  --backend NAME         force the TM backend (lockiller | cgl | tl2 |\n"
@@ -55,7 +55,6 @@ void usage() {
       "  --breakdown            print the per-category time breakdown\n"
       "  --stats-json PATH      write the lktm.stats.v1 artifact to PATH\n"
       "  --trace PATH           write a Chrome trace_event JSON to PATH\n"
-      "                         (needs a -DLKTM_TRACE=ON build to record)\n"
       "  --switch-on-fault      enable the switch-on-fault extension\n"
       "  --ideal-net            contention-free network (ablation)\n"
       "  --no-check             skip coherence checker + invariants\n");
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
       std::printf(
           "\n"
           "machines: typical small large (suffixable: typical-c128-b8-m16x8)\n"
-          "          this build supports up to %u cores (LKTM_MAX_CORES)\n"
+          "          up to %u cores\n"
           "backends:\n",
           sim::CoreMask::kMaxCores);
       for (const auto& be : tm::backendRegistry()) {
@@ -192,15 +191,7 @@ int main(int argc, char** argv) {
   rc.verifyWorkload = check;
 
   sim::TraceSink sink;
-  if (!tracePath.empty()) {
-    if (!sim::kTraceEnabled) {
-      std::fprintf(stderr,
-                   "note: this build has tracing compiled out; %s will hold an "
-                   "empty trace (reconfigure with -DLKTM_TRACE=ON)\n",
-                   tracePath.c_str());
-    }
-    rc.traceSink = &sink;
-  }
+  if (!tracePath.empty()) rc.traceSink = &sink;
 
   cfg::RunResult r;
   try {

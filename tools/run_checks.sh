@@ -5,8 +5,8 @@
 # verify: exhaustive lktm_check sweeps + test_verify) under both presets, run
 # clang-tidy over src/ when the tool is installed, validate a --stats-json
 # artifact against the lktm.stats.v1 schema, smoke the 128-core banked
-# directory path (or, on a 64-core-capped build, verify its rejection
-# diagnostic), run the bounded 2-bank model-checker configs (clean + the
+# directory path and verify that a 513-core machine is rejected with the
+# 512-core limit, run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
 # (interrupt + resume must merge bit-identical to an uninterrupted run, under
 # the default and sanitize builds), run the end-to-end benchmark's smoke mode
@@ -19,9 +19,10 @@
 # merge bit-identically across 1 host thread, 4 host threads and a 2-worker
 # distributed run — default and sanitize builds), enforce the bench/
 # artifact size cap, re-run the committed
-# 128-core fig07 grid split across 2 worker processes on the bigcores build
-# (summary must cmp equal to the committed lktm.summary.v1), build + test
-# the trace preset (LKTM_TRACE=ON), run the lktm_lint determinism linter
+# 128-core fig07 grid split across 2 worker processes and the 256-core grid
+# in one process, both on the default build (each summary must cmp equal to
+# the committed lktm.summary.v1), run the
+# lktm_lint determinism linter
 # (self-test must catch every planted violation; src/ and tools/ must be
 # clean; the lktm.lint.v1 artifact must validate), build the TSan preset
 # and run the host-parallel sweep tests under ThreadSanitizer, then build the
@@ -118,32 +119,29 @@ echo "== lktm_lint: src/ + tools/ must be clean (emit + validate artifact) =="
 ./build/tools/lktm_lint --root . --json build/lint_check.json --quiet src tools
 ./build/tools/validate_stats_json build/lint_check.json
 
-echo "== large-core smoke: 128-core banked directory (needs bigcores build) =="
+echo "== large-core smoke: 128-core banked directory + 513-core rejection =="
 run_bigcore_smoke() {
-  # $1 = build dir. A 64-core-capped build must *reject* the 128-core machine
-  # with a clear diagnostic; a bigcores build must run it end to end with the
-  # coherence checker on and produce a valid artifact carrying the new
-  # cores/banks metadata.
+  # $1 = build dir. The 128-core banked machine must run end to end with the
+  # coherence checker on and produce a valid artifact carrying the
+  # cores/banks metadata; a 513-core machine must be rejected with a
+  # diagnostic naming the 512-core limit.
   local bdir="$1" out
   out="$bdir/bigcore_check.json"
-  if "$bdir/tools/lktm-sim" --list | grep -q "up to 64 cores"; then
-    if "$bdir/tools/lktm-sim" --machine typical-c128-b8 --workload counter \
-        --threads 8 >/dev/null 2>"$bdir/bigcore_reject.txt"; then
-      echo "64-core build accepted a 128-core machine" >&2
-      return 1
-    fi
-    grep -q "LKTM_MAX_CORES" "$bdir/bigcore_reject.txt" || {
-      echo "128-core rejection lacks the rebuild hint" >&2
-      return 1
-    }
-    echo "  (64-core build: verified the clear rejection diagnostic)"
-  else
-    "$bdir/tools/lktm-sim" --machine typical --cores 128 --banks 8 \
-      --system LockillerTM --workload counter --threads 96 \
-      --stats-json "$out" >/dev/null
-    "$bdir/tools/validate_stats_json" "$out"
-    echo "  (128-core banked run completed and validated)"
+  "$bdir/tools/lktm-sim" --machine typical --cores 128 --banks 8 \
+    --system LockillerTM --workload counter --threads 96 \
+    --stats-json "$out" >/dev/null
+  "$bdir/tools/validate_stats_json" "$out"
+  echo "  (128-core banked run completed and validated)"
+  if "$bdir/tools/lktm-sim" --machine typical-c513-b8 --workload counter \
+      --threads 8 >/dev/null 2>"$bdir/bigcore_reject.txt"; then
+    echo "lktm-sim accepted a 513-core machine" >&2
+    return 1
   fi
+  grep -q "limit of 512 cores" "$bdir/bigcore_reject.txt" || {
+    echo "513-core rejection does not name the 512-core limit" >&2
+    return 1
+  }
+  echo "  (513-core machine rejected with the 512-core limit)"
 }
 run_bigcore_smoke build
 
@@ -300,13 +298,6 @@ if find bench -type f -size +262144c | grep .; then
   exit 1
 fi
 
-echo "== configure + build: trace (LKTM_TRACE=ON) =="
-cmake --preset trace >/dev/null
-cmake --build build-trace -j "$JOBS"
-
-echo "== ctest: trace (full suite with tracing compiled in) =="
-ctest --preset trace
-
 echo "== configure + build: tsan (ThreadSanitizer) =="
 cmake --preset tsan >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_sweep test_distrib
@@ -341,22 +332,19 @@ echo "== TM backends smoke under ASan/UBSan =="
 run_backend_smoke build-sanitize
 
 echo "== bigcores grid: 128-core sweep split across 2 worker processes =="
-# Build only the sweep tools of the bigcores preset (LKTM_MAX_CORES=256) and
-# re-run the committed fig07 128-core grid as a 2-worker distributed sweep.
-# Every job must end ok, both workers must have finished jobs, and the
-# regenerated lktm.summary.v1 must cmp equal to the committed artifact —
-# the strongest cross-check that the distributed path reproduces the grid
-# the single-process PR-6 run produced.
-cmake --preset bigcores >/dev/null
-cmake --build build-bigcores -j "$JOBS" --target lktm_sweep validate_stats_json
-d="build-bigcores/bigcores_distrib_check"
+# Re-run the committed fig07 128-core grid from the default build as a
+# 2-worker distributed sweep. Every job must end ok, both workers must have
+# finished jobs, and the regenerated lktm.summary.v1 must cmp equal to the
+# committed artifact — the strongest cross-check that the distributed path
+# reproduces the grid the original single-process run produced.
+d="build/bigcores_distrib_check"
 rm -rf "$d" && mkdir -p "$d"
-build-bigcores/tools/lktm_sweep plan --preset bigcores-128 \
+build/tools/lktm_sweep plan --preset bigcores-128 \
   --manifest "$d/bc.json" --shards 2 >/dev/null
-build-bigcores/tools/lktm_sweep work --manifest "$d/bc.json" \
+build/tools/lktm_sweep work --manifest "$d/bc.json" \
   --worker-id grid-a --shard 0 --quiet >/dev/null &
 WA=$!
-build-bigcores/tools/lktm_sweep work --manifest "$d/bc.json" \
+build/tools/lktm_sweep work --manifest "$d/bc.json" \
   --worker-id grid-b --shard 1 --quiet >/dev/null &
 WB=$!
 wait "$WA"   # exit 0 iff the whole grid is complete && all ok
@@ -367,12 +355,22 @@ for w in grid-a grid-b; do
     exit 1
   }
 done
-build-bigcores/tools/lktm_sweep merge --manifest "$d/bc.json" \
+build/tools/lktm_sweep merge --manifest "$d/bc.json" \
   --out "$d/merged.json" --summary "$d/summary.json" >/dev/null
 cmp "$d/summary.json" bench/bigcores/fig07_bigcores_128_summary.json
-build-bigcores/tools/validate_stats_json "$d/bc.json" "$d/merged.json" \
+build/tools/validate_stats_json "$d/bc.json" "$d/merged.json" \
   "$d/summary.json"
 echo "  (36-job 128-core grid split 2 ways, all ok, summary matches committed)"
+
+echo "== bigcores grid: 256-core sweep in one process =="
+d="build/bigcores256_check"
+rm -rf "$d" && mkdir -p "$d"
+build/tools/lktm_sweep plan --preset bigcores-256 --manifest "$d/bc.json" >/dev/null
+build/tools/lktm_sweep run --manifest "$d/bc.json" --quiet
+build/tools/lktm_sweep merge --manifest "$d/bc.json" \
+  --out "$d/merged.json" --summary "$d/summary.json" >/dev/null
+cmp "$d/summary.json" bench/bigcores/fig07_bigcores_256_summary.json
+echo "  (36-job 256-core grid all ok, summary matches committed)"
 
 if [[ "$RUN_BENCH" == 1 ]]; then
   echo "== configure + build: release (benchmarks) =="

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -9,10 +10,70 @@
 #include <locale>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
+#include "runtime/backends/backend.hpp"
 #include "stats/tx_stats.hpp"
 
 namespace lktm::cfg {
+
+DerivedMetrics DerivedMetrics::of(const RunResult& r) {
+  const stats::SnapshotEntry lat = r.commitLatency();
+  DerivedMetrics d;
+  d.commitRate = r.commitRate();
+  d.totalCommits = r.totalCommits();
+  d.htmCommits = r.htmCommits();
+  d.lockCommits = r.lockCommits();
+  d.stlCommits = r.stlCommits();
+  d.stmCommits = r.stmCommits();
+  d.aborts = r.aborts();
+  d.latencyCount = lat.count;
+  d.p50 = stats::histogramPercentile(lat, 500);
+  d.p90 = stats::histogramPercentile(lat, 900);
+  d.p99 = stats::histogramPercentile(lat, 990);
+  d.p999 = stats::histogramPercentile(lat, 999);
+  return d;
+}
+
+namespace {
+
+/// The derived block's integer fields in emission order: the writer, the
+/// reader and the stats cross-check all walk these two tables.
+using DerivedField = std::pair<const char*, std::uint64_t DerivedMetrics::*>;
+constexpr std::array<DerivedField, 6> kCommitFields{{
+    {"total_commits", &DerivedMetrics::totalCommits},
+    {"htm_commits", &DerivedMetrics::htmCommits},
+    {"lock_commits", &DerivedMetrics::lockCommits},
+    {"stl_commits", &DerivedMetrics::stlCommits},
+    {"stm_commits", &DerivedMetrics::stmCommits},
+    {"aborts", &DerivedMetrics::aborts},
+}};
+/// Inside "commit_latency"; the percentiles must ascend.
+constexpr std::array<DerivedField, 5> kLatencyFields{{
+    {"count", &DerivedMetrics::latencyCount},
+    {"p50", &DerivedMetrics::p50},
+    {"p90", &DerivedMetrics::p90},
+    {"p99", &DerivedMetrics::p99},
+    {"p999", &DerivedMetrics::p999},
+}};
+
+}  // namespace
+
+void DerivedMetrics::writeJson(stats::json::Writer& w) const {
+  w.beginObject();
+  w.key("commit_rate");
+  if (commitRate.has_value()) {
+    w.value(*commitRate);
+  } else {
+    w.null();
+  }
+  for (const auto& [key, field] : kCommitFields) w.field(key, this->*field);
+  w.key("commit_latency");
+  w.beginObject();
+  for (const auto& [key, field] : kLatencyFields) w.field(key, this->*field);
+  w.endObject();
+  w.endObject();
+}
 
 void writeSnapshotJson(stats::json::Writer& w, const stats::StatSnapshot& snap) {
   w.beginArray();
@@ -82,29 +143,7 @@ void writeRun(stats::json::Writer& w, const RunResult& r) {
   for (const std::string& v : r.violations) w.value(v);
   w.endArray();
   w.key("derived");
-  w.beginObject();
-  w.key("commit_rate");
-  if (const auto rate = r.commitRate(); rate.has_value()) {
-    w.value(*rate);
-  } else {
-    w.null();  // no speculative attempts — not a perfect 1.0
-  }
-  w.field("total_commits", r.totalCommits());
-  w.field("htm_commits", r.htmCommits());
-  w.field("lock_commits", r.lockCommits());
-  w.field("stl_commits", r.stlCommits());
-  w.field("stm_commits", r.stmCommits());
-  w.field("aborts", r.aborts());
-  const stats::SnapshotEntry lat = r.commitLatency();
-  w.key("commit_latency");
-  w.beginObject();
-  w.field("count", lat.count);
-  w.field("p50", stats::histogramPercentile(lat, 500));
-  w.field("p90", stats::histogramPercentile(lat, 900));
-  w.field("p99", stats::histogramPercentile(lat, 990));
-  w.field("p999", stats::histogramPercentile(lat, 999));
-  w.endObject();
-  w.endObject();
+  DerivedMetrics::of(r).writeJson(w);
   w.key("stats");
   writeSnapshotJson(w, r.stats);
   w.endObject();
@@ -221,101 +260,236 @@ void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os) 
 
 namespace {
 
-using stats::json::asU64;
 using stats::json::Value;
+using stats::json::need;
+using stats::json::needArray;
+using stats::json::needNumber;
+using stats::json::needString;
+using stats::json::needU64;
+using stats::json::needUnsigned;
 
 [[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("malformed stats artifact: " + what);
+  throw std::runtime_error(what);
 }
 
-const Value& need(const Value& obj, const char* key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) malformed(std::string("missing \"") + key + "\"");
-  return *v;
+/// Run `read`, prefixing any error it throws with `where` so a message
+/// names the run, stat or block the bad field sits in.
+template <class Read>
+auto within(const std::string& where, Read&& read) {
+  try {
+    return read();
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(where + ": " + e.what());
+  }
+}
+
+/// The identity and scale fields both run schemas carry. A run cannot use
+/// more threads than cores, and the directory always has at least one bank.
+void readIdentity(const Value& run, RunResult& r) {
+  if (!run.isObject()) malformed("run entry is not an object");
+  r.system = needString(run, "system");
+  r.workload = needString(run, "workload");
+  r.machine = needString(run, "machine");
+  r.threads = needUnsigned(run, "threads");
+  r.cores = needUnsigned(run, "cores");
+  r.banks = needUnsigned(run, "banks");
+  if (r.threads > r.cores) {
+    malformed("threads (" + std::to_string(r.threads) + ") exceed cores (" +
+              std::to_string(r.cores) + ")");
+  }
+  if (r.banks < 1) malformed("banks must be >= 1");
+  r.seed = needU64(run, "seed");
+  r.cycles = needU64(run, "cycles");
+  const std::string& status = needString(run, "status");
+  if (!runStatusFromString(status, r.status)) {
+    malformed("unknown status \"" + status + "\"");
+  }
+  r.diagnostic = needString(run, "diagnostic");
 }
 
 stats::SnapshotEntry snapshotEntryFromJson(const Value& e) {
   stats::SnapshotEntry out;
-  out.path = need(e, "path").text;
-  const std::string& kind = need(e, "kind").text;
+  const std::string& kind = needString(e, "kind");
   if (kind == "counter") {
     out.kind = stats::StatKind::Counter;
-    out.value = asU64(need(e, "value"));
+    out.value = needU64(e, "value");
   } else if (kind == "histogram") {
     out.kind = stats::StatKind::Histogram;
-    out.count = asU64(need(e, "count"));
-    out.sum = asU64(need(e, "sum"));
-    if (const Value* of = e.find("overflowed"); of != nullptr) {
-      out.overflowed = of->boolean;
+    out.count = needU64(e, "count");
+    out.sum = needU64(e, "sum");
+    if (e.find("overflowed") != nullptr) {
+      out.overflowed = stats::json::needBool(e, "overflowed");
     }
-    const Value& buckets = need(e, "buckets");
-    if (!buckets.isArray()) malformed(out.path + ": buckets is not an array");
-    for (const Value& b : *buckets.array) {
-      if (!b.isArray() || b.array->size() != 2) {
-        malformed(out.path + ": bucket entries must be [bucket, count] pairs");
+    for (const Value& b : needArray(e, "buckets")) {
+      std::uint64_t index = 0;
+      std::uint64_t n = 0;
+      if (!b.isArray() || b.array->size() != 2 ||
+          !stats::json::exactU64(b.array->at(0), index) ||
+          !stats::json::exactU64(b.array->at(1), n)) {
+        malformed("\"buckets\" entries must be [bucket, count] integer pairs");
       }
-      out.buckets.emplace_back(static_cast<unsigned>(asU64(b.array->at(0))),
-                               asU64(b.array->at(1)));
+      if (index >= stats::Histogram::kBuckets) {
+        malformed("bucket index " + std::to_string(index) + " is not below " +
+                  std::to_string(stats::Histogram::kBuckets));
+      }
+      if (!out.buckets.empty() && index <= out.buckets.back().first) {
+        malformed("\"buckets\" indices do not ascend at " + std::to_string(index));
+      }
+      out.buckets.emplace_back(static_cast<unsigned>(index), n);
     }
   } else if (kind == "distribution") {
     out.kind = stats::StatKind::Distribution;
-    out.count = asU64(need(e, "count"));
-    out.sum = asU64(need(e, "sum"));
+    out.count = needU64(e, "count");
+    out.sum = needU64(e, "sum");
     if (out.count != 0) {
-      out.min = asU64(need(e, "min"));
-      out.max = asU64(need(e, "max"));
+      out.min = needU64(e, "min");
+      out.max = needU64(e, "max");
+    } else if (e.find("min") != nullptr || e.find("max") != nullptr) {
+      // A min/max of 0 would be indistinguishable from a real 0-cycle sample.
+      malformed("extrema present on an empty distribution (count == 0)");
     }
   } else if (kind == "formula") {
     out.kind = stats::StatKind::Formula;
-    out.number = need(e, "value").number;
+    out.number = needNumber(e, "value");
   } else {
-    malformed(out.path + ": unknown stat kind \"" + kind + "\"");
+    malformed("unknown kind \"" + kind + "\"");
   }
   return out;
 }
 
+template <class Run, class Read>
+std::vector<Run> runsOf(const Value& doc, const char* schema, Read&& read) {
+  const Value* stamp = doc.find("schema");
+  if (stamp == nullptr || !stamp->isString() || stamp->text != schema) {
+    malformed(std::string("not a ") + schema + " document");
+  }
+  const stats::json::Array& runs = needArray(doc, "runs");
+  if (runs.empty()) malformed("\"runs\" is empty");
+  std::vector<Run> out;
+  out.reserve(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    out.push_back(within("runs[" + std::to_string(i) + "]",
+                         [&] { return read(runs[i]); }));
+  }
+  return out;
+}
+
+/// Throws naming the first field where the stored derived block `got`
+/// differs from `want`, the block the run's own stats derive.
+void requireDerived(const DerivedMetrics& got, const DerivedMetrics& want) {
+  const auto differs = [](const std::string& key, std::uint64_t g, std::uint64_t w) {
+    if (g != w) {
+      malformed("\"" + key + "\" is " + std::to_string(g) +
+                " but the run's stats derive " + std::to_string(w));
+    }
+  };
+  if (got.commitRate != want.commitRate) {
+    malformed("\"commit_rate\" disagrees with the run's stats");
+  }
+  for (const auto& [key, field] : kCommitFields) differs(key, got.*field, want.*field);
+  for (const auto& [key, field] : kLatencyFields) {
+    differs(std::string("commit_latency.") + key, got.*field, want.*field);
+  }
+}
+
 }  // namespace
 
+DerivedMetrics DerivedMetrics::fromJson(const Value& v) {
+  if (!v.isObject()) malformed("\"derived\" is not an object");
+  DerivedMetrics d;
+  const Value& rate = need(v, "commit_rate");
+  if (rate.isNumber()) {
+    d.commitRate = rate.number;
+  } else if (rate.kind != Value::Kind::Null) {
+    malformed("\"commit_rate\" must be a number or null");
+  }
+  for (const auto& [key, field] : kCommitFields) d.*field = needU64(v, key);
+  // Summed wide so hostile operands cannot wrap into a matching total.
+  if (static_cast<unsigned __int128>(d.htmCommits) + d.lockCommits + d.stlCommits +
+          d.stmCommits !=
+      d.totalCommits) {
+    malformed("\"total_commits\" is not the sum of the four commit kinds");
+  }
+  const Value& lat = need(v, "commit_latency");
+  if (!lat.isObject()) malformed("\"commit_latency\" is not an object");
+  within("commit_latency", [&] {
+    std::uint64_t prev = 0;
+    for (const auto& [key, field] : kLatencyFields) {
+      d.*field = needU64(lat, key);
+      if (field == &DerivedMetrics::latencyCount) continue;
+      if (d.*field < prev) {
+        malformed(std::string("percentiles not monotone at \"") + key + "\"");
+      }
+      if (d.latencyCount == 0 && d.*field != 0) {
+        malformed(std::string("non-zero \"") + key + "\" with count == 0");
+      }
+      prev = d.*field;
+    }
+  });
+  return d;
+}
+
 RunResult runResultFromJson(const Value& run) {
-  if (!run.isObject()) malformed("run entry is not an object");
   RunResult r;
-  r.system = need(run, "system").text;
-  r.workload = need(run, "workload").text;
-  r.machine = need(run, "machine").text;
-  // Optional: pre-backend artifacts (schema-compatible) omit it.
-  if (const Value* be = run.find("backend"); be != nullptr) r.backend = be->text;
-  r.threads = static_cast<unsigned>(asU64(need(run, "threads")));
-  r.cores = static_cast<unsigned>(asU64(need(run, "cores")));
-  r.banks = static_cast<unsigned>(asU64(need(run, "banks")));
-  r.seed = asU64(need(run, "seed"));
-  r.cycles = asU64(need(run, "cycles"));
-  if (!runStatusFromString(need(run, "status").text, r.status)) {
-    malformed("unknown run status \"" + need(run, "status").text + "\"");
+  readIdentity(run, r);
+  r.backend = needString(run, "backend");
+  if (!tm::isBackendName(r.backend)) {
+    malformed("unknown backend \"" + r.backend + "\" (valid: " + tm::backendNameList() +
+              ")");
   }
-  r.diagnostic = need(run, "diagnostic").text;
-  r.wallSeconds = need(run, "wall_seconds").number;
-  const Value& violations = need(run, "violations");
-  if (!violations.isArray()) malformed("violations is not an array");
-  for (const Value& v : *violations.array) r.violations.push_back(v.text);
-  const Value& statsArr = need(run, "stats");
-  if (!statsArr.isArray()) malformed("stats is not an array");
-  for (const Value& e : *statsArr.array) {
-    r.stats.add(snapshotEntryFromJson(e));
+  r.wallSeconds = needNumber(run, "wall_seconds");
+  for (const Value& v : needArray(run, "violations")) {
+    if (!v.isString()) malformed("\"violations\" entries must be strings");
+    r.violations.push_back(v.text);
   }
+  if (stats::json::needBool(run, "ok") != r.ok()) {
+    malformed("\"ok\" disagrees with \"status\" and \"violations\"");
+  }
+  const std::string* prev = nullptr;
+  for (const Value& e : needArray(run, "stats")) {
+    const std::string& path = needString(e, "path");
+    if (path.empty()) malformed("stat entry with an empty \"path\"");
+    if (prev != nullptr && path <= *prev) {
+      malformed("stats not unique and path-sorted (\"" + path + "\" after \"" + *prev +
+                "\")");
+    }
+    prev = &path;
+    stats::SnapshotEntry entry =
+        within("stat \"" + path + "\"", [&] { return snapshotEntryFromJson(e); });
+    entry.path = path;
+    r.stats.add(std::move(entry));
+  }
+  within("derived", [&] {
+    requireDerived(DerivedMetrics::fromJson(need(run, "derived")), DerivedMetrics::of(r));
+  });
   return r;
 }
 
+std::vector<RunResult> statsRunsFromJson(const Value& doc) {
+  return runsOf<RunResult>(doc, kStatsSchema, runResultFromJson);
+}
+
+std::vector<SummaryRun> summaryRunsFromJson(const Value& doc) {
+  const Value* source = doc.find("source");
+  if (source == nullptr || !source->isString() || source->text != kStatsSchema) {
+    malformed(std::string("\"source\" must be \"") + kStatsSchema + "\"");
+  }
+  return runsOf<SummaryRun>(doc, kSummarySchema, [](const Value& run) {
+    SummaryRun s;
+    readIdentity(run, s.run);
+    s.derived =
+        within("derived", [&] { return DerivedMetrics::fromJson(need(run, "derived")); });
+    return s;
+  });
+}
+
 RunResult loadStatsArtifact(const std::string& path) {
-  const Value doc = stats::json::parse(readFile(path));
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->text != kStatsSchema) {
-    malformed(path + ": not a " + std::string(kStatsSchema) + " document");
-  }
-  const Value* runs = doc.find("runs");
-  if (runs == nullptr || !runs->isArray() || runs->array->size() != 1) {
-    malformed(path + ": expected exactly one run");
-  }
-  return runResultFromJson(runs->array->at(0));
+  const std::string text = readFile(path);
+  return within(path, [&] {
+    std::vector<RunResult> runs = statsRunsFromJson(stats::json::parse(text));
+    if (runs.size() != 1) malformed("expected exactly one run");
+    return std::move(runs.front());
+  });
 }
 
 }  // namespace lktm::cfg

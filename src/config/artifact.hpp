@@ -5,8 +5,9 @@
 //   {
 //     "schema": "lktm.stats.v1",
 //     "runs": [ {
-//       "system": ..., "workload": ..., "machine": ..., "threads": N,
-//       "seed": N, "cycles": N, "ok": bool,
+//       "system": ..., "workload": ..., "machine": ..., "backend": ...,
+//       "threads": N, "cores": N, "banks": N, "seed": N, "cycles": N,
+//       "ok": bool,
 //       "status": "ok" | "failed" | "hang" | "timeout",
 //       "diagnostic": "...",           // failure detail, "" when ok
 //       "wall_seconds": f,
@@ -25,9 +26,16 @@
 //
 // Stats are emitted in path-sorted order and all numbers are
 // locale-independent, so the same run always produces byte-identical output.
+//
+// The readers below are the schema: what they accept is a valid document,
+// and validate_stats_json is only a front end that calls them. A field the
+// writers gain is taught to its reader, nowhere else.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "config/runner.hpp"
@@ -42,6 +50,43 @@ inline constexpr const char* kStatsSchema = "lktm.stats.v1";
 /// commits for big grids (plus the command to regenerate the full artifact)
 /// instead of megabytes of raw counters.
 inline constexpr const char* kSummarySchema = "lktm.summary.v1";
+
+/// A run's "derived" block, shared by both schemas that carry it: writeRun
+/// emits it, the lktm.stats.v1 reader requires it to equal what the run's
+/// own stats derive, and the lktm.summary.v1 reader parses it.
+struct DerivedMetrics {
+  /// (htm+stl+stm) / (htm+stl+stm+aborts); JSON null when the run made no
+  /// speculative attempts (idle cores must not read as a perfect 1.0).
+  std::optional<double> commitRate;
+  std::uint64_t totalCommits = 0;
+  std::uint64_t htmCommits = 0;
+  std::uint64_t lockCommits = 0;
+  std::uint64_t stlCommits = 0;
+  std::uint64_t stmCommits = 0;
+  std::uint64_t aborts = 0;
+  /// "commit_latency": the merged commit-latency histogram's sample count
+  /// and HDR percentiles, in cycles.
+  std::uint64_t latencyCount = 0;
+  std::uint64_t p50 = 0, p90 = 0, p99 = 0, p999 = 0;
+
+  static DerivedMetrics of(const RunResult& r);
+  /// Parse a "derived" object. Besides field types it checks what holds for
+  /// any run: total_commits is the sum of the four kinds, the percentiles
+  /// ascend, and an empty latency histogram has all-zero percentiles. Throws
+  /// std::runtime_error naming the field.
+  static DerivedMetrics fromJson(const stats::json::Value& v);
+  void writeJson(stats::json::Writer& w) const;
+
+  bool operator==(const DerivedMetrics&) const = default;
+};
+
+/// One lktm.summary.v1 run: its lktm.stats.v1 run's derived block and
+/// identity and scale fields (system … diagnostic), without the backend,
+/// violations or stat snapshot — so `run`'s stat accessors read zero.
+struct SummaryRun {
+  RunResult run;
+  DerivedMetrics derived;
+};
 
 /// Emit one snapshot as the schema's "stats" array (used by the artifact
 /// writer and by trace/counterexample embeddings).
@@ -76,14 +121,28 @@ bool writeStatsJsonFile(const std::string& path, const RunResult& run);
 /// not a stats artifact.
 void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os);
 
-/// Rebuild a RunResult from one parsed "runs" entry — the inverse of the
+/// Rebuild a RunResult from one parsed "runs" entry: the inverse of the
 /// writer as far as a dump allows (formula stats come back as plain values;
 /// that is also what snapshot merging already assumes). Throws
-/// std::runtime_error on a malformed entry.
+/// std::runtime_error naming the offending field unless the entry is a valid
+/// lktm.stats.v1 run: every field of its type (integers plain and within
+/// u64), known status and backend, threads <= cores, banks >= 1, "ok" equal
+/// to status ok with no violations, stats unique and path-sorted with their
+/// kind's fields (no extrema on an empty distribution; histogram buckets
+/// ascending and below Histogram::kBuckets), and "derived" equal to
+/// DerivedMetrics::of the parsed run.
 RunResult runResultFromJson(const stats::json::Value& run);
 
+/// Every run of a parsed lktm.stats.v1 document (at least one). Throws
+/// std::runtime_error, with the run's index, on any invalid run.
+std::vector<RunResult> statsRunsFromJson(const stats::json::Value& doc);
+
+/// Every run of a parsed lktm.summary.v1 document (at least one). Throws
+/// std::runtime_error, with the run's index, on any invalid run.
+std::vector<SummaryRun> summaryRunsFromJson(const stats::json::Value& doc);
+
 /// Load a single-run artifact file written by writeStatsJsonFile. Throws
-/// std::runtime_error when the file is unreadable or not a one-run
+/// std::runtime_error when the file is unreadable or not a valid one-run
 /// lktm.stats.v1 document.
 RunResult loadStatsArtifact(const std::string& path);
 

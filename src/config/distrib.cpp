@@ -57,37 +57,21 @@ std::string claimJson(const std::string& id, const std::string& worker,
   return os.str();
 }
 
-std::string doneJson(const DoneRecord& d) {
+/// done/<stem>: the manifest's job entry plus the worker that finished it.
+std::string doneJson(const JobRecord& j, const std::string& worker) {
   std::ostringstream os;
   stats::json::Writer w(os, /*pretty=*/false);
   w.beginObject();
-  w.field("id", d.id);
-  w.field("state", toString(d.state));
-  w.field("attempts", d.attempts);
-  w.field("diagnostic", d.diagnostic);
-  w.field("artifact", d.artifact);
-  w.field("wall_seconds", d.wallSeconds);
-  w.field("cycles", d.cycles);
-  w.field("worker", d.worker);
+  writeJobFields(w, j);
+  w.field("worker", worker);
   w.endObject();
   return os.str();
 }
 
-DoneRecord doneRecordOf(const JobRecord& j, const std::string& worker) {
-  return DoneRecord{.file = jobFileStem(j.spec),
-                    .id = j.spec.id(),
-                    .state = j.state,
-                    .attempts = j.attempts,
-                    .diagnostic = j.diagnostic,
-                    .artifact = j.artifact,
-                    .wallSeconds = j.wallSeconds,
-                    .cycles = j.cycles,
-                    .worker = worker};
-}
-
-/// Tolerant read: spool files can legitimately be mid-transition tokens
-/// ({"id","attempts"} without an owner) or, worst case, unreadable — every
-/// field falls back to a safe default rather than throwing inside a scan.
+/// Tolerant read for claim tokens and heartbeats: they can legitimately be
+/// mid-transition ({"id","attempts"} without an owner) or, worst case,
+/// unreadable — every field falls back to a safe default rather than
+/// throwing inside a scan. done/ records are terminal and read strictly.
 Value readSpoolFile(const fs::path& path) {
   try {
     return stats::json::parse(readFile(path.string()));
@@ -173,10 +157,10 @@ std::size_t ClaimStore::seed(const SweepManifest& manifest) const {
                                  j.state == JobState::Hang ||
                                  j.state == JobState::Timeout;
     if (okWithArtifact || terminalFailure) {
-      DoneRecord d = doneRecordOf(j, workerId_);
-      if (!okWithArtifact) d.artifact.clear();
+      JobRecord done = j;
+      if (!okWithArtifact) done.artifact.clear();
       created += exclusiveCreate((fs::path(root_) / "done" / f).string(),
-                                 doneJson(d))
+                                 doneJson(done, workerId_))
                      ? 1
                      : 0;
     } else {
@@ -208,13 +192,14 @@ void ClaimStore::publishClaim(const ClaimRecord& c) const {
                   claimJson(c.id, c.worker, c.attempts), workerId_);
 }
 
-bool ClaimStore::markDone(const DoneRecord& d) const {
-  if (!writeFileAtomic((fs::path(root_) / "done" / d.file).string(), doneJson(d),
+bool ClaimStore::markDone(const JobRecord& j) const {
+  const std::string f = jobFileStem(j.spec);
+  if (!writeFileAtomic((fs::path(root_) / "done" / f).string(), doneJson(j, workerId_),
                        workerId_)) {
     return false;
   }
   std::error_code ec;
-  fs::remove(fs::path(root_) / "claimed" / d.file, ec);
+  fs::remove(fs::path(root_) / "claimed" / f, ec);
   return true;
 }
 
@@ -256,29 +241,18 @@ std::vector<ClaimRecord> ClaimStore::listClaimed() const {
   return out;
 }
 
-bool ClaimStore::readDone(const std::string& file, DoneRecord& out) const {
-  const Value v = readSpoolFile(fs::path(root_) / "done" / file);
-  if (!v.isObject() || !jobStateFromString(textOr(v, "state"), out.state)) {
-    return false;
+bool ClaimStore::readDone(const std::string& file, JobRecord& out,
+                          std::string* worker) const {
+  const fs::path path = fs::path(root_) / "done" / file;
+  if (!fs::exists(path)) return false;
+  try {
+    const Value v = stats::json::parse(readFile(path.string()));
+    out = jobRecordFromJson(v);
+    if (worker != nullptr) *worker = stats::json::needString(v, "worker");
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("malformed done record " + path.string() + ": " + e.what());
   }
-  out.file = file;
-  out.id = textOr(v, "id");
-  out.attempts = static_cast<unsigned>(u64Or(v, "attempts"));
-  out.diagnostic = textOr(v, "diagnostic");
-  out.artifact = textOr(v, "artifact");
-  out.wallSeconds = numberOr(v, "wall_seconds");
-  out.cycles = u64Or(v, "cycles");
-  out.worker = textOr(v, "worker");
   return true;
-}
-
-std::vector<DoneRecord> ClaimStore::listDone() const {
-  std::vector<DoneRecord> out;
-  for (const std::string& f : listDirSorted((fs::path(root_) / "done").string())) {
-    DoneRecord d;
-    if (readDone(f, d)) out.push_back(std::move(d));
-  }
-  return out;
 }
 
 std::vector<HeartbeatRecord> ClaimStore::listHeartbeats() const {
@@ -313,14 +287,13 @@ std::size_t foldClaimState(SweepManifest& manifest, const std::string& claimDir)
   std::size_t folded = 0;
   for (JobRecord& j : manifest.jobs) {
     const std::string f = jobFileStem(j.spec);
-    DoneRecord d;
-    if (store.readDone(f, d)) {
-      j.state = d.state;
-      j.attempts = d.attempts;
-      j.diagnostic = d.diagnostic;
-      j.artifact = d.artifact;
-      j.wallSeconds = d.wallSeconds;
-      j.cycles = d.cycles;
+    JobRecord done;
+    if (store.readDone(f, done)) {
+      if (!(done.spec == j.spec)) {
+        throw std::runtime_error("done record " + f + " is job " + done.spec.id() +
+                                 ", not " + j.spec.id());
+      }
+      j = std::move(done);
       ++folded;
       continue;
     }
@@ -469,7 +442,7 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
                                    wopts.workerId, manifest.jobs[i].attempts});
   };
   source.finished = [&](std::size_t i) {
-    store.markDone(doneRecordOf(manifest.jobs[i], wopts.workerId));
+    store.markDone(manifest.jobs[i]);
   };
   source.doneCount = [&] { return store.doneCount(); };
 

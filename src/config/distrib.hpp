@@ -61,20 +61,6 @@ struct ClaimRecord {
   unsigned attempts = 0;  ///< attempts consumed by all owners so far
 };
 
-/// Terminal record (done/<stem>): the manifest-record fields a worker learns
-/// when it finishes (or inherits) a job.
-struct DoneRecord {
-  std::string file;
-  std::string id;
-  JobState state = JobState::Failed;
-  unsigned attempts = 0;
-  std::string diagnostic;
-  std::string artifact;
-  double wallSeconds = 0.0;
-  std::uint64_t cycles = 0;
-  std::string worker;  ///< who finished it
-};
-
 /// Parsed heartbeat file (hb/<worker>).
 struct HeartbeatRecord {
   std::string worker;
@@ -110,10 +96,11 @@ class ClaimStore {
   /// should call this.
   void publishClaim(const ClaimRecord& c) const;
 
-  /// Record a terminal state: write done/<file> atomically, then drop the
+  /// Record a terminal state: write the job's done/ record (its manifest job
+  /// entry plus "worker", this store's worker id) atomically, then drop the
   /// claim. Safe against concurrent duplicate executions — last writer wins
   /// with equivalent content.
-  bool markDone(const DoneRecord& d) const;
+  bool markDone(const JobRecord& j) const;
 
   /// Return claimed/<file> to todo/ (dead-owner reclamation). When a done/
   /// record already exists the claim is just dropped instead — the job
@@ -127,13 +114,15 @@ class ClaimStore {
   // ---- scans (each a directory listing; sorted by file name) ----
   std::vector<std::string> listTodo() const;
   std::vector<ClaimRecord> listClaimed() const;
-  std::vector<DoneRecord> listDone() const;
   std::vector<HeartbeatRecord> listHeartbeats() const;
   bool todoExists(const std::string& file) const;
   bool doneExists(const std::string& file) const;
   std::size_t doneCount() const;
-  /// Parse one done/<file> record; returns false when absent/malformed.
-  bool readDone(const std::string& file, DoneRecord& out) const;
+  /// Parse done/<file> with the manifest's job-entry reader
+  /// (jobRecordFromJson); `worker`, when non-null, receives who finished it.
+  /// Returns false when absent; throws std::runtime_error when malformed.
+  bool readDone(const std::string& file, JobRecord& out,
+                std::string* worker = nullptr) const;
 
   /// Drop a stray todo/ token (used when a done/ record already exists after
   /// a spurious reclaim; the job must not run again).
@@ -171,11 +160,12 @@ OrchestratorReport runWorker(SweepManifest& manifest, const WorkerOptions& wopts
                              const OrchestratorOptions& opts = {},
                              const JobRunner& runner = {});
 
-/// Overlay spool state onto manifest records: done/ records set terminal
-/// state/attempts/diagnostic/artifact, claimed/ shows as Running, todo/ as
-/// Pending (done beats claimed beats todo). Jobs with no spool entry keep
-/// their manifest state. Returns the number of jobs updated from done/.
-/// No-op (returns 0) when `claimDir` does not exist.
+/// Overlay spool state onto manifest records: a done/ record replaces the
+/// job's record, claimed/ shows as Running, todo/ as Pending (done beats
+/// claimed beats todo). Jobs with no spool entry keep their manifest state.
+/// Returns the number of jobs updated from done/. No-op (returns 0) when
+/// `claimDir` does not exist. Throws std::runtime_error on a malformed done/
+/// record or one that names a different job.
 std::size_t foldClaimState(SweepManifest& manifest, const std::string& claimDir);
 
 }  // namespace lktm::cfg

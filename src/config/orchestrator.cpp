@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <iostream>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -20,6 +21,11 @@ namespace lktm::cfg {
 namespace {
 
 namespace fs = std::filesystem;
+using stats::json::needArray;
+using stats::json::needNumber;
+using stats::json::needString;
+using stats::json::needU64;
+using stats::json::needUnsigned;
 using stats::json::Value;
 
 // Wall clock for the operator-facing progress/ETA line only; job scheduling,
@@ -31,16 +37,6 @@ using WallClock = std::chrono::steady_clock;
 /// keys on it so scripted runners returning (not throwing) a transient
 /// failure classify identically.
 constexpr const char* kTransientPrefix = "transient: ";
-
-[[noreturn]] void badManifest(const std::string& what) {
-  throw std::runtime_error("malformed manifest: " + what);
-}
-
-const Value& needField(const Value& obj, const char* key) {
-  const Value* v = obj.find(key);
-  if (v == nullptr) badManifest(std::string("missing \"") + key + "\"");
-  return *v;
-}
 
 /// The Failed/Hang/Timeout result of a job that produced no run of its own
 /// (a crash, or a skipped job in a resumed manifest), keyed by the spec.
@@ -154,43 +150,75 @@ bool SweepManifest::allOk() const {
   return true;
 }
 
+void writeJobFields(stats::json::Writer& w, const JobRecord& j) {
+  w.field("id", j.spec.id());
+  w.field("system", j.spec.system);
+  w.field("workload", j.spec.workload);
+  w.field("machine", j.spec.machine);
+  w.field("threads", j.spec.threads);
+  w.field("seed", j.spec.seed);
+  w.field("state", toString(j.state));
+  w.field("attempts", j.attempts);
+  w.field("diagnostic", j.diagnostic);
+  w.field("artifact", j.artifact);
+  w.field("wall_seconds", j.wallSeconds);
+  w.field("cycles", j.cycles);
+}
+
+JobRecord jobRecordFromJson(const Value& e) {
+  if (!e.isObject()) throw std::runtime_error("job entry is not an object");
+  JobRecord j;
+  j.spec.system = needString(e, "system");
+  j.spec.workload = needString(e, "workload");
+  j.spec.machine = needString(e, "machine");
+  j.spec.threads = needUnsigned(e, "threads");
+  j.spec.seed = needU64(e, "seed");
+  const std::string& id = needString(e, "id");
+  if (id != j.spec.id()) {
+    throw std::runtime_error("\"id\" " + id + " is not the id its fields produce (" +
+                             j.spec.id() + ")");
+  }
+  const std::string& state = needString(e, "state");
+  if (!jobStateFromString(state, j.state)) {
+    throw std::runtime_error("unknown state \"" + state + "\"");
+  }
+  j.attempts = needUnsigned(e, "attempts");
+  j.diagnostic = needString(e, "diagnostic");
+  j.artifact = needString(e, "artifact");
+  if (j.state == JobState::Ok && j.artifact.empty()) {
+    throw std::runtime_error("state \"ok\" without an \"artifact\" path");
+  }
+  j.wallSeconds = needNumber(e, "wall_seconds");
+  j.cycles = needU64(e, "cycles");
+  return j;
+}
+
 SweepManifest SweepManifest::fromJson(const std::string& text) {
-  const Value doc = stats::json::parse(text);
-  const Value* schema = doc.find("schema");
-  if (schema == nullptr || schema->text != kManifestSchema) {
-    badManifest(std::string("schema is not ") + kManifestSchema);
-  }
-  SweepManifest m;
-  m.artifactDir = needField(doc, "artifact_dir").text;
-  m.shards = stats::json::asU64(needField(doc, "shards"));
-  if (m.shards == 0) badManifest("shards must be >= 1");
-  const Value& jobs = needField(doc, "jobs");
-  if (!jobs.isArray()) badManifest("jobs is not an array");
-  std::vector<std::string> seen;
-  for (const Value& e : *jobs.array) {
-    if (!e.isObject()) badManifest("job entry is not an object");
-    JobRecord j;
-    j.spec.system = needField(e, "system").text;
-    j.spec.workload = needField(e, "workload").text;
-    j.spec.machine = needField(e, "machine").text;
-    j.spec.threads = static_cast<unsigned>(stats::json::asU64(needField(e, "threads")));
-    j.spec.seed = stats::json::asU64(needField(e, "seed"));
-    if (!jobStateFromString(needField(e, "state").text, j.state)) {
-      badManifest("unknown job state \"" + needField(e, "state").text + "\"");
+  try {
+    const Value doc = stats::json::parse(text);
+    const Value* schema = doc.find("schema");
+    if (schema == nullptr || !schema->isString() || schema->text != kManifestSchema) {
+      throw std::runtime_error(std::string("schema is not ") + kManifestSchema);
     }
-    j.attempts = static_cast<unsigned>(stats::json::asU64(needField(e, "attempts")));
-    j.diagnostic = needField(e, "diagnostic").text;
-    j.artifact = needField(e, "artifact").text;
-    j.wallSeconds = needField(e, "wall_seconds").number;
-    j.cycles = stats::json::asU64(needField(e, "cycles"));
-    const std::string id = j.spec.id();
-    for (const std::string& s : seen) {
-      if (s == id) badManifest("duplicate job id " + id);
+    SweepManifest m;
+    m.artifactDir = needString(doc, "artifact_dir");
+    m.shards = needU64(doc, "shards");
+    if (m.shards == 0) throw std::runtime_error("\"shards\" must be >= 1");
+    const stats::json::Array& jobs = needArray(doc, "jobs");
+    std::set<std::string> ids;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      try {
+        m.jobs.push_back(jobRecordFromJson(jobs[i]));
+      } catch (const std::runtime_error& e) {
+        throw std::runtime_error("jobs[" + std::to_string(i) + "]: " + e.what());
+      }
+      const std::string id = m.jobs.back().spec.id();
+      if (!ids.insert(id).second) throw std::runtime_error("duplicate job id " + id);
     }
-    seen.push_back(id);
-    m.jobs.push_back(std::move(j));
+    return m;
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("malformed manifest: ") + e.what());
   }
-  return m;
 }
 
 SweepManifest SweepManifest::load(const std::string& path) {
@@ -208,18 +236,7 @@ std::string SweepManifest::toJson() const {
   w.beginArray();
   for (const JobRecord& j : jobs) {
     w.beginObject();
-    w.field("id", j.spec.id());
-    w.field("system", j.spec.system);
-    w.field("workload", j.spec.workload);
-    w.field("machine", j.spec.machine);
-    w.field("threads", j.spec.threads);
-    w.field("seed", j.spec.seed);
-    w.field("state", toString(j.state));
-    w.field("attempts", j.attempts);
-    w.field("diagnostic", j.diagnostic);
-    w.field("artifact", j.artifact);
-    w.field("wall_seconds", j.wallSeconds);
-    w.field("cycles", j.cycles);
+    writeJobFields(w, j);
     w.endObject();
   }
   w.endArray();

@@ -33,6 +33,11 @@
 
 #include "config/sweep.hpp"
 
+namespace lktm::stats::json {
+struct Value;
+class Writer;
+}  // namespace lktm::stats::json
+
 namespace lktm::cfg {
 
 /// Manifest schema; the top-level "shards" count backs the distributed
@@ -91,6 +96,18 @@ struct JobRecord {
   std::uint64_t cycles = 0;     ///< simulated cycles of the last attempt
 };
 
+/// The manifest's job-entry encoding, shared with the claim spool's done/
+/// records (config/distrib.hpp, which add a "worker" field). Emits the
+/// entry's fields into the object the caller has open.
+void writeJobFields(stats::json::Writer& w, const JobRecord& j);
+
+/// Parse one job entry. Throws std::runtime_error naming the field unless
+/// every field has its type (integers plain and within range), the state is
+/// known, the stored "id" equals the id its fields produce, and an "ok" job
+/// names its artifact. Keys outside the entry (the spool's "worker") are
+/// left to the caller.
+JobRecord jobRecordFromJson(const stats::json::Value& e);
+
 struct SweepManifest {
   /// Directory per-job artifacts are written into (created on demand).
   std::string artifactDir;
@@ -107,8 +124,10 @@ struct SweepManifest {
   /// True when every job is Ok.
   bool allOk() const;
 
-  /// Parse a manifest document. Throws std::runtime_error on malformed input
-  /// or duplicate job ids.
+  /// Parse a manifest document: this reader is the lktm.manifest.v2 schema.
+  /// Throws std::runtime_error on malformed input (a string "artifact_dir",
+  /// "shards" >= 1, every job valid per jobRecordFromJson) or duplicate job
+  /// ids.
   static SweepManifest fromJson(const std::string& text);
   static SweepManifest load(const std::string& path);
   std::string toJson() const;

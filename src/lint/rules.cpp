@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <ostream>
 #include <set>
 #include <string_view>
 
 #include "lint/lexer.hpp"
-#include "stats/json.hpp"
 
 namespace lktm::lint {
 
@@ -358,34 +356,6 @@ std::size_t LintRun::suppressedCount() const {
 
 std::size_t LintRun::unsuppressedCount() const {
   return findings.size() - suppressedCount();
-}
-
-void writeArtifact(std::ostream& os, const LintRun& run) {
-  stats::json::Writer w(os);
-  w.beginObject();
-  w.field("schema", kLintSchema);
-  w.field("files_scanned", static_cast<std::uint64_t>(run.filesScanned));
-  w.key("rules");
-  w.beginArray();
-  for (const std::string& r : run.rules) w.value(r);
-  w.endArray();
-  w.field("unsuppressed", static_cast<std::uint64_t>(run.unsuppressedCount()));
-  w.field("suppressed", static_cast<std::uint64_t>(run.suppressedCount()));
-  w.key("findings");
-  w.beginArray();
-  for (const Finding& f : run.findings) {
-    w.beginObject();
-    w.field("file", f.file);
-    w.field("line", static_cast<std::uint64_t>(f.line));
-    w.field("rule", f.rule);
-    w.field("zone", toString(f.zone));
-    w.field("suppressed", f.suppressed);
-    w.field("reason", f.reason);
-    w.field("excerpt", f.excerpt);
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();  // root endObject newline-terminates the document
 }
 
 }  // namespace lktm::lint

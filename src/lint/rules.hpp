@@ -32,15 +32,12 @@
 // the line above. The reason is mandatory.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace lktm::lint {
-
-/// Schema stamp of the JSON findings artifact (writeArtifact).
-inline constexpr char kLintSchema[] = "lktm.lint.v1";
 
 enum class Zone : std::uint8_t { Deterministic, Host };
 
@@ -59,7 +56,7 @@ struct Finding {
   std::string reason;  ///< the allow() directive's reason when suppressed
 };
 
-/// Every rule id, sorted — the artifact's "rules" block and --list-rules.
+/// Every rule id, sorted (--list-rules).
 const std::vector<std::string>& allRules();
 bool isRule(const std::string& name);
 
@@ -74,18 +71,13 @@ std::vector<Finding> lintSource(const std::string& relPath,
                                 const std::string& src,
                                 const LintOptions& opts = {});
 
-/// An aggregated lint run over many files, ready for the artifact writer.
+/// An aggregated lint run over many files.
 struct LintRun {
-  std::vector<Finding> findings;   ///< sorted by (file, line, rule)
-  std::vector<std::string> rules;  ///< active rule ids, sorted
+  std::vector<Finding> findings;  ///< sorted by (file, line, rule)
   std::size_t filesScanned = 0;
 
   std::size_t suppressedCount() const;
   std::size_t unsuppressedCount() const;
 };
-
-/// Emit the lktm.lint.v1 artifact through the deterministic raw-literal JSON
-/// writer: same findings, same bytes, on any host.
-void writeArtifact(std::ostream& os, const LintRun& run);
 
 }  // namespace lktm::lint

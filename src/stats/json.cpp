@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <locale>
 #include <stdexcept>
 #include <string>
@@ -215,15 +216,70 @@ class Parser {
 
 Value parse(const std::string& src) { return Parser(src).parse(); }
 
+bool exactU64(const Value& v, std::uint64_t& out) {
+  if (v.kind != Value::Kind::Number || v.text.empty()) return false;
+  const char* end = v.text.data() + v.text.size();
+  // Integer from_chars takes no sign for an unsigned type and stops at a
+  // '.' or an exponent, so only a plain digit literal consumes the text.
+  const auto [ptr, ec] = std::from_chars(v.text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
 std::uint64_t asU64(const Value& v) {
-  if (v.kind != Value::Kind::Number) return 0;
-  if (!v.text.empty()) {
-    std::uint64_t out = 0;
-    const auto [ptr, ec] =
-        std::from_chars(v.text.data(), v.text.data() + v.text.size(), out);
-    if (ec == std::errc{} && ptr == v.text.data() + v.text.size()) return out;
+  std::uint64_t out = 0;
+  return exactU64(v, out) ? out : 0;
+}
+
+namespace {
+
+[[noreturn]] void badField(const char* key, const char* want) {
+  throw std::runtime_error(std::string("\"") + key + "\" must be " + want);
+}
+
+}  // namespace
+
+const Value& need(const Value& obj, const char* key) {
+  const Value* v = obj.find(key);
+  if (v == nullptr) throw std::runtime_error(std::string("missing \"") + key + "\"");
+  return *v;
+}
+
+const std::string& needString(const Value& obj, const char* key) {
+  const Value& v = need(obj, key);
+  if (!v.isString()) badField(key, "a string");
+  return v.text;
+}
+
+std::uint64_t needU64(const Value& obj, const char* key) {
+  std::uint64_t out = 0;
+  if (!exactU64(need(obj, key), out)) badField(key, "an unsigned 64-bit integer");
+  return out;
+}
+
+unsigned needUnsigned(const Value& obj, const char* key) {
+  std::uint64_t v = 0;
+  if (!exactU64(need(obj, key), v) || v > std::numeric_limits<unsigned>::max()) {
+    badField(key, "an unsigned 32-bit integer");
   }
-  return static_cast<std::uint64_t>(v.number);
+  return static_cast<unsigned>(v);
+}
+
+double needNumber(const Value& obj, const char* key) {
+  const Value& v = need(obj, key);
+  if (!v.isNumber()) badField(key, "a number");
+  return v.number;
+}
+
+bool needBool(const Value& obj, const char* key) {
+  const Value& v = need(obj, key);
+  if (v.kind != Value::Kind::Bool) badField(key, "a boolean");
+  return v.boolean;
+}
+
+const Array& needArray(const Value& obj, const char* key) {
+  const Value& v = need(obj, key);
+  if (!v.isArray()) badField(key, "an array");
+  return *v.array;
 }
 
 std::string quote(const std::string& s) {

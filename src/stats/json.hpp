@@ -1,7 +1,7 @@
 // Minimal JSON support shared by the instrumentation spine: a streaming
-// writer for the run artifacts / trace files, and the recursive-descent
-// reader that bench_to_json, validate_stats_json and the round-trip tests
-// use. Only what our own formats need — objects, arrays, strings, numbers,
+// writer for the run artifacts / trace files, the recursive-descent reader,
+// and the strict field accessors the artifact schema readers are built on.
+// Only what our own formats need — objects, arrays, strings, numbers,
 // true/false/null, common escapes.
 //
 // All emission is locale-independent: integers via std::to_string, doubles
@@ -52,10 +52,28 @@ inline constexpr unsigned kMaxParseDepth = 512;
 /// offset on malformed input, including nesting deeper than kMaxParseDepth.
 Value parse(const std::string& src);
 
-/// Unsigned 64-bit view of a parsed number: exact (std::from_chars over the
-/// raw literal) when the document carried a plain unsigned integer, the
-/// rounded double otherwise. 0 for non-numbers.
+/// True when `v` is a plain unsigned integer literal (digits only: no sign,
+/// fraction or exponent) whose value fits in u64; `out` then holds it exactly.
+bool exactU64(const Value& v, std::uint64_t& out);
+
+/// Unsigned 64-bit view of a parsed number: exactU64's value, else 0. So -1,
+/// 2.5, 1e30 and 18446744073709551616 all read as 0, never as a wrapped or
+/// truncated number. Schema readers reject such fields instead (needU64).
 std::uint64_t asU64(const Value& v);
+
+// Strict field access for the schema readers (config/artifact.hpp,
+// config/orchestrator.hpp): each returns field `key` of object `obj` and
+// throws std::runtime_error naming the key when it is missing or has the
+// wrong type.
+const Value& need(const Value& obj, const char* key);
+const std::string& needString(const Value& obj, const char* key);
+/// A plain unsigned integer literal that fits in u64 (exactU64).
+std::uint64_t needU64(const Value& obj, const char* key);
+/// needU64, also bounded by the range of `unsigned`.
+unsigned needUnsigned(const Value& obj, const char* key);
+double needNumber(const Value& obj, const char* key);
+bool needBool(const Value& obj, const char* key);
+const Array& needArray(const Value& obj, const char* key);
 
 /// Escape and quote a string for JSON output.
 std::string quote(const std::string& s);

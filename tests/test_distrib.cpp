@@ -157,13 +157,11 @@ TEST(Distrib, DoneBeatsClaimedOnReclaim) {
   w1.seed(m);
   ClaimRecord c;
   ASSERT_TRUE(w1.take(stem, c));
-  DoneRecord d;
-  d.file = stem;
-  d.id = c.id;
-  d.state = JobState::Ok;
-  d.attempts = 1;
-  d.worker = "w1";
-  ASSERT_TRUE(w1.markDone(d));
+  JobRecord done = m.jobs[0];
+  done.state = JobState::Ok;
+  done.attempts = 1;
+  done.artifact = "done.json";
+  ASSERT_TRUE(w1.markDone(done));
   // Fake the crash window: the claim file still exists alongside done/.
   w1.publishClaim(c);
 
@@ -199,13 +197,10 @@ TEST(Distrib, FoldClaimStatePrecedence) {
   const std::string s1 = jobFileStem(m.jobs[1].spec);
   ClaimRecord c;
   ASSERT_TRUE(store.take(s0, c));
-  DoneRecord failedRec;
-  failedRec.file = s0;
-  failedRec.id = c.id;
+  JobRecord failedRec = m.jobs[0];
   failedRec.state = JobState::Failed;
   failedRec.attempts = 2;
   failedRec.diagnostic = "boom";
-  failedRec.worker = "w1";
   store.markDone(failedRec);
   ASSERT_TRUE(store.take(s1, c));  // stays claimed -> Running
 
@@ -294,9 +289,12 @@ TEST(Distrib, TwoWorkersMergeBitIdenticalToSingleProcess) {
 
   // Both workers actually did something (shard preference spread the work).
   std::set<std::string> finishers;
-  for (const DoneRecord& d :
-       ClaimStore(dmulti + "/claims", "check").listDone()) {
-    finishers.insert(d.worker);
+  const ClaimStore check(dmulti + "/claims", "check");
+  for (const JobRecord& j : merged.jobs) {
+    JobRecord done;
+    std::string worker;
+    ASSERT_TRUE(check.readDone(jobFileStem(j.spec), done, &worker));
+    finishers.insert(worker);
   }
   EXPECT_EQ(finishers.size(), 2u);
 }
@@ -331,10 +329,11 @@ TEST(Distrib, DeadWorkerJobIsReclaimedAndFinished) {
   EXPECT_TRUE(view.complete());
   EXPECT_TRUE(view.allOk());
   EXPECT_EQ(rep.ran, view.jobs.size());  // including the reclaimed one
-  DoneRecord d;
-  ASSERT_TRUE(w1.readDone(stem, d));
-  EXPECT_EQ(d.worker, "w2");
-  EXPECT_EQ(d.attempts, 2u);  // inherited 1 + w2's successful attempt
+  JobRecord done;
+  std::string worker;
+  ASSERT_TRUE(w1.readDone(stem, done, &worker));
+  EXPECT_EQ(worker, "w2");
+  EXPECT_EQ(done.attempts, 2u);  // inherited 1 + w2's successful attempt
   EXPECT_TRUE(w1.listClaimed().empty());
 }
 

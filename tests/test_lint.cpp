@@ -1,6 +1,6 @@
 // Tests for the determinism-and-protocol linter (src/lint): the lexer's
 // hard cases, zone classification, per-rule positive/negative fixtures, the
-// suppression contract, and the lktm.lint.v1 artifact byte format.
+// suppression contract, and the rule catalog.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,10 +10,8 @@
 #include "lint/lexer.hpp"
 #include "lint/rules.hpp"
 #include "lint/selftest.hpp"
-#include "stats/json.hpp"
 
 namespace lint = lktm::lint;
-namespace json = lktm::stats::json;
 
 using lint::Finding;
 using lint::lexFile;
@@ -251,79 +249,6 @@ TEST(LintRules, FindingsSortedAndCarryExcerpts) {
 }
 
 // ----------------------------------------------------------------- artifact
-
-TEST(LintArtifact, GoldenJsonRoundTrip) {
-  lint::LintRun run;
-  run.filesScanned = 2;
-  run.rules = {"no-wall-clock"};
-  Finding a;
-  a.file = "src/sim/a.cpp";
-  a.line = 3;
-  a.rule = "no-wall-clock";
-  a.zone = Zone::Deterministic;
-  a.excerpt = "auto t = std::chrono::steady_clock::now();";
-  Finding b;
-  b.file = "tools/b.cpp";
-  b.line = 7;
-  b.rule = "no-wall-clock";
-  b.zone = Zone::Host;
-  b.suppressed = true;
-  b.reason = "display-only timing";
-  b.excerpt = "wallNow();";
-  run.findings = {a, b};
-  EXPECT_EQ(run.unsuppressedCount(), 1u);
-  EXPECT_EQ(run.suppressedCount(), 1u);
-
-  std::ostringstream os;
-  lint::writeArtifact(os, run);
-  const std::string golden = R"({
-  "schema": "lktm.lint.v1",
-  "files_scanned": 2,
-  "rules": [
-    "no-wall-clock"
-  ],
-  "unsuppressed": 1,
-  "suppressed": 1,
-  "findings": [
-    {
-      "file": "src/sim/a.cpp",
-      "line": 3,
-      "rule": "no-wall-clock",
-      "zone": "deterministic",
-      "suppressed": false,
-      "reason": "",
-      "excerpt": "auto t = std::chrono::steady_clock::now();"
-    },
-    {
-      "file": "tools/b.cpp",
-      "line": 7,
-      "rule": "no-wall-clock",
-      "zone": "host",
-      "suppressed": true,
-      "reason": "display-only timing",
-      "excerpt": "wallNow();"
-    }
-  ]
-}
-)";
-  EXPECT_EQ(os.str(), golden);
-
-  // And the bytes parse back to the same structure.
-  const json::Value doc = json::parse(os.str());
-  EXPECT_EQ(doc.find("schema")->text, lint::kLintSchema);
-  EXPECT_EQ(json::asU64(*doc.find("files_scanned")), 2u);
-  EXPECT_EQ(json::asU64(*doc.find("unsuppressed")), 1u);
-  EXPECT_EQ(json::asU64(*doc.find("suppressed")), 1u);
-  const json::Value* findings = doc.find("findings");
-  ASSERT_TRUE(findings != nullptr && findings->isArray());
-  ASSERT_EQ(findings->array->size(), 2u);
-  const json::Value& f0 = findings->array->at(0);
-  EXPECT_EQ(f0.find("zone")->text, "deterministic");
-  EXPECT_FALSE(f0.find("suppressed")->boolean);
-  const json::Value& f1 = findings->array->at(1);
-  EXPECT_TRUE(f1.find("suppressed")->boolean);
-  EXPECT_EQ(f1.find("reason")->text, "display-only timing");
-}
 
 TEST(LintArtifact, RuleCatalogIsSortedAndQueryable) {
   const auto& rules = lint::allRules();

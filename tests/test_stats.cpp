@@ -502,6 +502,7 @@ TEST(StatsJson, EmptyDistributionAndOverflowedHistogram) {
 
   // Round-trip via the full artifact reader (the sweep-merge path).
   cfg::RunResult r;
+  r.backend = "lockiller";
   r.stats = reg.snapshot();
   std::ostringstream artifact;
   cfg::writeStatsJson(artifact, r);
@@ -529,51 +530,44 @@ TEST(StatsJson, ArtifactValidatesAgainstSchema) {
   const cfg::RunResult r = runCounter();
   std::ostringstream os;
   cfg::writeStatsJson(os, r);
-  const json::Value doc = json::parse(os.str());
+  EXPECT_EQ(os.str().find("\"hang\""), std::string::npos);  // "status" carries it
 
-  const json::Value* schema = doc.find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->text, cfg::kStatsSchema);
-
-  const json::Value* runs = doc.find("runs");
-  ASSERT_TRUE(runs != nullptr && runs->isArray());
-  ASSERT_EQ(runs->array->size(), 1u);
-  const json::Value& run = runs->array->front();
-  for (const char* k : {"system", "workload", "machine", "threads", "cycles",
-                        "ok", "status", "wall_seconds", "violations", "derived",
-                        "stats"}) {
-    EXPECT_NE(run.find(k), nullptr) << k;
-  }
-  EXPECT_EQ(run.find("hang"), nullptr);  // "status" carries it
-  EXPECT_EQ(run.find("system")->text, "LockillerTM");
-  const json::Value* stats = run.find("stats");
-  ASSERT_TRUE(stats->isArray());
-  EXPECT_FALSE(stats->array->empty());
-  // Path-sorted, and every entry carries path+kind.
-  std::string prev;
-  for (const json::Value& e : *stats->array) {
-    ASSERT_NE(e.find("path"), nullptr);
-    ASSERT_NE(e.find("kind"), nullptr);
-    EXPECT_LT(prev, e.find("path")->text);
-    prev = e.find("path")->text;
-  }
-  // Derived numbers match the accessor math.
-  ASSERT_TRUE(r.commitRate().has_value());
-  EXPECT_DOUBLE_EQ(run.find("derived")->find("commit_rate")->number,
-                   *r.commitRate());
-  EXPECT_DOUBLE_EQ(run.find("derived")->find("total_commits")->number,
-                   static_cast<double>(r.totalCommits()));
+  // The reader is the schema: it accepts the document only if every field
+  // is well-typed, the stats are path-sorted, and the derived block equals
+  // what the parsed stats derive.
+  const std::vector<cfg::RunResult> runs = cfg::statsRunsFromJson(json::parse(os.str()));
+  ASSERT_EQ(runs.size(), 1u);
+  const cfg::RunResult& back = runs.front();
+  EXPECT_EQ(back.system, "LockillerTM");
+  EXPECT_EQ(back.backend, r.backend);
+  EXPECT_EQ(back.seed, r.seed);
+  EXPECT_EQ(back.cycles, r.cycles);
+  EXPECT_EQ(back.stats, r.stats);
   // The commit-latency block mirrors the merged per-core histograms.
-  const json::Value* lat = run.find("derived")->find("commit_latency");
-  ASSERT_TRUE(lat != nullptr && lat->isObject());
-  EXPECT_DOUBLE_EQ(lat->find("count")->number,
-                   static_cast<double>(r.totalCommits()));
-  EXPECT_DOUBLE_EQ(lat->find("p50")->number,
-                   static_cast<double>(r.commitLatencyPercentile(500)));
-  EXPECT_DOUBLE_EQ(lat->find("p999")->number,
-                   static_cast<double>(r.commitLatencyPercentile(999)));
-  EXPECT_GE(lat->find("p999")->number, lat->find("p50")->number);
-  EXPECT_GT(lat->find("p50")->number, 0.0);
+  const cfg::DerivedMetrics d = cfg::DerivedMetrics::of(back);
+  ASSERT_TRUE(d.commitRate.has_value());
+  EXPECT_EQ(d.commitRate, r.commitRate());
+  EXPECT_EQ(d.latencyCount, r.totalCommits());
+  EXPECT_EQ(d.p50, r.commitLatencyPercentile(500));
+  EXPECT_EQ(d.p999, r.commitLatencyPercentile(999));
+  EXPECT_GE(d.p999, d.p50);
+  EXPECT_GT(d.p50, 0u);
+}
+
+// asU64 reads only plain unsigned integer literals; everything else is 0
+// rather than a wrapped, truncated or undefined conversion of the double.
+TEST(StatsJson, AsU64ReadsOnlyPlainUnsignedIntegers) {
+  for (const char* text : {"-1", "-3", "1e30", "2.5", "18446744073709551616", "-0",
+                           "1E2", "\"7\"", "true"}) {
+    const json::Value v = json::parse(text);
+    std::uint64_t out = 42;
+    EXPECT_FALSE(json::exactU64(v, out)) << text;
+    EXPECT_EQ(json::asU64(v), 0u) << text;
+  }
+  EXPECT_EQ(json::asU64(json::parse("0")), 0u);
+  EXPECT_EQ(json::asU64(json::parse("18446744073709551615")),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(json::asU64(json::parse("9007199254740993")), 9007199254740993ull);
 }
 
 // ---------------------------------------------- sweep reset-leakage guard

@@ -7,7 +7,6 @@
 //   lktm_lint [options] [path ...]        lint files / directories (recursed)
 //     --rules a,b     restrict to these rule ids
 //     --root DIR      repo root for zone classification (default: cwd)
-//     --json FILE     also write the lktm.lint.v1 findings artifact
 //     --quiet         suppress per-finding output (summary only)
 //     --list-rules    print the rule catalog and exit
 //     --self-test     run the built-in seeded-violation fixtures (every rule
@@ -53,7 +52,7 @@ std::string relativeTo(const fs::path& root, const fs::path& p) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: lktm_lint [--rules a,b] [--root DIR] [--json FILE] "
+               "usage: lktm_lint [--rules a,b] [--root DIR] "
                "[--quiet] [--list-rules] [--self-test] [path ...]\n");
   return 2;
 }
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   LintOptions opts;
   std::string root = ".";
-  std::string jsonOut;
   bool quiet = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -108,10 +106,6 @@ int main(int argc, char** argv) {
       root = next();
       continue;
     }
-    if (arg == "--json") {
-      jsonOut = next();
-      continue;
-    }
     if (arg == "--quiet") {
       quiet = true;
       continue;
@@ -121,8 +115,8 @@ int main(int argc, char** argv) {
   }
   if (paths.empty()) return usage();
 
-  // Collect the file set, sorted by repo-relative path so output and the
-  // JSON artifact are byte-stable regardless of argument or readdir order.
+  // Collect the file set, sorted by repo-relative path so the output is
+  // byte-stable regardless of argument or readdir order.
   std::vector<std::pair<std::string, fs::path>> files;
   for (const std::string& p : paths) {
     std::error_code ec;
@@ -144,8 +138,6 @@ int main(int argc, char** argv) {
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
   LintRun run;
-  run.rules = opts.rules.empty() ? lktm::lint::allRules() : opts.rules;
-  std::sort(run.rules.begin(), run.rules.end());
   for (const auto& [rel, path] : files) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -166,15 +158,6 @@ int main(int argc, char** argv) {
       std::printf("%s:%u: [%s] (%s zone) %s\n", f.file.c_str(), f.line,
                   f.rule.c_str(), toString(f.zone), f.excerpt.c_str());
     }
-  }
-
-  if (!jsonOut.empty()) {
-    std::ofstream out(jsonOut, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "lktm_lint: cannot write %s\n", jsonOut.c_str());
-      return 2;
-    }
-    lktm::lint::writeArtifact(out, run);
   }
 
   std::printf("lktm_lint: %zu file%s, %zu finding%s (%zu suppressed)\n",

@@ -4,7 +4,8 @@
 # determinism tests under ASan+UBSan), run the model-checker suite (ctest -L
 # verify: exhaustive lktm_check sweeps + test_verify) under both presets, run
 # clang-tidy over src/ when the tool is installed, validate a --stats-json
-# artifact against the lktm.stats.v1 schema, smoke the 128-core banked
+# artifact against the lktm.stats.v1 schema (and require a hand-edited p99 to
+# be rejected), smoke the 128-core banked
 # directory path and verify that a 513-core machine is rejected with the
 # 512-core limit, run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
@@ -24,7 +25,7 @@
 # the committed lktm.summary.v1), run the
 # lktm_lint determinism linter
 # (self-test must catch every planted violation; src/ and tools/ must be
-# clean; the lktm.lint.v1 artifact must validate), build the TSan preset
+# clean), build the TSan preset
 # and run the host-parallel sweep tests under ThreadSanitizer, then build the
 # release tree and run the gated kernel microbenchmarks
 # (writes BENCH_kernel.json; fails if any gated benchmark regresses below the
@@ -71,6 +72,26 @@ echo "== stats artifact: emit + validate (lktm.stats.v1) =="
   --stats-json build/stats_check.json >/dev/null
 ./build/tools/validate_stats_json build/stats_check.json
 
+echo "== validator bites: a hand-edited derived p99 must be rejected =="
+# The reader recomputes the derived block from the run's stats, so a p99
+# raised to the p999 value (the percentiles still ascend) must fail
+# validation with exit 1.
+p999="$(sed -nE 's/.*"p999": ([0-9]+).*/\1/p' build/stats_check.json)"
+sed -E "s/\"p99\": [0-9]+/\"p99\": $p999/" build/stats_check.json \
+  > build/stats_check_bad.json
+cmp -s build/stats_check.json build/stats_check_bad.json && {
+  echo "the p99 rewrite changed nothing" >&2
+  exit 1
+}
+set +e
+./build/tools/validate_stats_json build/stats_check_bad.json 2>/dev/null
+status=$?
+set -e
+if [[ "$status" != 1 ]]; then
+  echo "validate_stats_json exited $status on a corrupted p99 (want 1)" >&2
+  exit 1
+fi
+
 echo "== TM backends: each registry backend runs + validates (lktm-sim --backend) =="
 run_backend_smoke() {
   # $1 = build dir. Every registered backend must run a small workload end to
@@ -115,9 +136,8 @@ echo "== lktm_lint: seeded-violation self-test =="
 # caught and its clean twin must stay quiet.
 ./build/tools/lktm_lint --self-test >/dev/null
 
-echo "== lktm_lint: src/ + tools/ must be clean (emit + validate artifact) =="
-./build/tools/lktm_lint --root . --json build/lint_check.json --quiet src tools
-./build/tools/validate_stats_json build/lint_check.json
+echo "== lktm_lint: src/ + tools/ must be clean =="
+./build/tools/lktm_lint --root . --quiet src tools
 
 echo "== large-core smoke: 128-core banked directory + 513-core rejection =="
 run_bigcore_smoke() {
@@ -349,6 +369,7 @@ build/tools/lktm_sweep work --manifest "$d/bc.json" \
 WB=$!
 wait "$WA"   # exit 0 iff the whole grid is complete && all ok
 wait "$WB"
+# A done/ record is the job's manifest entry plus the "worker" that ran it.
 for w in grid-a grid-b; do
   grep -lq "\"worker\":\"$w\"" "$d/bc.json.claims/done"/* || {
     echo "bigcores grid was not split: $w finished no jobs" >&2
@@ -370,6 +391,7 @@ build/tools/lktm_sweep run --manifest "$d/bc.json" --quiet
 build/tools/lktm_sweep merge --manifest "$d/bc.json" \
   --out "$d/merged.json" --summary "$d/summary.json" >/dev/null
 cmp "$d/summary.json" bench/bigcores/fig07_bigcores_256_summary.json
+build/tools/validate_stats_json "$d/bc.json" "$d/merged.json" "$d/summary.json"
 echo "  (36-job 256-core grid all ok, summary matches committed)"
 
 if [[ "$RUN_BENCH" == 1 ]]; then

@@ -169,16 +169,16 @@ void writeStatsJson(std::ostream& os, const RunResult& run) {
   writeStatsJson(os, std::vector<const RunResult*>{&run});
 }
 
-bool writeFileAtomic(const std::string& path, const std::string& content,
-                     const std::string& writer) {
+bool writeFileAtomic(const std::string& path, const std::string& content) {
   namespace fs = std::filesystem;
   static std::atomic<std::uint64_t> seq{0};
   const fs::path target(path);
-  // Dot-prefixed, so directory scans (the claim spool's included) skip it.
-  std::string name = "." + target.filename().string() + ".tmp.";
-  if (!writer.empty()) name += writer + ".";
-  name += std::to_string(::getpid()) + "." + std::to_string(seq.fetch_add(1));
-  const fs::path tmp = target.parent_path() / name;
+  // Hidden (dot-prefixed), so a `dir/*.json` glob never picks up a
+  // half-written file.
+  const fs::path tmp = target.parent_path() /
+                       ("." + target.filename().string() + ".tmp." +
+                        std::to_string(::getpid()) + "." +
+                        std::to_string(seq.fetch_add(1)));
   bool written = false;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

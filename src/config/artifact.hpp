@@ -96,15 +96,13 @@ void writeSnapshotJson(stats::json::Writer& w, const stats::StatSnapshot& snap);
 void writeStatsJson(std::ostream& os, const std::vector<const RunResult*>& runs);
 void writeStatsJson(std::ostream& os, const RunResult& run);
 
-/// The one file writer behind every artifact, manifest checkpoint and claim
-/// spool record: write `content` to a hidden tmp file next to `path` whose
-/// name is unique per call (writer id + pid + counter), then rename it over
-/// `path`. Readers never see a torn file, and concurrent writers (threads,
-/// processes, hosts on a shared mount) resolve to the last rename. Returns
+/// The one file writer behind every artifact and manifest checkpoint: write
+/// `content` to a hidden tmp file next to `path` whose name is unique per
+/// call (pid + counter), then rename it over `path`. Readers never see a
+/// torn file, and concurrent writers resolve to the last rename. Returns
 /// false (with a message on stderr) on failure, leaving neither `path` nor
 /// the tmp file behind.
-bool writeFileAtomic(const std::string& path, const std::string& content,
-                     const std::string& writer = "");
+bool writeFileAtomic(const std::string& path, const std::string& content);
 
 /// The whole content of `path`. Throws std::runtime_error when the file
 /// cannot be read.

@@ -1,5 +1,6 @@
 #include "config/orchestrator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -67,6 +68,36 @@ RunResult simulateJob(const JobSpec& spec, const OrchestratorOptions& opts,
       cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
   r.workload = spec.workload;
   return r;
+}
+
+/// Returned by a pool claim when the calling thread should stop.
+constexpr std::ptrdiff_t kNoMoreJobs = -1;
+
+/// Spin up `hostThreads` workers (0 = hardware concurrency, never more than
+/// `jobCount`), each owning one SimContext reused for every job it runs; each
+/// worker calls `claim` for the next manifest index until it returns
+/// kNoMoreJobs and hands every index to `runOne`. Both must be thread-safe.
+void runThreadPool(unsigned hostThreads, std::size_t jobCount,
+                   const std::function<std::ptrdiff_t()>& claim,
+                   const std::function<void(std::size_t, sim::SimContext&)>& runOne) {
+  if (jobCount == 0) return;
+  if (hostThreads == 0) {
+    hostThreads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  hostThreads = std::min<unsigned>(hostThreads, static_cast<unsigned>(jobCount));
+
+  auto worker = [&] {
+    sim::SimContext ctx;  // reused across every job this thread executes
+    for (;;) {
+      const std::ptrdiff_t i = claim();
+      if (i == kNoMoreJobs) return;
+      runOne(static_cast<std::size_t>(i), ctx);
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(hostThreads);
+  for (unsigned t = 0; t < hostThreads; ++t) pool.emplace_back(worker);
+  for (auto& t : pool) t.join();
 }
 
 }  // namespace
@@ -150,6 +181,10 @@ bool SweepManifest::allOk() const {
   return true;
 }
 
+namespace {
+
+/// The manifest's job-entry encoding: emits the entry's fields into the
+/// object the caller has open.
 void writeJobFields(stats::json::Writer& w, const JobRecord& j) {
   w.field("id", j.spec.id());
   w.field("system", j.spec.system);
@@ -165,6 +200,9 @@ void writeJobFields(stats::json::Writer& w, const JobRecord& j) {
   w.field("cycles", j.cycles);
 }
 
+/// Parse one job entry. Throws std::runtime_error naming the field unless
+/// every field has its type, the state is known, the stored "id" equals the
+/// id its fields produce, and an "ok" job names its artifact.
 JobRecord jobRecordFromJson(const Value& e) {
   if (!e.isObject()) throw std::runtime_error("job entry is not an object");
   JobRecord j;
@@ -193,6 +231,8 @@ JobRecord jobRecordFromJson(const Value& e) {
   return j;
 }
 
+}  // namespace
+
 SweepManifest SweepManifest::fromJson(const std::string& text) {
   try {
     const Value doc = stats::json::parse(text);
@@ -202,8 +242,6 @@ SweepManifest SweepManifest::fromJson(const std::string& text) {
     }
     SweepManifest m;
     m.artifactDir = needString(doc, "artifact_dir");
-    m.shards = needU64(doc, "shards");
-    if (m.shards == 0) throw std::runtime_error("\"shards\" must be >= 1");
     const stats::json::Array& jobs = needArray(doc, "jobs");
     std::set<std::string> ids;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -231,7 +269,6 @@ std::string SweepManifest::toJson() const {
   w.beginObject();
   w.field("schema", kManifestSchema);
   w.field("artifact_dir", artifactDir);
-  w.field("shards", shards);
   w.key("jobs");
   w.beginArray();
   for (const JobRecord& j : jobs) {
@@ -302,34 +339,73 @@ RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
   }
 }
 
-OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOptions& opts,
-                               const JobRunner& runner, const ClaimSource& source,
+}  // namespace detail
+
+OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
+                               const OrchestratorOptions& opts, const JobRunner& runner,
                                std::vector<RunResult>* results) {
+  // Normalize stale state from a previous (possibly killed) invocation.
+  std::vector<std::size_t> runnable;
+  OrchestratorReport report;
+  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
+    JobRecord& j = manifest.jobs[i];
+    if (j.state == JobState::Running) j.state = JobState::Pending;
+    if (j.state == JobState::Ok &&
+        (j.artifact.empty() || !fs::exists(fs::path(j.artifact)))) {
+      j.state = JobState::Pending;  // artifact lost; the result is gone with it
+      j.artifact.clear();
+    }
+    if (opts.rerunFailed &&
+        (j.state == JobState::Failed || j.state == JobState::Hang ||
+         j.state == JobState::Timeout)) {
+      j.state = JobState::Pending;
+      j.diagnostic.clear();
+    }
+    if (j.state == JobState::Pending) {
+      runnable.push_back(i);
+    } else {
+      ++report.skipped;
+    }
+  }
+
   const JobRunner run = runner ? runner : JobRunner(&runSpec);
   const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
-  OrchestratorReport report;
   if (!manifest.artifactDir.empty()) {
     std::error_code ec;
     fs::create_directories(manifest.artifactDir, ec);
   }
+  if (results != nullptr) {
+    results->clear();
+    results->resize(manifest.jobs.size());
+  }
 
-  std::mutex mu;  // guards manifest, report, the source's state and progress
-  std::size_t started = 0;
+  std::mutex mu;  // guards manifest, report, the claim cursor and progress
+  std::size_t cursor = 0;  // next index into `runnable`
+  std::vector<char> ranNow(manifest.jobs.size(), 0);
+  bool checkpointFailed = false;
+  auto checkpoint = [&] {
+    if (manifestPath.empty() || checkpointFailed) return;
+    checkpointFailed = !manifest.save(manifestPath);
+  };
   const auto t0 = WallClock::now();
 
+  // Claims stop at the end of the runnable list, at opts.maxJobs, or at the
+  // first checkpoint that cannot be written: running on without a manifest
+  // on disk would produce results no resume can find.
   auto claim = [&]() -> std::ptrdiff_t {
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (opts.maxJobs != 0 && started >= opts.maxJobs) return kNoMoreJobs;
-        const std::ptrdiff_t i = source.claim();
-        if (i != kPollAgain) {
-          if (i >= 0) ++started;
-          return i;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::duration<double>(source.pollSeconds));
+    std::lock_guard<std::mutex> lock(mu);
+    if (checkpointFailed || cursor >= runnable.size() ||
+        (opts.maxJobs != 0 && cursor >= opts.maxJobs)) {
+      return kNoMoreJobs;
     }
+    const std::size_t i = runnable[cursor++];
+    manifest.jobs[i].state = JobState::Running;
+    checkpoint();
+    if (checkpointFailed) {
+      manifest.jobs[i].state = JobState::Pending;
+      return kNoMoreJobs;
+    }
+    return static_cast<std::ptrdiff_t>(i);
   };
 
   auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
@@ -340,9 +416,8 @@ OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOption
       {
         std::lock_guard<std::mutex> lock(mu);
         attempt = ++manifest.jobs[i].attempts;
-        if (source.attemptStarted) source.attemptStarted(i);
       }
-      r = attemptJobOnce(spec, opts, run, ctx);
+      r = detail::attemptJobOnce(spec, opts, run, ctx);
       if (jobStateOf(r) == JobState::Ok || !isTransientFailure(r) ||
           attempt >= maxAttempts) {
         break;
@@ -356,8 +431,8 @@ OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOption
         }
       }
       if (opts.retryBackoffSeconds > 0.0) {
-        // A claim-inherited attempt count can be large; clamp the doubling so
-        // the shift stays defined and the sleep finite.
+        // Attempts accumulate across resumes, so the count can be large;
+        // clamp the doubling so the shift stays defined and the sleep finite.
         const unsigned exp = std::min(attempt - 1, 20u);
         std::this_thread::sleep_for(std::chrono::duration<double>(
             opts.retryBackoffSeconds * static_cast<double>(1u << exp)));
@@ -371,7 +446,7 @@ OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOption
           (fs::path(manifest.artifactDir) / (jobFileStem(spec) + ".json")).string();
       std::ostringstream doc;
       writeStatsJson(doc, r);
-      if (!writeFileAtomic(artifactPath, doc.str(), source.writer)) {
+      if (!writeFileAtomic(artifactPath, doc.str())) {
         state = JobState::Failed;
         r.status = RunStatus::Failed;
         r.diagnostic = "cannot write artifact " + artifactPath;
@@ -390,11 +465,12 @@ OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOption
       j.diagnostic = r.violations.front();
     }
     if (results != nullptr) (*results)[i] = std::move(r);
+    ranNow[i] = 1;
     ++report.ran;
-    source.finished(i);
+    checkpoint();
     if (opts.progress != nullptr) {
       const std::size_t total = manifest.jobs.size();
-      const std::size_t done = source.doneCount();
+      const std::size_t done = report.skipped + report.ran;
       std::size_t left = total > done ? total - done : 0;
       if (opts.maxJobs != 0) left = std::min(left, opts.maxJobs - report.ran);
       const double elapsed =
@@ -416,69 +492,7 @@ OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOption
     }
   };
 
-  runWorkerPool(opts.hostThreads, source.capacity, claim, runOne);
-  return report;
-}
-
-}  // namespace detail
-
-OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
-                               const OrchestratorOptions& opts, const JobRunner& runner,
-                               std::vector<RunResult>* results) {
-  // Normalize stale state from a previous (possibly killed) invocation.
-  std::vector<std::size_t> runnable;
-  std::size_t skipped = 0;
-  for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    JobRecord& j = manifest.jobs[i];
-    if (j.state == JobState::Running) j.state = JobState::Pending;
-    if (j.state == JobState::Ok &&
-        (j.artifact.empty() || !fs::exists(fs::path(j.artifact)))) {
-      j.state = JobState::Pending;  // artifact lost; the result is gone with it
-      j.artifact.clear();
-    }
-    if (opts.rerunFailed &&
-        (j.state == JobState::Failed || j.state == JobState::Hang ||
-         j.state == JobState::Timeout)) {
-      j.state = JobState::Pending;
-      j.diagnostic.clear();
-    }
-    if (j.state == JobState::Pending) {
-      runnable.push_back(i);
-    } else {
-      ++skipped;
-    }
-  }
-
-  auto checkpoint = [&] {
-    if (!manifestPath.empty()) manifest.save(manifestPath);
-  };
-  // The in-process claim source: a cursor over the runnable jobs, with the
-  // manifest checkpointed on every claim and completion.
-  std::vector<char> ranNow(manifest.jobs.size(), 0);
-  std::size_t cursor = 0;
-  std::size_t finishedNow = 0;
-  detail::ClaimSource source;
-  source.capacity = runnable.size();
-  source.claim = [&]() -> std::ptrdiff_t {
-    if (cursor >= runnable.size()) return detail::kNoMoreJobs;
-    const std::size_t i = runnable[cursor++];
-    manifest.jobs[i].state = JobState::Running;
-    checkpoint();
-    return static_cast<std::ptrdiff_t>(i);
-  };
-  source.finished = [&](std::size_t i) {
-    ranNow[i] = 1;
-    ++finishedNow;
-    checkpoint();
-  };
-  source.doneCount = [&] { return skipped + finishedNow; };
-
-  if (results != nullptr) {
-    results->clear();
-    results->resize(manifest.jobs.size());
-  }
-  OrchestratorReport report = detail::executeJobs(manifest, opts, runner, source, results);
-  report.skipped = skipped;
+  runThreadPool(opts.hostThreads, runnable.size(), claim, runOne);
   report.ok = manifest.countIn(JobState::Ok);
   report.failed = manifest.countIn(JobState::Failed) + manifest.countIn(JobState::Hang) +
                   manifest.countIn(JobState::Timeout);
@@ -514,6 +528,9 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
   }
 
   checkpoint();
+  if (checkpointFailed) {
+    throw std::runtime_error("cannot checkpoint manifest " + manifestPath);
+  }
   return report;
 }
 

@@ -1,14 +1,13 @@
 // Manifest-driven experiment orchestrator: the one way a sweep runs. A sweep
-// is described by a manifest ("lktm.manifest.v2", written through the same
+// is described by a manifest ("lktm.manifest.v3", written through the same
 // JSON layer as the stats artifacts) recording every job's spec, seed,
 // state, attempt count and artifact path. runManifest() executes the pending
-// jobs in process, checkpoints the manifest after every completion, and
-// writes one lktm.stats.v1 artifact per job — so a killed sweep resumes
-// exactly where it stopped, skipping completed jobs. With an empty manifest
-// path and artifact directory it is a plain in-memory grid run, which is
-// what sweepSystems() and the figure benches use. The distributed worker
-// (config/distrib.hpp) shares the same per-job executor and differs only in
-// where it claims jobs from.
+// jobs in process on a pool of host threads, checkpoints the manifest after
+// every claim and completion, and writes one lktm.stats.v1 artifact per job —
+// so a killed sweep resumes exactly where it stopped, skipping completed
+// jobs. With an empty manifest path and artifact directory it is a plain
+// in-memory grid run, which is what sweepSystems() and the figure benches
+// use.
 //
 // Determinism contract (regression-tested): an interrupted-and-resumed sweep
 // produces a merged artifact bit-identical to an uninterrupted one, at any
@@ -33,16 +32,11 @@
 
 #include "config/sweep.hpp"
 
-namespace lktm::stats::json {
-struct Value;
-class Writer;
-}  // namespace lktm::stats::json
-
 namespace lktm::cfg {
 
-/// Manifest schema; the top-level "shards" count backs the distributed
-/// worker-pull protocol (config/distrib.hpp).
-inline constexpr const char* kManifestSchema = "lktm.manifest.v2";
+/// Manifest schema; a document naming any other (v1 and v2 included) is
+/// malformed.
+inline constexpr const char* kManifestSchema = "lktm.manifest.v3";
 
 /// Throw this from a job runner to mark the failure as transient (worth a
 /// bounded retry): host resource hiccups, injected flakiness in tests, …
@@ -80,10 +74,8 @@ struct JobSpec {
   bool operator==(const JobSpec&) const = default;
 };
 
-/// Filesystem-safe name for everything keyed by one job: its per-job artifact
-/// is "<stem>.json" and its claim/done spool entries are the bare stem. The
-/// sanitized id is shared so the artifact a worker wrote and the claim it
-/// held always agree on the job they describe.
+/// Filesystem-safe form of the job's id: its per-job artifact is
+/// "<stem>.json" in the manifest's artifact directory.
 std::string jobFileStem(const JobSpec& spec);
 
 struct JobRecord {
@@ -96,25 +88,9 @@ struct JobRecord {
   std::uint64_t cycles = 0;     ///< simulated cycles of the last attempt
 };
 
-/// The manifest's job-entry encoding, shared with the claim spool's done/
-/// records (config/distrib.hpp, which add a "worker" field). Emits the
-/// entry's fields into the object the caller has open.
-void writeJobFields(stats::json::Writer& w, const JobRecord& j);
-
-/// Parse one job entry. Throws std::runtime_error naming the field unless
-/// every field has its type (integers plain and within range), the state is
-/// known, the stored "id" equals the id its fields produce, and an "ok" job
-/// names its artifact. Keys outside the entry (the spool's "worker") are
-/// left to the caller.
-JobRecord jobRecordFromJson(const stats::json::Value& e);
-
 struct SweepManifest {
   /// Directory per-job artifacts are written into (created on demand).
   std::string artifactDir;
-  /// Shard count for distributed fan-out (>= 1). Purely advisory for the
-  /// single-process runner; `lktm_sweep work` uses it with jobShard() so
-  /// every worker computes the same job -> shard map with no coordination.
-  std::uint64_t shards = 1;
   std::vector<JobRecord> jobs;
 
   JobRecord* find(const std::string& id);
@@ -124,10 +100,11 @@ struct SweepManifest {
   /// True when every job is Ok.
   bool allOk() const;
 
-  /// Parse a manifest document: this reader is the lktm.manifest.v2 schema.
-  /// Throws std::runtime_error on malformed input (a string "artifact_dir",
-  /// "shards" >= 1, every job valid per jobRecordFromJson) or duplicate job
-  /// ids.
+  /// Parse a manifest document: this reader is the lktm.manifest.v3 schema.
+  /// Throws std::runtime_error, naming the field, on malformed input: a
+  /// string "artifact_dir"; per job, every field of its type (integers plain
+  /// and within range), a known state, a stored "id" equal to the id its
+  /// fields produce, and an artifact path on every "ok" job; unique ids.
   static SweepManifest fromJson(const std::string& text);
   static SweepManifest load(const std::string& path);
   std::string toJson() const;
@@ -192,13 +169,17 @@ struct OrchestratorReport {
 };
 
 /// Execute a manifest: normalize stale state (Running -> Pending, Ok with a
-/// missing artifact file -> Pending), run every pending job on the worker
-/// pool, retry transient failures with backoff, write one per-job artifact
-/// and checkpoint the manifest after each completion. When `manifestPath` is
-/// empty the manifest is kept in memory only (no checkpoints). When `results`
-/// is non-null it receives one RunResult per job in manifest order — loaded
-/// from the artifact for skipped-Ok jobs, so a resumed sweep still hands the
-/// figure code the complete result set.
+/// missing artifact file -> Pending), then run every pending job on a pool of
+/// opts.hostThreads threads (0 = hardware concurrency), each owning one
+/// reused SimContext. Transient failures retry with backoff; each Ok job
+/// writes its per-job artifact; the manifest is checkpointed on every claim
+/// and completion. When `manifestPath` is empty the manifest is kept in
+/// memory only (no checkpoints). When `results` is non-null it receives one
+/// RunResult per job in manifest order — loaded from the artifact for
+/// skipped-Ok jobs, so a resumed sweep still hands the figure code the
+/// complete result set. A checkpoint that cannot be written stops further
+/// claims; once the running jobs drain, runManifest throws
+/// std::runtime_error naming the manifest path.
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
                                const OrchestratorOptions& opts = {},
                                const JobRunner& runner = {},
@@ -229,37 +210,6 @@ namespace detail {
 /// via the diagnostic prefix isTransientFailure() keys on).
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx);
-
-/// claim() results besides a manifest index.
-inline constexpr std::ptrdiff_t kNoMoreJobs = -1;  ///< this pool thread stops
-inline constexpr std::ptrdiff_t kPollAgain = -2;   ///< nothing claimable yet
-
-/// Where the executor's jobs come from and where their completions go — the
-/// only part runManifest (in-memory cursor + manifest checkpoints) and
-/// runWorker (claim spool + heartbeats) do not share. Every hook runs under
-/// the executor's lock.
-struct ClaimSource {
-  std::size_t capacity = 0;  ///< upper bound on claims (sizes the pool)
-  std::string writer;        ///< writer id of the atomic artifact writes
-  double pollSeconds = 0.0;  ///< host sleep after a kPollAgain claim
-  /// Next manifest index to run, kNoMoreJobs or kPollAgain.
-  std::function<std::ptrdiff_t()> claim;
-  /// Job i's attempt count was just bumped (may be null).
-  std::function<void(std::size_t)> attemptStarted;
-  /// Job i's JobRecord holds its final state.
-  std::function<void(std::size_t)> finished;
-  /// Jobs finished so far, for the "[done/total]" progress line.
-  std::function<std::size_t()> doneCount;
-};
-
-/// The one job executor: a worker pool that claims jobs from `source` until
-/// opts.maxJobs, runs each with the retry contract (transient failures back
-/// off exponentially up to opts.maxAttempts), writes the Ok artifact, updates
-/// the JobRecord and prints the progress/ETA line. `results`, when non-null,
-/// must already hold one slot per manifest job. Fills report.ran/retried.
-OrchestratorReport executeJobs(SweepManifest& manifest, const OrchestratorOptions& opts,
-                               const JobRunner& runner, const ClaimSource& source,
-                               std::vector<RunResult>* results);
 
 }  // namespace detail
 

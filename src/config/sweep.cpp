@@ -1,37 +1,8 @@
 #include "config/sweep.hpp"
 
-#include <thread>
-
 #include "config/orchestrator.hpp"
 
 namespace lktm::cfg {
-
-namespace detail {
-
-void runWorkerPool(unsigned hostThreads, std::size_t jobCount,
-                   const std::function<std::ptrdiff_t()>& claim,
-                   const std::function<void(std::size_t, sim::SimContext&)>& runOne) {
-  if (jobCount == 0) return;
-  if (hostThreads == 0) {
-    hostThreads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  hostThreads = std::min<unsigned>(hostThreads, static_cast<unsigned>(jobCount));
-
-  auto worker = [&] {
-    sim::SimContext ctx;  // reused across every job this thread executes
-    for (;;) {
-      const std::ptrdiff_t i = claim();
-      if (i < 0) return;
-      runOne(static_cast<std::size_t>(i), ctx);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(hostThreads);
-  for (unsigned t = 0; t < hostThreads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-}
-
-}  // namespace detail
 
 std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
                          const std::string& workload, unsigned threads) {

@@ -27,12 +27,9 @@ constexpr std::array<std::string_view, 9> kDeterministicPrefixes = {
     "src/verify/"};
 
 /// Wall-clock reads these files make are the *product*: Engine's wall-budget
-/// deadline and the distrib heartbeat/lease machinery (whose design already
-/// guarantees no cross-host clock comparison). Everything else needs an
-/// inline allow() with a reason.
-constexpr std::array<std::string_view, 4> kWallClockAllowedFiles = {
-    "src/sim/engine.hpp", "src/sim/engine.cpp", "src/config/distrib.hpp",
-    "src/config/distrib.cpp"};
+/// deadline. Everything else needs an inline allow() with a reason.
+constexpr std::array<std::string_view, 2> kWallClockAllowedFiles = {
+    "src/sim/engine.hpp", "src/sim/engine.cpp"};
 
 constexpr std::array<std::string_view, 7> kClockIdents = {
     "system_clock", "high_resolution_clock", "gettimeofday", "clock_gettime",

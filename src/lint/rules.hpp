@@ -8,10 +8,9 @@
 //   host           src/{config,stats,lint}, tools/, tests/, bench/,
 //                  examples/ — orchestration, reporting and harness code
 //
-// Rule catalog (see DESIGN.md §15 for the full rationale):
+// Rule catalog (see DESIGN.md §14 for the full rationale):
 //   no-wall-clock            wall/steady clock reads outside the built-in
-//                            allowlist (Engine's wall deadline, the distrib
-//                            heartbeat/lease machinery) — both zones
+//                            allowlist (Engine's wall deadline) — both zones
 //   no-unordered-iteration   std::unordered_map/set declared or iterated in
 //                            the deterministic zone — use FlatLineTable /
 //                            FlatLineSet or sorted extraction

@@ -38,8 +38,8 @@ TEST(Zipfian, SameSeedSameSequence) {
 }
 
 // Pinned golden sequence: the sampled keys are part of the determinism
-// contract (the distributed sweep merges artifacts bit-identically across
-// hosts, so the generator may never drift).
+// contract (a resumed or re-run sweep must merge bit-identically with the
+// artifacts it already holds, so the generator may never drift).
 TEST(Zipfian, GoldenSequenceIsPinned) {
   const Zipfian z(100, 0.99);
   sim::Rng rng(31);
@@ -193,7 +193,7 @@ TEST(DbTraffic, SpsPartRejectsSliversThinnerThanTwoCells) {
 
 // The sweep determinism contract extended to the db family: the same grid
 // run on 1, 2 and 4 host threads must produce identical per-run snapshots
-// (this is what makes the distributed table3 merge bit-identical).
+// (this is what makes the table3 merge bit-identical at any --host-threads).
 TEST(DbTraffic, SweepResultsIndependentOfHostThreads) {
   const std::vector<std::string> workloads{"ycsb", "ycsb-w", "tpcc", "sps"};
   const auto systems = std::vector<cfg::SystemSpec>{

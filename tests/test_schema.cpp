@@ -231,7 +231,9 @@ TEST(SchemaReader, SmokeManifestRejectsEachCorruption) {
       {"unknown state", setJob("state", "\"exploded\""), "state"},
       {"ok without an artifact", setJob("state", "\"ok\""), "\"artifact\""},
       {"wall_seconds a string", setJob("wall_seconds", "\"1s\""), "\"wall_seconds\""},
-      {"shards 0", [](Value& doc) { member(doc, "shards") = literal("0"); }, "\"shards\""},
+      {"a lktm.manifest.v2 document",
+       [](Value& doc) { member(doc, "schema") = literal("\"lktm.manifest.v2\""); },
+       "lktm.manifest.v3"},
       {"artifact_dir a number",
        [](Value& doc) { member(doc, "artifact_dir") = literal("7"); }, "\"artifact_dir\""},
       {"duplicate job",

@@ -321,6 +321,52 @@ TEST(Orchestrator, OkJobWithMissingArtifactReruns) {
   EXPECT_TRUE(fs::exists(resumed.jobs[0].artifact));
 }
 
+TEST(Orchestrator, FailedCheckpointFailsTheRun) {
+  // A sweep whose manifest cannot be written must fail, not report success
+  // with no checkpoint on disk: claims stop at the first failed save and
+  // runManifest throws, naming the path, once the running jobs drain.
+  const std::string dir = tempDir("checkpoint_fail");
+  std::atomic<unsigned> invocations{0};
+  std::string removeOnSecondJob;
+  auto runner = [&](const JobSpec& spec, const OrchestratorOptions& o,
+                    sim::SimContext& ctx) {
+    if (++invocations == 2 && !removeOnSecondJob.empty()) {
+      fs::remove_all(removeOnSecondJob);
+    }
+    return runSpec(spec, o, ctx);
+  };
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const auto expectThrowNaming = [&](SweepManifest& m, const std::string& path) {
+    try {
+      runManifest(m, path, opts, runner);
+      ADD_FAILURE() << "runManifest returned without a manifest at " << path;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+    }
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(m.complete());
+  };
+
+  // The manifest's directory never existed: the first claim cannot be
+  // checkpointed, so no job runs.
+  SweepManifest absent = testManifest(dir + "/runs");
+  expectThrowNaming(absent, dir + "/absent/sweep.json");
+  EXPECT_EQ(invocations.load(), 0u);
+  EXPECT_EQ(absent.countIn(JobState::Pending), 4u);
+
+  // The directory vanishes while the second job runs: its completion cannot
+  // be checkpointed and nothing further is claimed.
+  const std::string live = dir + "/live";
+  fs::create_directories(live);
+  removeOnSecondJob = live;
+  SweepManifest vanishing = testManifest(dir + "/runs2");
+  expectThrowNaming(vanishing, live + "/sweep.json");
+  EXPECT_EQ(invocations.load(), 2u);
+  EXPECT_EQ(vanishing.countIn(JobState::Ok), 2u);
+  EXPECT_EQ(vanishing.countIn(JobState::Pending), 2u);
+}
+
 // ----------------------------------------------------- failure classification
 
 TEST(Orchestrator, TransientFailureRetriesUpToMaxAttempts) {
@@ -454,14 +500,14 @@ TEST(Orchestrator, AtomicWriteFailureLeavesNothingBehind) {
   const std::string dir = tempDir("atomic_fail");
   // The directory does not exist: nothing can be written.
   const std::string missing = dir + "/absent/out.json";
-  EXPECT_FALSE(writeFileAtomic(missing, "{}", "w0"));
+  EXPECT_FALSE(writeFileAtomic(missing, "{}"));
   EXPECT_FALSE(fs::exists(missing));
   EXPECT_FALSE(fs::exists(dir + "/absent"));
   // The tmp file is written but cannot be renamed over the target (a
   // non-empty directory): the tmp file must be cleaned up.
   const std::string blocked = dir + "/out.json";
   fs::create_directories(blocked + "/keep");
-  EXPECT_FALSE(writeFileAtomic(blocked, "{}", "w0"));
+  EXPECT_FALSE(writeFileAtomic(blocked, "{}"));
   EXPECT_TRUE(fs::is_directory(blocked + "/keep"));
   std::vector<std::string> entries;
   for (const auto& e : fs::directory_iterator(dir)) {
@@ -470,7 +516,7 @@ TEST(Orchestrator, AtomicWriteFailureLeavesNothingBehind) {
   EXPECT_EQ(entries, std::vector<std::string>{"out.json"});
   // The same helper succeeds once the target is writable.
   const std::string ok = dir + "/ok.json";
-  EXPECT_TRUE(writeFileAtomic(ok, "{}\n", "w0"));
+  EXPECT_TRUE(writeFileAtomic(ok, "{}\n"));
   EXPECT_EQ(readFile(ok), "{}\n");
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -193,11 +194,20 @@ int main(int argc, char** argv) {
   sim::TraceSink sink;
   if (!tracePath.empty()) rc.traceSink = &sink;
 
+  // Same factory the sweep orchestrator uses, so `lktm-sim --workload X`
+  // and a sweep job named X run the identical generator parameterization.
+  // Built before the run starts, so an unknown name is a usage error.
+  std::unique_ptr<wl::Workload> job;
+  try {
+    job = cfg::makeJobWorkload(workload, seed);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s (try --list)\n", e.what());
+    return 2;
+  }
+
   cfg::RunResult r;
   try {
-    // Same factory the sweep orchestrator uses, so `lktm-sim --workload X`
-    // and a sweep job named X run the identical generator parameterization.
-    r = cfg::runSimulation(rc, [&] { return cfg::makeJobWorkload(workload, seed); });
+    r = cfg::runSimulation(rc, [&] { return std::move(job); });
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -9,26 +9,22 @@
 # directory path and verify that a 513-core machine is rejected with the
 # 512-core limit, run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
-# (interrupt + resume must merge bit-identical to an uninterrupted run, under
-# the default and sanitize builds), run the end-to-end benchmark's smoke mode
+# (interrupt + resume must merge bit-identical to an uninterrupted run, and
+# `status` must report the interrupted run's progress, under the default and
+# sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
-# of all four benchmark workloads), smoke the distributed fan-out (3 workers
-# on one claim spool, one SIGKILLed mid-job and reclaimed via heartbeat
-# lease, merge must cmp equal to a single-process run — default and sanitize
-# builds), smoke the database-traffic family (ycsb on the TL2 backend must
-# emit validating commit-latency percentiles; the table3-dbtraffic grid must
-# merge bit-identically across 1 host thread, 4 host threads and a 2-worker
-# distributed run — default and sanitize builds), enforce the bench/
-# artifact size cap, re-run the committed
-# 128-core fig07 grid split across 2 worker processes and the 256-core grid
-# in one process, both on the default build (each summary must cmp equal to
-# the committed lktm.summary.v1), run the
-# lktm_lint determinism linter
-# (self-test must catch every planted violation; src/ and tools/ must be
-# clean), build the TSan preset
-# and run the host-parallel sweep tests under ThreadSanitizer, then build the
-# release tree and run the gated kernel microbenchmarks
-# (writes BENCH_kernel.json; fails if any gated benchmark regresses below the
+# of all four benchmark workloads), smoke the database-traffic family (ycsb
+# on the TL2 backend must emit validating commit-latency percentiles; the
+# table3-dbtraffic grid must merge bit-identically across 1 and 4 host
+# threads — default and sanitize builds), enforce the bench/ artifact size
+# cap, re-run the committed 128-core fig07 grid on 2 host threads and the
+# 256-core grid on the default thread count, both on the default build (each
+# summary must cmp equal to the committed lktm.summary.v1), run the
+# lktm_lint determinism linter (self-test must catch every planted
+# violation; src/ and tools/ must be clean), build the TSan preset and run
+# the host-parallel sweep tests under ThreadSanitizer, then build the
+# release tree and run the gated kernel microbenchmarks (writes
+# BENCH_kernel.json; fails if any gated benchmark regresses below the
 # required speedup against the recorded baseline).
 #
 # Usage: tools/run_checks.sh [--no-bench]
@@ -184,14 +180,19 @@ run_banked_check build
 
 echo "== sweep orchestrator: smoke + interrupt/resume + bit-identical merge =="
 run_sweep_smoke() {
-  # $1 = build dir. Plan a smoke sweep, run it interrupted (3 jobs), resume,
-  # merge; then run the same sweep uninterrupted on more host threads and
-  # require a byte-identical merged artifact. Validates both schemas.
+  # $1 = build dir. Plan a smoke sweep, run it interrupted (3 jobs), check
+  # that status reports the progress, resume, merge; then run the same sweep
+  # uninterrupted on more host threads and require a byte-identical merged
+  # artifact. Validates both schemas.
   local bdir="$1" d
   d="$bdir/sweep_check"
   rm -rf "$d" && mkdir -p "$d/a" "$d/b"
   "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/a/sweep.json" >/dev/null
   "$bdir/tools/lktm_sweep" run --manifest "$d/a/sweep.json" --max-jobs 3 --quiet >/dev/null || true
+  "$bdir/tools/lktm_sweep" status --manifest "$d/a/sweep.json" | grep -q '^\[3/8\] done' || {
+    echo "status after 'run --max-jobs 3' does not report [3/8] done" >&2
+    return 1
+  }
   "$bdir/tools/lktm_sweep" run --manifest "$d/a/sweep.json" --quiet >/dev/null
   "$bdir/tools/lktm_sweep" merge --manifest "$d/a/sweep.json" --out "$d/a/merged.json" >/dev/null
   "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/b/sweep.json" >/dev/null
@@ -202,72 +203,16 @@ run_sweep_smoke() {
 }
 run_sweep_smoke build
 
-echo "== distributed sweep: 3 workers, SIGKILL one mid-run, bit-identical merge =="
-run_distrib_smoke() {
-  # $1 = build dir. The tentpole guarantee end to end: a single-process run
-  # is the reference; then 3 'work' processes share one claim spool, one of
-  # them (slowed so it is reliably mid-job) is SIGKILLed, the survivors must
-  # reclaim its job after the heartbeat lease expires, and the merged
-  # artifact must cmp equal to the reference. Validates manifest v2, the
-  # merged document and the lktm.summary.v1 companion.
-  local bdir="$1" d w1 w2 w3
-  d="$bdir/distrib_check"
-  rm -rf "$d" && mkdir -p "$d/single" "$d/multi"
-
-  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/single/sweep.json" >/dev/null
-  "$bdir/tools/lktm_sweep" run --manifest "$d/single/sweep.json" --quiet >/dev/null
-  "$bdir/tools/lktm_sweep" merge --manifest "$d/single/sweep.json" \
-    --out "$d/single/merged.json" >/dev/null
-
-  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/multi/sweep.json" \
-    --shards 3 >/dev/null
-  # The victim crawls (1s per job) so the SIGKILL lands while it holds a
-  # claim; the survivors are fast and then wait out the 1s heartbeat lease.
-  LKTM_SWEEP_JOB_DELAY_MS=1000 "$bdir/tools/lktm_sweep" work \
-    --manifest "$d/multi/sweep.json" --worker-id victim --shard 0 \
-    --host-threads 1 --heartbeat 0.1 --lease 1 --poll 0.05 --quiet \
-    >/dev/null 2>&1 &
-  w1=$!
-  LKTM_SWEEP_JOB_DELAY_MS=50 "$bdir/tools/lktm_sweep" work \
-    --manifest "$d/multi/sweep.json" --worker-id surv-a --shard 1 \
-    --host-threads 1 --heartbeat 0.1 --lease 1 --poll 0.05 \
-    >/dev/null 2>"$d/multi/surv-a.log" &
-  w2=$!
-  LKTM_SWEEP_JOB_DELAY_MS=50 "$bdir/tools/lktm_sweep" work \
-    --manifest "$d/multi/sweep.json" --worker-id surv-b --shard 2 \
-    --host-threads 1 --heartbeat 0.1 --lease 1 --poll 0.05 \
-    >/dev/null 2>"$d/multi/surv-b.log" &
-  w3=$!
-  sleep 0.6
-  kill -9 "$w1" 2>/dev/null || true
-  wait "$w1" 2>/dev/null || true
-  wait "$w2"   # survivors must finish the whole sweep, exit 0
-  wait "$w3"
-
-  grep -hq "reclaimed .* from dead worker" "$d/multi/surv-a.log" \
-      "$d/multi/surv-b.log" || {
-    echo "no survivor reclaimed the SIGKILLed worker's job" >&2
-    return 1
-  }
-  "$bdir/tools/lktm_sweep" merge --manifest "$d/multi/sweep.json" \
-    --out "$d/multi/merged.json" --summary "$d/multi/summary.json" >/dev/null
-  cmp "$d/single/merged.json" "$d/multi/merged.json"
-  "$bdir/tools/validate_stats_json" "$d/multi/sweep.json" \
-    "$d/multi/merged.json" "$d/multi/summary.json"
-  echo "  (3-worker sweep with a SIGKILLed+reclaimed worker merged bit-identical)"
-}
-run_distrib_smoke build
-
 echo "== database traffic: ycsb tail latency + table3 grid bit-identical merges =="
 run_dbtraffic_smoke() {
   # $1 = build dir. The tail-latency acceptance checks: ycsb on the TL2
   # backend must report commit-latency percentiles and emit an artifact that
   # validates against lktm.stats.v1 (with the p999 field present), and the
   # table3-dbtraffic grid must merge bit-identically whether run on 1 host
-  # thread, 4 host threads, or split across 2 distributed workers.
-  local bdir="$1" d wa wb
+  # thread or 4.
+  local bdir="$1" d
   d="$bdir/dbtraffic_check"
-  rm -rf "$d" && mkdir -p "$d/h1" "$d/h4" "$d/dist"
+  rm -rf "$d" && mkdir -p "$d/h1" "$d/h4"
   "$bdir/tools/lktm-sim" --system LockillerTM --backend tl2 --workload ycsb \
     --threads 4 --stats-json "$d/ycsb.json" | grep -q "latency p99" || {
     echo "lktm-sim ycsb/tl2 did not report commit-latency percentiles" >&2
@@ -289,24 +234,11 @@ run_dbtraffic_smoke() {
   "$bdir/tools/lktm_sweep" run --manifest "$d/h4/sweep.json" \
     --host-threads 4 --quiet >/dev/null
   "$bdir/tools/lktm_sweep" merge --manifest "$d/h4/sweep.json" \
-    --out "$d/h4/merged.json" >/dev/null
+    --out "$d/h4/merged.json" --summary "$d/h4/summary.json" >/dev/null
   cmp "$d/h1/merged.json" "$d/h4/merged.json"
-  "$bdir/tools/lktm_sweep" plan --preset table3-dbtraffic \
-    --manifest "$d/dist/sweep.json" --shards 2 >/dev/null
-  "$bdir/tools/lktm_sweep" work --manifest "$d/dist/sweep.json" \
-    --worker-id db-a --shard 0 --quiet >/dev/null &
-  wa=$!
-  "$bdir/tools/lktm_sweep" work --manifest "$d/dist/sweep.json" \
-    --worker-id db-b --shard 1 --quiet >/dev/null &
-  wb=$!
-  wait "$wa"
-  wait "$wb"
-  "$bdir/tools/lktm_sweep" merge --manifest "$d/dist/sweep.json" \
-    --out "$d/dist/merged.json" --summary "$d/dist/summary.json" >/dev/null
-  cmp "$d/h1/merged.json" "$d/dist/merged.json"
-  "$bdir/tools/validate_stats_json" "$d/dist/sweep.json" \
-    "$d/dist/merged.json" "$d/dist/summary.json"
-  echo "  (db grid: 1-thread, 4-thread and 2-worker merges all bit-identical)"
+  "$bdir/tools/validate_stats_json" "$d/h4/sweep.json" \
+    "$d/h4/merged.json" "$d/h4/summary.json"
+  echo "  (db grid: 1-thread and 4-thread merges bit-identical)"
 }
 run_dbtraffic_smoke build
 
@@ -320,7 +252,7 @@ fi
 
 echo "== configure + build: tsan (ThreadSanitizer) =="
 cmake --preset tsan >/dev/null
-cmake --build build-tsan -j "$JOBS" --target test_sweep test_distrib
+cmake --build build-tsan -j "$JOBS" --target test_sweep
 
 echo "== ctest: tsan (host-parallel sweep layer under ThreadSanitizer) =="
 ctest --preset tsan
@@ -338,9 +270,6 @@ ctest --preset verify-sanitize
 echo "== sweep orchestrator: smoke + resume under ASan/UBSan =="
 run_sweep_smoke build-sanitize
 
-echo "== distributed sweep: kill/reclaim/merge under ASan/UBSan =="
-run_distrib_smoke build-sanitize
-
 echo "== database traffic smoke under ASan/UBSan =="
 run_dbtraffic_smoke build-sanitize
 
@@ -351,37 +280,20 @@ run_banked_check build-sanitize
 echo "== TM backends smoke under ASan/UBSan =="
 run_backend_smoke build-sanitize
 
-echo "== bigcores grid: 128-core sweep split across 2 worker processes =="
-# Re-run the committed fig07 128-core grid from the default build as a
-# 2-worker distributed sweep. Every job must end ok, both workers must have
-# finished jobs, and the regenerated lktm.summary.v1 must cmp equal to the
-# committed artifact — the strongest cross-check that the distributed path
-# reproduces the grid the original single-process run produced.
-d="build/bigcores_distrib_check"
+echo "== bigcores grid: 128-core sweep on 2 host threads =="
+# Re-run the committed fig07 128-core grid from the default build on 2 host
+# threads. Every job must end ok and the regenerated lktm.summary.v1 must cmp
+# equal to the committed artifact.
+d="build/bigcores128_check"
 rm -rf "$d" && mkdir -p "$d"
-build/tools/lktm_sweep plan --preset bigcores-128 \
-  --manifest "$d/bc.json" --shards 2 >/dev/null
-build/tools/lktm_sweep work --manifest "$d/bc.json" \
-  --worker-id grid-a --shard 0 --quiet >/dev/null &
-WA=$!
-build/tools/lktm_sweep work --manifest "$d/bc.json" \
-  --worker-id grid-b --shard 1 --quiet >/dev/null &
-WB=$!
-wait "$WA"   # exit 0 iff the whole grid is complete && all ok
-wait "$WB"
-# A done/ record is the job's manifest entry plus the "worker" that ran it.
-for w in grid-a grid-b; do
-  grep -lq "\"worker\":\"$w\"" "$d/bc.json.claims/done"/* || {
-    echo "bigcores grid was not split: $w finished no jobs" >&2
-    exit 1
-  }
-done
+build/tools/lktm_sweep plan --preset bigcores-128 --manifest "$d/bc.json" >/dev/null
+build/tools/lktm_sweep run --manifest "$d/bc.json" --host-threads 2 --quiet
 build/tools/lktm_sweep merge --manifest "$d/bc.json" \
   --out "$d/merged.json" --summary "$d/summary.json" >/dev/null
 cmp "$d/summary.json" bench/bigcores/fig07_bigcores_128_summary.json
 build/tools/validate_stats_json "$d/bc.json" "$d/merged.json" \
   "$d/summary.json"
-echo "  (36-job 128-core grid split 2 ways, all ok, summary matches committed)"
+echo "  (36-job 128-core grid on 2 host threads, all ok, summary matches committed)"
 
 echo "== bigcores grid: 256-core sweep in one process =="
 d="build/bigcores256_check"

@@ -1,7 +1,7 @@
 // validate_stats_json: check that versioned JSON artifacts conform to their
 // declared schema. The file's own "schema" field picks the library reader
 // that is that schema's only encoding — lktm.stats.v1 run artifacts and
-// lktm.summary.v1 condensed grids (src/config/artifact.hpp), lktm.manifest.v2
+// lktm.summary.v1 condensed grids (src/config/artifact.hpp), lktm.manifest.v3
 // sweep manifests (src/config/orchestrator.hpp) — and the reader's first
 // error is printed. Used as a CI stage in tools/run_checks.sh.
 //

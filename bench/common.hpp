@@ -2,21 +2,16 @@
 // tables and breakdown printers. Each bench binary regenerates one table or
 // figure of the paper in text form.
 //
-// Every grid runs through sweepCells() as a manifest under cfg::runManifest.
-// Normally the manifest lives in memory; when LKTM_SWEEP_DIR is set it is
-// checkpointed in that directory with per-job artifacts next to it, so a
-// killed figure run continues where it stopped.
+// Every grid runs through cfg::sweepSystems(): an in-memory manifest under
+// cfg::runManifest, on the caller's own MachineParams / SystemSpec objects.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "config/machine.hpp"
-#include "config/orchestrator.hpp"
 #include "config/sweep.hpp"
 #include "config/systems.hpp"
 #include "stats/report.hpp"
@@ -34,57 +29,6 @@ inline std::vector<cfg::SystemSpec> systemsByName(const std::vector<std::string>
   out.reserve(names.size());
   for (const auto& n : names) out.push_back(cfg::systemByName(n));
   return out;
-}
-
-/// Run one figure grid on the caller's own MachineParams / SystemSpec objects
-/// (cfg::gridRunner). With LKTM_SWEEP_DIR set, the manifest is named after
-/// the grid's contents (machine + FNV of the cell list) inside that directory
-/// and runs resumably.
-inline std::vector<cfg::RunResult> sweepCells(const cfg::MachineParams& machine,
-                                              const std::vector<cfg::SystemSpec>& systems,
-                                              const std::vector<std::string>& workloads,
-                                              const std::vector<unsigned>& threads,
-                                              unsigned hostThreads = 0) {
-  std::vector<std::string> systemNames;
-  for (const auto& s : systems) systemNames.push_back(s.name);
-  cfg::OrchestratorOptions opts;
-  opts.hostThreads = hostThreads;
-  std::string manifestPath;
-  cfg::SweepManifest m;
-
-  const char* dir = std::getenv("LKTM_SWEEP_DIR");
-  if (dir == nullptr || *dir == '\0') {
-    m = cfg::makeManifest("", machine.name, systemNames, workloads, threads);
-  } else {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const std::string& s) {
-      for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-      }
-      h ^= 0xff;
-      h *= 0x100000001b3ull;
-    };
-    mix(machine.name);
-    for (const auto& s : systemNames) mix(s);
-    for (const auto& w : workloads) mix(w);
-    for (const unsigned t : threads) mix(std::to_string(t));
-
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
-    const std::string base = std::string(dir) + "/" + machine.name + "-" + hex;
-    manifestPath = base + ".manifest.json";
-    try {
-      m = cfg::SweepManifest::load(manifestPath);
-    } catch (const std::exception&) {
-      m = cfg::makeManifest(base + ".d", machine.name, systemNames, workloads, threads);
-    }
-    opts.progress = &std::cerr;
-  }
-
-  std::vector<cfg::RunResult> results;
-  cfg::runManifest(m, manifestPath, opts, cfg::gridRunner(machine, systems), &results);
-  return results;
 }
 
 /// Speedup of `sys` over the CGL run at the same workload/thread count.

@@ -12,7 +12,7 @@ int main() {
   using namespace lktm;
   using namespace lktm::bench;
   const auto workloads = wl::stampNames();
-  const auto results = sweepCells(cfg::MachineParams::typical(),
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(),
                                          systemsByName({"CGL", "Baseline"}),
                                          workloads, {2});
   reportFailures(results);

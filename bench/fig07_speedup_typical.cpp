@@ -17,7 +17,7 @@ int main() {
   for (const auto& s : cfg::evaluatedSystems()) systems.push_back(s.name);
 
   const auto results =
-      sweepCells(cfg::MachineParams::typical(), cfg::evaluatedSystems(),
+      cfg::sweepSystems(cfg::MachineParams::typical(), cfg::evaluatedSystems(),
                         workloads, paperThreadCounts());
   reportFailures(results);
   std::printf(

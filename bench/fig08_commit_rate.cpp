@@ -15,7 +15,7 @@ int main() {
   const auto workloads = wl::stampNames();
   const std::vector<std::string> systems{"Baseline", "Lockiller-RAI",
                                          "Lockiller-RRI", "Lockiller-RWI"};
-  const auto results = sweepCells(cfg::MachineParams::typical(),
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(),
                                          systemsByName(systems), workloads,
                                          paperThreadCounts());
   reportFailures(results);

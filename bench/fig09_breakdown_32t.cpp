@@ -14,7 +14,7 @@ int main() {
   const auto workloads = wl::stampNames();
   const std::vector<std::string> systems{"Baseline", "Lockiller-RWI",
                                          "Lockiller-RWIL"};
-  const auto results = sweepCells(cfg::MachineParams::typical(),
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(),
                                          systemsByName(systems), workloads, {32});
   reportFailures(results);
   std::printf(

@@ -15,7 +15,7 @@ int main() {
   using namespace lktm::bench;
   const auto workloads = wl::stampNames();
   const std::vector<std::string> systems{"Baseline", "Lockiller-RWIL", "LockillerTM"};
-  const auto results = sweepCells(cfg::MachineParams::typical(),
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(),
                                          systemsByName(systems), workloads, {2});
   reportFailures(results);
   std::printf("Fig 10: abort causes (%% of aborts) at 2 threads\n\n");

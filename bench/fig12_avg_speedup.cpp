@@ -14,7 +14,7 @@ int main() {
   using namespace lktm::bench;
   const auto workloads = wl::stampNames();
   const auto systems = cfg::evaluatedSystems();
-  const auto results = sweepCells(cfg::MachineParams::typical(), systems,
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(), systems,
                                          workloads, paperThreadCounts());
   reportFailures(results);
   std::printf("Fig 12: geo-mean speedup over CGL across all STAMP analogs\n\n");

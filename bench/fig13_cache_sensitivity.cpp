@@ -17,10 +17,10 @@ int main() {
                                          "LockillerTM"};
   for (const auto& machine :
        {cfg::MachineParams::smallCache(), cfg::MachineParams::largeCache()}) {
-    const auto results = sweepCells(machine, systemsByName(systems),
+    const auto results = cfg::sweepSystems(machine, systemsByName(systems),
                                            workloads, paperThreadCounts());
     // CGL reference runs.
-    const auto cgl = sweepCells(machine, systemsByName({"CGL"}), workloads,
+    const auto cgl = cfg::sweepSystems(machine, systemsByName({"CGL"}), workloads,
                                        paperThreadCounts());
     std::vector<cfg::RunResult> all = results;
     all.insert(all.end(), cgl.begin(), cgl.end());

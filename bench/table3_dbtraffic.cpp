@@ -1,8 +1,8 @@
 // Table III (extension): database-shaped traffic under every TM backend,
 // with the tail-latency view — commit-latency p50/p99/p999 in cycles next
 // to the throughput numbers. This is the bench behind the `table3-dbtraffic`
-// sweep preset; under LKTM_SWEEP_DIR it runs resumably through the manifest
-// orchestrator like every other figure.
+// sweep preset, and like every other figure it runs its grid through
+// cfg::sweepSystems.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,8 +17,8 @@ int main() {
   const std::vector<std::string> systems{"LockillerTM", "CGL", "TL2-STM",
                                          "Hybrid-TM"};
   constexpr unsigned kThreads = 8;
-  const auto results = sweepCells(cfg::MachineParams::typical(),
-                                  systemsByName(systems), workloads, {kThreads});
+  const auto results = cfg::sweepSystems(cfg::MachineParams::typical(),
+                                         systemsByName(systems), workloads, {kThreads});
   reportFailures(results);
   std::printf(
       "Table III: database traffic, %u threads — commit latency percentiles\n"

@@ -34,11 +34,6 @@ using stats::json::Value;
 // lktm-lint: allow(no-wall-clock) -- progress/ETA display only
 using WallClock = std::chrono::steady_clock;
 
-/// Diagnostic prefix marking a TransientJobError capture; isTransientFailure
-/// keys on it so scripted runners returning (not throwing) a transient
-/// failure classify identically.
-constexpr const char* kTransientPrefix = "transient: ";
-
 /// The Failed/Hang/Timeout result of a job that produced no run of its own
 /// (a crash, or a skipped job in a resumed manifest), keyed by the spec.
 RunResult unrunResult(const JobSpec& spec, RunStatus status, std::string diagnostic) {
@@ -63,7 +58,6 @@ RunResult simulateJob(const JobSpec& spec, const OrchestratorOptions& opts,
   cfg.system = system;
   cfg.threads = spec.threads;
   cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-  cfg.wallBudgetSeconds = opts.jobWallBudgetSeconds;
   RunResult r = runSimulation(
       cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
   r.workload = spec.workload;
@@ -310,27 +304,12 @@ JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>
   };
 }
 
-bool isTransientFailure(const RunResult& r) {
-  if (r.status == RunStatus::Timeout) {
-    // Wall-clock expiry depends on host load; a cycle-budget timeout is a
-    // property of the simulation and would reproduce exactly.
-    return r.diagnostic.find("wall-clock") != std::string::npos;
-  }
-  if (r.status == RunStatus::Failed) {
-    return r.diagnostic.compare(0, std::char_traits<char>::length(kTransientPrefix),
-                                kTransientPrefix) == 0;
-  }
-  return false;
-}
-
 namespace detail {
 
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx) {
   try {
     return run(spec, opts, ctx);
-  } catch (const TransientJobError& e) {
-    return unrunResult(spec, RunStatus::Failed, std::string(kTransientPrefix) + e.what());
   } catch (const std::exception& e) {
     return unrunResult(spec, RunStatus::Failed, std::string("exception: ") + e.what());
   } catch (...) {
@@ -369,7 +348,6 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
   }
 
   const JobRunner run = runner ? runner : JobRunner(&runSpec);
-  const unsigned maxAttempts = std::max(1u, opts.maxAttempts);
   if (!manifest.artifactDir.empty()) {
     std::error_code ec;
     fs::create_directories(manifest.artifactDir, ec);
@@ -405,40 +383,13 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
       manifest.jobs[i].state = JobState::Pending;
       return kNoMoreJobs;
     }
+    ++manifest.jobs[i].attempts;
     return static_cast<std::ptrdiff_t>(i);
   };
 
   auto runOne = [&](std::size_t i, sim::SimContext& ctx) {
     const JobSpec spec = manifest.jobs[i].spec;
-    RunResult r;
-    for (;;) {
-      unsigned attempt = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        attempt = ++manifest.jobs[i].attempts;
-      }
-      r = detail::attemptJobOnce(spec, opts, run, ctx);
-      if (jobStateOf(r) == JobState::Ok || !isTransientFailure(r) ||
-          attempt >= maxAttempts) {
-        break;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++report.retried;
-        if (opts.progress != nullptr) {
-          *opts.progress << "retry " << spec.id() << " (attempt " << (attempt + 1)
-                         << "/" << maxAttempts << "): " << r.diagnostic << "\n";
-        }
-      }
-      if (opts.retryBackoffSeconds > 0.0) {
-        // Attempts accumulate across resumes, so the count can be large;
-        // clamp the doubling so the shift stays defined and the sleep finite.
-        const unsigned exp = std::min(attempt - 1, 20u);
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            opts.retryBackoffSeconds * static_cast<double>(1u << exp)));
-      }
-    }
-
+    RunResult r = detail::attemptJobOnce(spec, opts, run, ctx);
     JobState state = jobStateOf(r);
     std::string artifactPath;
     if (state == JobState::Ok && !manifest.artifactDir.empty()) {

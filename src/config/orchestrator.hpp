@@ -15,18 +15,17 @@
 // fields (wall_seconds) are zeroed in the merged document because they are
 // the one thing a host cannot reproduce.
 //
-// Failure taxonomy: a job ends Ok/Failed/Hang/Timeout (RunStatus). Wall-clock
-// timeouts and TransientJobError throws are *transient* — the orchestrator
-// retries them in place with exponential backoff up to maxAttempts. Cycle-
-// budget timeouts, hangs, violations and crashes are deterministic: retrying
-// would reproduce them, so they fail fast and stay recorded. Every result,
-// failed or not, carries the job's jobRunSeed().
+// Failure taxonomy: a job ends Ok/Failed/Hang/Timeout (RunStatus) and runs
+// once per invocation. Every failure — cycle-budget timeout, hang, violation
+// or crash — is a property of the job spec that a rerun would reproduce, so
+// it stays recorded until an explicit rerunFailed. The only budget is
+// simulated cycles. Every result, failed or not, carries the job's
+// jobRunSeed().
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,13 +36,6 @@ namespace lktm::cfg {
 /// Manifest schema; a document naming any other (v1 and v2 included) is
 /// malformed.
 inline constexpr const char* kManifestSchema = "lktm.manifest.v3";
-
-/// Throw this from a job runner to mark the failure as transient (worth a
-/// bounded retry): host resource hiccups, injected flakiness in tests, …
-class TransientJobError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Manifest-side job lifecycle. Pending/Running are orchestration states; the
 /// terminal states mirror RunStatus (with Failed also covering invariant
@@ -115,15 +107,8 @@ struct SweepManifest {
 
 struct OrchestratorOptions {
   unsigned hostThreads = 0;   ///< 0 = hardware concurrency
-  /// Total attempts a transient job may consume (>=1). Deterministic
-  /// failures never retry regardless.
-  unsigned maxAttempts = 2;
-  /// Host-sleep before retry k is backoff * 2^(k-1) seconds (0 = none).
-  double retryBackoffSeconds = 0.0;
-  /// Per-job host wall-clock budget (0 = none). Expiry => transient Timeout.
-  double jobWallBudgetSeconds = 0.0;
   /// Per-job simulated-cycle ceiling override (0 = the machine's maxCycles).
-  /// Expiry => deterministic Timeout.
+  /// Expiry => Timeout.
   Cycle jobCycleBudget = 0;
   /// Stop claiming new jobs after this many have been started in this
   /// invocation (0 = unlimited). The rest stay Pending in the manifest —
@@ -137,12 +122,12 @@ struct OrchestratorOptions {
 };
 
 /// How a job executes: default is runSpec() below; tests substitute scripted
-/// runners (crashing, hanging, flaky) to exercise the orchestrator itself.
+/// runners (crashing, hanging) to exercise the orchestrator itself.
 using JobRunner =
     std::function<RunResult(const JobSpec&, const OrchestratorOptions&, sim::SimContext&)>;
 
 /// The default runner: machineByName/systemByName/makeJobWorkload, RNG seed
-/// from jobRunSeed(), budgets from opts.
+/// from jobRunSeed(), cycle budget from opts.
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx);
 
@@ -157,13 +142,9 @@ JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>
 std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
                                               std::uint64_t seed);
 
-/// Transient <=> worth retrying: wall-clock Timeout or TransientJobError.
-bool isTransientFailure(const RunResult& r);
-
 struct OrchestratorReport {
   std::size_t ran = 0;      ///< jobs executed in this invocation
   std::size_t skipped = 0;  ///< jobs already terminal (resume fast-path)
-  std::size_t retried = 0;  ///< extra attempts consumed by transient jobs
   std::size_t ok = 0;       ///< jobs Ok after this invocation (whole manifest)
   std::size_t failed = 0;   ///< jobs Failed/Hang/Timeout (whole manifest)
 };
@@ -171,15 +152,15 @@ struct OrchestratorReport {
 /// Execute a manifest: normalize stale state (Running -> Pending, Ok with a
 /// missing artifact file -> Pending), then run every pending job on a pool of
 /// opts.hostThreads threads (0 = hardware concurrency), each owning one
-/// reused SimContext. Transient failures retry with backoff; each Ok job
-/// writes its per-job artifact; the manifest is checkpointed on every claim
-/// and completion. When `manifestPath` is empty the manifest is kept in
-/// memory only (no checkpoints). When `results` is non-null it receives one
-/// RunResult per job in manifest order — loaded from the artifact for
-/// skipped-Ok jobs, so a resumed sweep still hands the figure code the
-/// complete result set. A checkpoint that cannot be written stops further
-/// claims; once the running jobs drain, runManifest throws
-/// std::runtime_error naming the manifest path.
+/// reused SimContext. Each job runs once; each Ok job writes its per-job
+/// artifact; the manifest is checkpointed on every claim and completion.
+/// When `manifestPath` is empty the manifest is kept in memory only (no
+/// checkpoints). When `results` is non-null it receives one RunResult per
+/// job in manifest order — loaded from the artifact for skipped-Ok jobs, so
+/// a resumed sweep still hands the figure code the complete result set. A
+/// checkpoint that cannot be written stops further claims; once the running
+/// jobs drain, runManifest throws std::runtime_error naming the manifest
+/// path.
 OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manifestPath,
                                const OrchestratorOptions& opts = {},
                                const JobRunner& runner = {},
@@ -204,10 +185,8 @@ SweepManifest makeManifest(const std::string& artifactDir,
 
 namespace detail {
 
-/// One attempt of `run` with every escape hatch closed: TransientJobError,
-/// std::exception and non-standard throws all come back as a Failed result
-/// keyed by the spec (transient throws keep their retryable classification
-/// via the diagnostic prefix isTransientFailure() keys on).
+/// One attempt of `run` with every escape hatch closed: std::exception and
+/// non-standard throws both come back as a Failed result keyed by the spec.
 RunResult attemptJobOnce(const JobSpec& spec, const OrchestratorOptions& opts,
                          const JobRunner& run, sim::SimContext& ctx);
 

@@ -21,9 +21,9 @@ namespace lktm::cfg {
 
 namespace {
 
-// Host-side wall clock for the run's wall budget and wallSeconds reporting;
-// it never feeds simulated time, which advances only through Engine events.
-// lktm-lint: allow(no-wall-clock) -- wall-budget enforcement and reporting only
+// Host-side wall clock for RunResult::wallSeconds reporting; it never feeds
+// simulated time, which advances only through Engine events.
+// lktm-lint: allow(no-wall-clock) -- RunResult::wallSeconds reporting only
 using WallClock = std::chrono::steady_clock;
 
 }  // namespace
@@ -209,11 +209,6 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   for (auto& c : cpus) c->start();
 
   const auto wallStart = WallClock::now();
-  if (cfg.wallBudgetSeconds > 0.0) {
-    engine.setWallDeadline(
-        wallStart + std::chrono::duration_cast<WallClock::duration>(
-                        std::chrono::duration<double>(cfg.wallBudgetSeconds)));
-  }
   try {
     engine.run(cfg.machine.maxCycles);
   } catch (const sim::SimulationTimeout& e) {
@@ -223,17 +218,19 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
     res.status = RunStatus::Hang;
     res.diagnostic = e.what();
   }
-  engine.clearWallDeadline();
   res.wallSeconds =
       std::chrono::duration<double>(WallClock::now() - wallStart).count();
 
+  // A Hang/Timeout diagnostic from Engine::run already lists every CPU; only
+  // a queue that drained with a thread still running needs the per-CPU lines.
+  const bool engineDiagnosed = res.status != RunStatus::Ok;
   for (auto& c : cpus) {
     if (!c->halted()) {
       if (res.status == RunStatus::Ok) {
         res.status = RunStatus::Hang;
         res.diagnostic = "thread never halted";
       }
-      res.diagnostic += "\n  " + c->diagnostic();
+      if (!engineDiagnosed) res.diagnostic += "\n  " + c->diagnostic();
     }
     res.cycles = std::max(res.cycles, c->haltedAt());
   }

@@ -37,9 +37,9 @@ struct TimeBreakdown {
 
 /// How a run terminated. `Failed` covers crashes (exceptions) and invariant
 /// violations; `Hang` is the forward-progress watchdog (livelock/deadlock);
-/// `Timeout` is an exhausted budget (simulated-cycle ceiling or host
-/// wall-clock deadline). The distinction matters downstream: a crash is a
-/// bug, a hang is a protocol bug, a timeout may just be an undersized budget.
+/// `Timeout` is an exhausted simulated-cycle budget. The distinction matters
+/// downstream: a crash is a bug, a hang is a protocol bug, a timeout may just
+/// be an undersized budget.
 enum class RunStatus : std::uint8_t { Ok, Failed, Hang, Timeout };
 
 const char* toString(RunStatus s);
@@ -125,9 +125,6 @@ struct RunConfig {
   /// explicitly by the sweep orchestrator from the job manifest so a job's
   /// randomness can never depend on which worker's context runs it.
   std::uint64_t rngSeed = sim::SimContext::kDefaultSeed;
-  /// Host wall-clock budget for the simulation loop (0 = unlimited). On
-  /// expiry the run ends with RunStatus::Timeout.
-  double wallBudgetSeconds = 0.0;
   bool runCoherenceChecker = true;
   bool verifyWorkload = true;
   /// Warm the inclusive LLC with the workload footprint (steady-state runs).

@@ -26,25 +26,9 @@ constexpr std::array<std::string_view, 9> kDeterministicPrefixes = {
     "src/mem/",   "src/noc/",       "src/runtime/",   "src/workloads/",
     "src/verify/"};
 
-/// Wall-clock reads these files make are the *product*: Engine's wall-budget
-/// deadline. Everything else needs an inline allow() with a reason.
-constexpr std::array<std::string_view, 2> kWallClockAllowedFiles = {
-    "src/sim/engine.hpp", "src/sim/engine.cpp"};
-
 constexpr std::array<std::string_view, 7> kClockIdents = {
     "system_clock", "high_resolution_clock", "gettimeofday", "clock_gettime",
     "timespec_get", "localtime",             "gmtime"};
-
-bool pathMatches(const std::string& relPath, std::string_view file) {
-  if (relPath == file) return true;
-  // Tolerate callers handing absolute paths: match on a path-boundary suffix.
-  if (relPath.size() > file.size()) {
-    const std::size_t off = relPath.size() - file.size();
-    return relPath[off - 1] == '/' &&
-           std::string_view(relPath).substr(off) == file;
-  }
-  return false;
-}
 
 struct FileLinter {
   const std::string& relPath;
@@ -142,9 +126,6 @@ struct FileLinter {
 
   void ruleWallClock() {
     if (!active(kRuleWallClock)) return;
-    for (const std::string_view f : kWallClockAllowedFiles) {
-      if (pathMatches(relPath, f)) return;
-    }
     for (std::size_t i = 0; i < sf.tokens.size(); ++i) {
       const Token& t = sf.tokens[i];
       if (t.kind != Tok::Ident || t.preproc) continue;

@@ -9,8 +9,8 @@
 //                  examples/ — orchestration, reporting and harness code
 //
 // Rule catalog (see DESIGN.md §14 for the full rationale):
-//   no-wall-clock            wall/steady clock reads outside the built-in
-//                            allowlist (Engine's wall deadline) — both zones
+//   no-wall-clock            wall/steady clock reads; no file is exempt
+//                            — both zones
 //   no-unordered-iteration   std::unordered_map/set declared or iterated in
 //                            the deterministic zone — use FlatLineTable /
 //                            FlatLineSet or sorted extraction

@@ -63,7 +63,7 @@ void step(Engine& engine) { auto now = engine.time(); (void)now; }
 // a comment may say steady_clock or gettimeofday freely
 const char* kDoc = "std::chrono::system_clock::now() is banned here";
 )lint"));
-  cases.push_back(neg("no-wall-clock/engine-allowlist", "no-wall-clock",
+  cases.push_back(pos("no-wall-clock/engine-is-not-exempt", "no-wall-clock",
                       "src/sim/engine.cpp",
                       R"lint(
 bool expired() {

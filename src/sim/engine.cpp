@@ -49,7 +49,6 @@ namespace lktm::sim {
 void Engine::run(Cycle maxCycles) {
   lastProgress_ = q_.now();
   const Cycle limit = q_.now() + maxCycles;
-  std::uint64_t events = 0;
   auto diagnose = [this](std::ostringstream& oss) {
     for (const auto& d : diagnostics_) oss << "\n  " << d();
   };
@@ -65,13 +64,6 @@ void Engine::run(Cycle maxCycles) {
           << " cycles (now=" << q_.now() << ")";
       diagnose(oss);
       throw SimulationHang(oss.str());
-    }
-    if ((++events & kWallCheckMask) == 0 && hasWallDeadline_ &&
-        std::chrono::steady_clock::now() > wallDeadline_) {
-      std::ostringstream oss;
-      oss << "wall-clock budget exceeded (simulated cycle " << q_.now() << ")";
-      diagnose(oss);
-      throw SimulationTimeout(oss.str());
     }
   }
 }

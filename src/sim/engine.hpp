@@ -1,9 +1,10 @@
 // The simulation engine: owns the event queue and a forward-progress
 // watchdog. Protocol bugs that would livelock (e.g. a wakeup that never
 // arrives) surface as SimulationHang with a diagnostic instead of a hung test.
+// Every budget is in simulated cycles; the kernel reads no host clock, so a
+// run's outcome depends only on its inputs.
 #pragma once
 
-#include <chrono>
 #include <functional>
 #include <string>
 #include <utility>
@@ -41,18 +42,7 @@ class Engine {
     watchdogWindow_ = watchdogWindow;
     lastProgress_ = 0;
     diagnostics_.clear();
-    hasWallDeadline_ = false;
   }
-
-  /// Arm a host wall-clock deadline for the next run(): the event loop polls
-  /// the steady clock every few thousand events and throws SimulationTimeout
-  /// once the deadline passes. Cleared by reset(); the per-job budget knob of
-  /// the sweep orchestrator.
-  void setWallDeadline(std::chrono::steady_clock::time_point deadline) {
-    wallDeadline_ = deadline;
-    hasWallDeadline_ = true;
-  }
-  void clearWallDeadline() { hasWallDeadline_ = false; }
 
   /// Components call this whenever application-visible progress happens
   /// (an instruction retires, a transaction commits, ...).
@@ -65,19 +55,14 @@ class Engine {
 
   /// Run until the event queue drains. Throws SimulationHang when no progress
   /// was observed for `watchdogWindow` cycles, and SimulationTimeout when
-  /// `maxCycles` elapse or the armed wall-clock deadline passes.
+  /// `maxCycles` elapse.
   void run(Cycle maxCycles = 2'000'000'000);
 
  private:
-  /// Events between wall-clock polls; power of two so the check is one mask.
-  static constexpr std::uint64_t kWallCheckMask = 8191;
-
   EventQueue q_;
   Cycle watchdogWindow_;
   Cycle lastProgress_ = 0;
   std::vector<std::function<std::string()>> diagnostics_;
-  std::chrono::steady_clock::time_point wallDeadline_{};
-  bool hasWallDeadline_ = false;
 };
 
 }  // namespace lktm::sim

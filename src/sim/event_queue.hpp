@@ -30,9 +30,9 @@ class SimulationHang : public std::runtime_error {
   explicit SimulationHang(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when a run exhausts an explicit budget — the simulated-cycle
-/// ceiling or a host wall-clock deadline — rather than losing forward
-/// progress. The sweep orchestrator records it as `timeout`, not `hang`.
+/// Thrown when a run exhausts its simulated-cycle budget rather than losing
+/// forward progress. The sweep orchestrator records it as `timeout`, not
+/// `hang`.
 class SimulationTimeout : public std::runtime_error {
  public:
   explicit SimulationTimeout(const std::string& what) : std::runtime_error(what) {}

@@ -2,12 +2,10 @@
 // lktm_check. For unsigned integers the whole argument must be decimal digits
 // and the value must fit the target type, so `--seed x`, `--threads 4x` or
 // `--cores -1` is a usage error rather than a silent 0, a truncated 4 or a
-// value wrapped to 2^32 - 1. Durations in seconds must parse whole and be
-// finite and not negative, so `--lease x` is an error rather than 0 s.
+// value wrapped to 2^32 - 1.
 #pragma once
 
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -38,27 +36,6 @@ T unsignedArg(const char* tool, const char* flag, const char* text) {
   if (const std::optional<T> v = parseUnsigned<T>(text)) return *v;
   std::fprintf(stderr, "%s: %s wants an unsigned decimal integer, got '%s'\n", tool, flag,
                text);
-  std::exit(2);
-}
-
-/// The value of `text` as a duration in seconds, or nullopt unless the whole
-/// of `text` is a decimal number that is finite and not negative.
-inline std::optional<double> parseSeconds(std::string_view text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || stop != end || !std::isfinite(value) || value < 0.0) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// parseSeconds for flag `flag` of `tool`; on bad input prints a diagnostic
-/// and exits with status 2 (usage error).
-inline double secondsArg(const char* tool, const char* flag, const char* text) {
-  if (const std::optional<double> v = parseSeconds(text)) return *v;
-  std::fprintf(stderr, "%s: %s wants a finite number of seconds >= 0, got '%s'\n", tool,
-               flag, text);
   std::exit(2);
 }
 

@@ -1,7 +1,8 @@
 // Manifest-driven sweep driver: plan a sweep once, run it in one process
-// (resumably, on a pool of host threads, with per-job watchdogs and bounded
-// retry), inspect its state, and merge the per-job artifacts into one
-// lktm.stats.v1 document (optionally condensed to lktm.summary.v1).
+// (resumably, on a pool of host threads, each job once, bounded only by
+// simulated-cycle budgets), inspect its state, and merge the per-job
+// artifacts into one lktm.stats.v1 document (optionally condensed to
+// lktm.summary.v1).
 //
 //   lktm_sweep plan --preset smoke --manifest sweep.json
 //   lktm_sweep run --manifest sweep.json --host-threads 4
@@ -47,9 +48,6 @@ void usage() {
       "    --manifest PATH      manifest file (required; updated in place)\n"
       "    --host-threads N     worker threads (default: hardware)\n"
       "    --max-jobs N         stop after N jobs this invocation (0 = all)\n"
-      "    --max-attempts N     attempts for transient failures (default 2)\n"
-      "    --retry-backoff S    seconds before first retry, doubling (default 0.5)\n"
-      "    --wall-budget S      per-job host wall-clock budget (0 = none)\n"
       "    --cycle-budget N     per-job simulated-cycle ceiling (0 = machine)\n"
       "    --rerun-failed       re-run jobs recorded as failed/hang/timeout\n"
       "    --quiet              no per-job progress, no summary line\n"
@@ -149,7 +147,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = cfg::kDefaultSweepSeed;
   bool quiet = false;
   cfg::OrchestratorOptions opts;
-  opts.retryBackoffSeconds = 0.5;
   opts.progress = &std::cerr;
 
   for (int i = 2; i < argc; ++i) {
@@ -179,12 +176,6 @@ int main(int argc, char** argv) {
       opts.hostThreads = cli::unsignedArg<unsigned>("lktm_sweep", "--host-threads", next());
     } else if (a == "--max-jobs") {
       opts.maxJobs = cli::unsignedArg<std::size_t>("lktm_sweep", "--max-jobs", next());
-    } else if (a == "--max-attempts") {
-      opts.maxAttempts = cli::unsignedArg<unsigned>("lktm_sweep", "--max-attempts", next());
-    } else if (a == "--retry-backoff") {
-      opts.retryBackoffSeconds = cli::secondsArg("lktm_sweep", "--retry-backoff", next());
-    } else if (a == "--wall-budget") {
-      opts.jobWallBudgetSeconds = cli::secondsArg("lktm_sweep", "--wall-budget", next());
     } else if (a == "--cycle-budget") {
       opts.jobCycleBudget = cli::unsignedArg<Cycle>("lktm_sweep", "--cycle-budget", next());
     } else if (a == "--rerun-failed") {
@@ -237,9 +228,8 @@ int main(int argc, char** argv) {
     if (cmd == "run") {
       const cfg::OrchestratorReport rep = cfg::runManifest(m, manifestPath, opts);
       if (!quiet) {
-        std::printf("ran %zu, skipped %zu, retried %zu; ok %zu, failed %zu, total %zu\n",
-                    rep.ran, rep.skipped, rep.retried, rep.ok, rep.failed,
-                    m.jobs.size());
+        std::printf("ran %zu, skipped %zu; ok %zu, failed %zu, total %zu\n", rep.ran,
+                    rep.skipped, rep.ok, rep.failed, m.jobs.size());
         if (!m.complete()) {
           std::printf("manifest incomplete (%zu pending) — re-run to resume\n",
                       m.countIn(cfg::JobState::Pending));

@@ -13,7 +13,9 @@
 # `status` must report the interrupted run's progress, under the default and
 # sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
-# of all four benchmark workloads), smoke the database-traffic family (ycsb
+# of all four benchmark workloads), rerun every figure/table bench binary
+# and cmp its stdout against the committed pin in bench/product/ (the
+# simulated results are the product), smoke the database-traffic family (ycsb
 # on the TL2 backend must emit validating commit-latency percentiles; the
 # table3-dbtraffic grid must merge bit-identically across 1 and 4 host
 # threads — default and sanitize builds), enforce the bench/ artifact size
@@ -122,6 +124,27 @@ echo "== end-to-end benchmark: smoke cells + fingerprint gate (bench/e2e) =="
 # committed fingerprints (expected_seed11.json) and print the metric names
 # BENCHMARK.json declares.
 bash bench/e2e/run.sh --smoke
+
+echo "== product pin: figure/table bench stdout vs bench/product/ =="
+# Every bench/ binary except the micro_substrates microbenchmarks prints one
+# paper table or figure; each must print exactly its committed
+# bench/product/<binary>.txt, and every pin must have its binary. A change
+# that moves a result regenerates the pins (EXPERIMENTS.md, "Regeneration").
+d="build/product_check"
+rm -rf "$d" && mkdir -p "$d"
+for b in $(find build/bench -maxdepth 1 -type f -executable \
+             ! -name micro_substrates -printf '%f\n' | sort); do
+  [[ -f "bench/product/$b.txt" ]] || {
+    echo "bench binary $b has no pinned output bench/product/$b.txt" >&2
+    exit 1
+  }
+  "build/bench/$b" > "$d/$b.txt"
+  cmp "$d/$b.txt" "bench/product/$b.txt"
+done
+for f in bench/product/*.txt; do
+  [[ -f "$d/$(basename "$f")" ]] || { echo "$f has no bench binary" >&2; exit 1; }
+done
+echo "  ($(ls "$d" | wc -l) figure/table outputs match bench/product/)"
 
 echo "== model checker: TL2 commit footprint (stm-commit, exhaustive) =="
 ./build/tools/lktm_check --config stm-commit --depth 4000 | grep -q "CLEAN" \

@@ -5,12 +5,16 @@
 //   (d) interconnect (4x8 mesh vs contention-free ideal network),
 //   (e) the switch-on-fault extension the paper deliberately leaves out.
 #include <cstdio>
+#include <string>
 
-#include "common.hpp"
+#include "config/machine.hpp"
+#include "config/runner.hpp"
+#include "config/systems.hpp"
+#include "stats/report.hpp"
 #include "workloads/micro.hpp"
+#include "workloads/workload.hpp"
 
 using namespace lktm;
-using namespace lktm::bench;
 
 namespace {
 

@@ -48,22 +48,6 @@ RunResult unrunResult(const JobSpec& spec, RunStatus status, std::string diagnos
   return r;
 }
 
-/// The one RunConfig builder behind runSpec and gridRunner.
-RunResult simulateJob(const JobSpec& spec, const OrchestratorOptions& opts,
-                      const MachineParams& machine, const SystemSpec& system,
-                      sim::SimContext& ctx) {
-  RunConfig cfg;
-  cfg.machine = machine;
-  if (opts.jobCycleBudget > 0) cfg.machine.maxCycles = opts.jobCycleBudget;
-  cfg.system = system;
-  cfg.threads = spec.threads;
-  cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-  RunResult r = runSimulation(
-      cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
-  r.workload = spec.workload;
-  return r;
-}
-
 /// Returned by a pool claim when the calling thread should stop.
 constexpr std::ptrdiff_t kNoMoreJobs = -1;
 
@@ -290,18 +274,16 @@ std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
 
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx) {
-  return simulateJob(spec, opts, machineByName(spec.machine),
-                     systemByName(spec.system), ctx);
-}
-
-JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>& systems) {
-  return [machine, systems](const JobSpec& spec, const OrchestratorOptions& opts,
-                            sim::SimContext& ctx) {
-    for (const SystemSpec& s : systems) {
-      if (s.name == spec.system) return simulateJob(spec, opts, machine, s, ctx);
-    }
-    throw std::invalid_argument("system " + spec.system + " is not in the grid");
-  };
+  RunConfig cfg;
+  cfg.machine = machineByName(spec.machine);
+  if (opts.jobCycleBudget > 0) cfg.machine.maxCycles = opts.jobCycleBudget;
+  cfg.system = systemByName(spec.system);
+  cfg.threads = spec.threads;
+  cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
+  RunResult r = runSimulation(
+      cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
+  r.workload = spec.workload;
+  return r;
 }
 
 namespace detail {
@@ -540,6 +522,67 @@ SweepManifest makeManifest(const std::string& artifactDir, const std::string& ma
     }
   }
   return m;
+}
+
+SweepManifest presetManifest(const std::string& name, const std::string& artifactDir,
+                             std::uint64_t seed) {
+  if (name == "smoke") {
+    // Micro workloads only: seconds, not minutes — the CI resume test runs
+    // this twice.
+    return makeManifest(artifactDir, "typical", {"Baseline", "LockillerTM"},
+                        {"counter", "bank"}, {2, 4}, seed);
+  }
+  if (name == "figures") {
+    // Exactly the cells paper_figures renders. Figs 1 and 7-12: every
+    // Table II system on the typical machine.
+    std::vector<std::string> systems;
+    for (const SystemSpec& s : evaluatedSystems()) systems.push_back(s.name);
+    SweepManifest m = makeManifest(artifactDir, "typical", systems, wl::stampNames(),
+                                   kPaperThreadCounts, seed);
+    auto append = [&m](SweepManifest extra) {
+      for (JobRecord& j : extra.jobs) m.jobs.push_back(std::move(j));
+    };
+    // Fig 13: CGL and the systems it compares on the small and large caches.
+    for (const char* machine : {"small-cache", "large-cache"}) {
+      append(makeManifest(artifactDir, machine,
+                          {"CGL", "Baseline", "LosaTM-SAFU", "Lockiller-RWI",
+                           "LockillerTM"},
+                          wl::stampNames(), kPaperThreadCounts, seed));
+    }
+    append(presetManifest("table3-dbtraffic", artifactDir, seed));
+    return m;
+  }
+  if (name == "table2-backends") {
+    // The TM-backend comparison rows (Table II bottom block): the hardware
+    // lockiller flagship vs. the lock baseline vs. the software TL2 and the
+    // hybrid HTM/STM fallback, across every STAMP analog.
+    return makeManifest(artifactDir, "typical",
+                        {"LockillerTM", "CGL", "TL2-STM", "Hybrid-TM"},
+                        wl::stampNames(), {8}, seed);
+  }
+  if (name == "table3-dbtraffic") {
+    // Database-shaped traffic (Table III): skewed YCSB mixes, TPC-C-lite and
+    // the SPS swap stressor across every TM backend, judged on the
+    // commit-latency percentiles in the derived block rather than on mean
+    // throughput.
+    return makeManifest(artifactDir, "typical",
+                        {"LockillerTM", "CGL", "TL2-STM", "Hybrid-TM"},
+                        wl::dbWorkloadNames(), {8}, seed);
+  }
+  if (name == "bigcores-128" || name == "bigcores-256") {
+    // Fig 7/12-style speedup grids past 64 cores: the headline systems
+    // (Baseline, LosaTM-SAFU, LockillerTM) on a banked large-core machine.
+    const bool big = name == "bigcores-256";
+    const std::string machine = big ? "typical-c256-b16" : "typical-c128-b8";
+    const std::vector<unsigned> threads =
+        big ? std::vector<unsigned>{64, 128, 256} : std::vector<unsigned>{32, 64, 128};
+    return makeManifest(artifactDir, machine, {"Baseline", "LosaTM-SAFU", "LockillerTM"},
+                        {"genome", "ssca2", "kmeans+", "vacation+"}, threads, seed);
+  }
+  throw std::invalid_argument(
+      "unknown preset: " + name +
+      " (try smoke | figures | table2-backends | table3-dbtraffic | "
+      "bigcores-128 | bigcores-256)");
 }
 
 }  // namespace lktm::cfg

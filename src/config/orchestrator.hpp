@@ -6,8 +6,7 @@
 // every claim and completion, and writes one lktm.stats.v1 artifact per job —
 // so a killed sweep resumes exactly where it stopped, skipping completed
 // jobs. With an empty manifest path and artifact directory it is a plain
-// in-memory grid run, which is what sweepSystems() and the figure benches
-// use.
+// in-memory grid run, which is how paper_figures runs the "figures" preset.
 //
 // Determinism contract (regression-tested): an interrupted-and-resumed sweep
 // produces a merged artifact bit-identical to an uninterrupted one, at any
@@ -131,12 +130,6 @@ using JobRunner =
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx);
 
-/// runSpec on the caller's own MachineParams / SystemSpec objects: the spec's
-/// machine and system names are identity only, so a grid that tweaks params
-/// is still simulated faithfully. A spec naming a system outside `systems`
-/// fails the job.
-JobRunner gridRunner(const MachineParams& machine, const std::vector<SystemSpec>& systems);
-
 /// Workload factory shared with lktm_sim: STAMP analogs by name, plus the
 /// micro workloads "counter" / "bank" / "linkedlist".
 std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
@@ -175,13 +168,24 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
 bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath);
 
 /// Cross-product helper: one Pending record per (workload x system x threads)
-/// cell on `machine`, in the same order sweepSystems() runs them.
+/// cell on `machine`, workload-major, then system, then thread count.
 SweepManifest makeManifest(const std::string& artifactDir,
                            const std::string& machine,
                            const std::vector<std::string>& systems,
                            const std::vector<std::string>& workloads,
                            const std::vector<unsigned>& threads,
                            std::uint64_t seed = kDefaultSweepSeed);
+
+/// Thread counts of the paper's scaling figures (Figs 7, 8, 12 and 13).
+inline const std::vector<unsigned> kPaperThreadCounts{2, 4, 8, 16, 32};
+
+/// The named job list behind `lktm_sweep plan --preset NAME` and
+/// paper_figures: smoke | figures | table2-backends | table3-dbtraffic |
+/// bigcores-128 | bigcores-256. "figures" is exactly the grid paper_figures
+/// renders (Figs 1 and 7-13, Table III). Throws std::invalid_argument on an
+/// unknown name.
+SweepManifest presetManifest(const std::string& name, const std::string& artifactDir,
+                             std::uint64_t seed = kDefaultSweepSeed);
 
 namespace detail {
 

@@ -1,7 +1,5 @@
 #include "config/sweep.hpp"
 
-#include "config/orchestrator.hpp"
-
 namespace lktm::cfg {
 
 std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
@@ -24,21 +22,6 @@ std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
-}
-
-std::vector<RunResult> sweepSystems(const MachineParams& machine,
-                                    const std::vector<SystemSpec>& systems,
-                                    const std::vector<std::string>& workloads,
-                                    const std::vector<unsigned>& threads,
-                                    unsigned hostThreads) {
-  std::vector<std::string> names;
-  for (const SystemSpec& s : systems) names.push_back(s.name);
-  SweepManifest m = makeManifest("", machine.name, names, workloads, threads);
-  OrchestratorOptions opts;
-  opts.hostThreads = hostThreads;
-  std::vector<RunResult> results;
-  runManifest(m, "", opts, gridRunner(machine, systems), &results);
-  return results;
 }
 
 const RunResult* findResult(const std::vector<RunResult>& results,

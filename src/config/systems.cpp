@@ -88,8 +88,8 @@ std::vector<SystemSpec> evaluatedSystems() {
        withSwitching(withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased))),
        {}});
   // Backend-defined rows (TL2-STM, Hybrid-TM): one per registry entry that
-  // declares itself a Table II system, so bench/table2_systems and this list
-  // can never drift apart.
+  // declares itself a Table II system, so paper_figures' Table II and this
+  // list can never drift apart.
   for (const tm::BackendInfo& info : tm::backendRegistry()) {
     if (info.systemRow == nullptr) continue;
     out.push_back({info.systemRow, info.systemDesc, policyForBackend(info.name),

@@ -70,6 +70,11 @@ namespace lktm::tm {
 /// (clock 0, all orecs unlocked at version 0).
 inline constexpr Addr kStmScratchBase = 0x4000'0000;
 
+/// Exponential backoff while polling a held lock word: the first pause and
+/// the cap the doubling stops at, in cycles.
+inline constexpr Cycle kSpinBackoffStart = 24;
+inline constexpr Cycle kSpinBackoffCap = 512;
+
 /// Everything a backend needs to emit programs for one run.
 struct BackendConfig {
   core::TmPolicy policy{};
@@ -165,7 +170,7 @@ std::vector<std::size_t> emitHtmAttemptRetry(cpu::ProgramBuilder& b,
 
 /// One registry row. Backends that exist as their own Table II system carry
 /// the row's name/description here, so adding a backend in the registry adds
-/// its row to cfg::evaluatedSystems() *and* bench/table2_systems at once.
+/// its row to cfg::evaluatedSystems() *and* paper_figures' Table II at once.
 struct BackendInfo {
   const char* name;        ///< registry key / `-be=` suffix / --backend value
   const char* summary;     ///< one-line mechanism description

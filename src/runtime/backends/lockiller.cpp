@@ -81,7 +81,7 @@ void LockillerBackend::emitMcsRelease(ProgramBuilder& b) const {
 // Test-and-test-and-set acquire of the fallback lock through the coherence
 // protocol (CAS needs exclusive ownership, polling reads stay shared).
 void LockillerBackend::emitSpinAcquire(ProgramBuilder& b) const {
-  b.li(kRegScratch2, static_cast<std::int64_t>(retry_.clampedSpinBackoff()));
+  b.li(kRegScratch2, static_cast<std::int64_t>(kSpinBackoffStart));
   const auto spin = b.here();
   b.load(kRegStatus, kRegLockAddr);
   const auto poll = b.bne(kRegStatus, cpu::kZeroReg);  // held -> backoff
@@ -92,7 +92,7 @@ void LockillerBackend::emitSpinAcquire(ProgramBuilder& b) const {
   const auto backoff = b.here();
   b.delayReg(kRegScratch2);
   b.add(kRegScratch2, kRegScratch2, kRegScratch2);
-  b.li(kRegStatus, static_cast<std::int64_t>(retry_.clampedSpinBackoffMax()));
+  b.li(kRegStatus, static_cast<std::int64_t>(kSpinBackoffCap));
   const auto noCap = b.blt(kRegScratch2, kRegStatus);
   b.mov(kRegScratch2, kRegStatus);
   b.patchTarget(noCap, b.here());
@@ -137,7 +137,7 @@ void LockillerBackend::emitEnterBestEffort(ProgramBuilder& b) const {
   const auto pollLock = b.here();
   b.load(kRegScratch, kRegLockAddr);
   const auto lockFree = b.beq(kRegScratch, cpu::kZeroReg);
-  b.compute(static_cast<std::int64_t>(retry_.clampedSpinBackoff()));
+  b.compute(static_cast<std::int64_t>(kSpinBackoffStart));
   b.jmp(pollLock);
   b.patchTarget(lockFree, b.here());
   b.jmp(attempt.retry);

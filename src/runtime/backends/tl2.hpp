@@ -151,8 +151,7 @@ class Tl2Emitter {
   }
   Cycle backoffBase() const { return retry_.backoff + 17 * tid_; }
   Cycle backoffCap() const {
-    const Cycle cap = retry_.clampedSpinBackoffMax();
-    return cap > backoffBase() ? cap : backoffBase();
+    return kSpinBackoffCap > backoffBase() ? kSpinBackoffCap : backoffBase();
   }
 };
 

@@ -2,7 +2,7 @@
 // (`core.3.aborts.mem_conflict`, `dir.llc.hits`, `noc.flit_hops`) owned by the
 // per-run SimContext. Components register their stats once at construction and
 // keep cheap handles (Counter&); everything downstream — text reports, the
-// figure benches, --stats-json artifacts, sweep aggregation — reads the
+// paper figures, --stats-json artifacts, sweep aggregation — reads the
 // registry instead of scraping per-component structs.
 //
 // Kinds:

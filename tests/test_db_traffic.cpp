@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
-#include "config/sweep.hpp"
 #include "config/systems.hpp"
 #include "runtime/backends/backend.hpp"
 #include "sim/rng.hpp"
@@ -195,14 +195,19 @@ TEST(DbTraffic, SpsPartRejectsSliversThinnerThanTwoCells) {
 // run on 1, 2 and 4 host threads must produce identical per-run snapshots
 // (this is what makes the table3 merge bit-identical at any --host-threads).
 TEST(DbTraffic, SweepResultsIndependentOfHostThreads) {
-  const std::vector<std::string> workloads{"ycsb", "ycsb-w", "tpcc", "sps"};
-  const auto systems = std::vector<cfg::SystemSpec>{
-      cfg::systemByName("LockillerTM"), cfg::systemByName("TL2-STM")};
-  const auto machine = cfg::MachineParams::typical();
-  const auto base = cfg::sweepSystems(machine, systems, workloads, {4}, 1);
+  auto sweep = [](unsigned hostThreads) {
+    cfg::SweepManifest m =
+        cfg::makeManifest("", "typical", {"LockillerTM", "TL2-STM"},
+                          {"ycsb", "ycsb-w", "tpcc", "sps"}, {4});
+    cfg::OrchestratorOptions opts;
+    opts.hostThreads = hostThreads;
+    std::vector<cfg::RunResult> results;
+    cfg::runManifest(m, "", opts, {}, &results);
+    return results;
+  };
+  const auto base = sweep(1);
   for (const unsigned hostThreads : {2u, 4u}) {
-    const auto got = cfg::sweepSystems(machine, systems, workloads, {4},
-                                       hostThreads);
+    const auto got = sweep(hostThreads);
     ASSERT_EQ(got.size(), base.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
       ASSERT_TRUE(base[i].ok()) << base[i].str();

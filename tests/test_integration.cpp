@@ -112,9 +112,12 @@ TEST(Integration, ThreadScalingKeepsTotalWork) {
 TEST(Integration, SweepRunnerPreservesOrderAndLabels) {
   // Results follow the cross product (workload x system x threads) no matter
   // which host thread finished first.
-  const auto results = sweepSystems(MachineParams::typical(),
-                                    {systemByName("Baseline"), systemByName("CGL")},
-                                    {"counter"}, {2u, 4u}, 2);
+  SweepManifest m = makeManifest("", "typical", {"Baseline", "CGL"}, {"counter"},
+                                 {2u, 4u});
+  OrchestratorOptions opts;
+  opts.hostThreads = 2;
+  std::vector<RunResult> results;
+  runManifest(m, "", opts, {}, &results);
   ASSERT_EQ(results.size(), 4u);
   const std::vector<std::pair<std::string, unsigned>> want = {
       {"Baseline", 2u}, {"Baseline", 4u}, {"CGL", 2u}, {"CGL", 4u}};
@@ -150,7 +153,11 @@ TEST(Integration, SweepCapturesExceptionsAsFailures) {
 }
 
 TEST(Integration, SweepHandlesEmptyJobList) {
-  const auto results = sweepSystems(MachineParams::typical(), {}, {}, {}, 4);
+  SweepManifest m = makeManifest("", "typical", {}, {}, {});
+  OrchestratorOptions opts;
+  opts.hostThreads = 4;
+  std::vector<RunResult> results;
+  runManifest(m, "", opts, {}, &results);
   EXPECT_TRUE(results.empty());
 }
 

@@ -285,51 +285,6 @@ TEST(Runtime, SwitchingModeCompletesOverflowingSections) {
   EXPECT_GT(stl, 0u) << "switchingMode should have rescued overflow aborts";
 }
 
-TEST(Runtime, SpinBackoffClampBoundary) {
-  // The emitted backoff loop doubles the register *before* clamping, so the
-  // clamped cap must leave headroom for one doubling in a signed int64.
-  rt::RetryPolicy p;
-  EXPECT_EQ(p.clampedSpinBackoff(), p.spinBackoff);
-  EXPECT_EQ(p.clampedSpinBackoffMax(), p.spinBackoffMax);
-
-  p.spinBackoffMax = rt::RetryPolicy::kSpinBackoffCeiling - 1;
-  EXPECT_EQ(p.clampedSpinBackoffMax(), rt::RetryPolicy::kSpinBackoffCeiling - 1);
-  p.spinBackoffMax = rt::RetryPolicy::kSpinBackoffCeiling;
-  EXPECT_EQ(p.clampedSpinBackoffMax(), rt::RetryPolicy::kSpinBackoffCeiling);
-  p.spinBackoffMax = rt::RetryPolicy::kSpinBackoffCeiling + 1;
-  EXPECT_EQ(p.clampedSpinBackoffMax(), rt::RetryPolicy::kSpinBackoffCeiling);
-  p.spinBackoffMax = std::numeric_limits<Cycle>::max();
-  EXPECT_EQ(p.clampedSpinBackoffMax(), rt::RetryPolicy::kSpinBackoffCeiling);
-
-  // One doubling of anything at or below the clamp stays a valid int64.
-  const auto clamped = static_cast<std::int64_t>(p.clampedSpinBackoffMax());
-  EXPECT_GT(clamped, 0);
-  EXPECT_LE(clamped, std::numeric_limits<std::int64_t>::max() / 2);
-
-  // The initial backoff is clamped against the effective cap, not the raw one.
-  p.spinBackoffMax = 16;
-  p.spinBackoff = 1000;
-  EXPECT_EQ(p.clampedSpinBackoff(), 16u);
-}
-
-TEST(Runtime, HugeSpinBackoffCapRunsCorrectly) {
-  // A cap of Cycle max used to be loaded verbatim into a signed register
-  // (becoming -1) and the pre-clamp doubling could overflow. With the clamp
-  // the contended fallback path must still produce the exact counter value.
-  rt::RetryPolicy retry;
-  retry.maxRetries = 1;  // force the lock path under conflicts
-  retry.spinBackoffMax = std::numeric_limits<Cycle>::max();
-  auto backend = backendFor(core::TmPolicy{}, retry);
-  TestSystemOptions opt;
-  opt.cores = 4;
-  CpuHarness h(4, opt);
-  for (CoreId c = 0; c < 4; ++c) {
-    h.setProgram(c, incrementProgram(*backend, static_cast<unsigned>(c), 25));
-  }
-  h.run();
-  EXPECT_EQ(h.read(kCounter), 100u);
-}
-
 TEST(Runtime, ZeroMaxRetriesIsRejected) {
   // The attempt budget is decremented before it is tested, so a budget of 0
   // would retry forever and never reach the fallback path: every HTM attempt

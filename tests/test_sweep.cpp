@@ -200,6 +200,26 @@ TEST(Orchestrator, DuplicateJobIdsRejected) {
   EXPECT_THROW((void)SweepManifest::fromJson(m.toJson()), std::runtime_error);
 }
 
+TEST(Orchestrator, FiguresPresetIsTheRenderedGrid) {
+  // 11 systems x 9 STAMP x 5 thread counts on the typical machine, CGL and
+  // the 4 systems Fig 13 compares x 9 x 5 on each cache variant, then the 28
+  // table3-dbtraffic jobs.
+  SweepManifest m = presetManifest("figures", "");
+  EXPECT_EQ(m.jobs.size(), 973u);
+  for (const char* machine : {"small-cache", "large-cache"}) {
+    for (const char* system : {"CGL", "LockillerTM"}) {
+      EXPECT_NE(m.find(JobSpec{system, "yada", machine, 2}.id()), nullptr)
+          << system << " on " << machine << " at 2 threads";
+    }
+  }
+  const SweepManifest db = presetManifest("table3-dbtraffic", "");
+  ASSERT_LE(db.jobs.size(), m.jobs.size());
+  for (std::size_t i = 0; i < db.jobs.size(); ++i) {
+    EXPECT_EQ(m.jobs[m.jobs.size() - db.jobs.size() + i].spec, db.jobs[i].spec) << i;
+  }
+  EXPECT_THROW((void)presetManifest("bogus", ""), std::invalid_argument);
+}
+
 // ------------------------------------------------------------- orchestrator
 
 TEST(Orchestrator, ResumeSkipsCompletedJobs) {

@@ -19,14 +19,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "cli_number.hpp"
 #include "config/artifact.hpp"
-#include "config/machine.hpp"
 #include "config/orchestrator.hpp"
-#include "config/systems.hpp"
-#include "workloads/workload.hpp"
 
 namespace {
 
@@ -60,66 +56,6 @@ void usage() {
       "  summarize  condense a merged lktm.stats.v1 into lktm.summary.v1\n"
       "    --in PATH            merged artifact (required)\n"
       "    --out PATH           summary file (required)\n");
-}
-
-cfg::SweepManifest planPreset(const std::string& preset, const std::string& artifactDir,
-                              std::uint64_t seed) {
-  if (preset == "smoke") {
-    // Micro workloads only: seconds, not minutes — the CI resume test runs
-    // this twice.
-    return cfg::makeManifest(artifactDir, "typical", {"Baseline", "LockillerTM"},
-                             {"counter", "bank"}, {2, 4}, seed);
-  }
-  if (preset == "figures") {
-    std::vector<std::string> systems;
-    for (const auto& s : cfg::evaluatedSystems()) systems.push_back(s.name);
-    // Figs 1/7-12: the full Table II grid on the typical machine.
-    cfg::SweepManifest m = cfg::makeManifest(artifactDir, "typical", systems,
-                                             wl::stampNames(), {2, 4, 8, 16, 32}, seed);
-    // Fig 13 cache-sensitivity: every system at max threads on the small and
-    // large machines.
-    for (const char* machine : {"small-cache", "large-cache"}) {
-      cfg::SweepManifest extra =
-          cfg::makeManifest(artifactDir, machine, systems, wl::stampNames(), {32}, seed);
-      for (auto& j : extra.jobs) m.jobs.push_back(std::move(j));
-    }
-    return m;
-  }
-  if (preset == "table2-backends") {
-    // The TM-backend comparison rows (Table II bottom block): the hardware
-    // lockiller flagship vs. the lock baseline vs. the software TL2 and the
-    // hybrid HTM/STM fallback, across all eight STAMP analogs.
-    return cfg::makeManifest(artifactDir, "typical",
-                             {"LockillerTM", "CGL", "TL2-STM", "Hybrid-TM"},
-                             wl::stampNames(), {8}, seed);
-  }
-  if (preset == "table3-dbtraffic") {
-    // Database-shaped traffic (Table III): skewed YCSB mixes, TPC-C-lite and
-    // the SPS swap stressor across every TM backend, judged on the
-    // commit-latency percentiles in the derived block rather than on mean
-    // throughput.
-    return cfg::makeManifest(artifactDir, "typical",
-                             {"LockillerTM", "CGL", "TL2-STM", "Hybrid-TM"},
-                             {"ycsb", "ycsb-lo", "ycsb-w", "ycsb-scan", "tpcc",
-                              "sps", "sps-part"},
-                             {8}, seed);
-  }
-  if (preset == "bigcores-128" || preset == "bigcores-256") {
-    // Fig 7/12-style speedup grids past 64 cores: the headline systems
-    // (Baseline, LosaTM-SAFU, LockillerTM) on a banked large-core machine.
-    const bool big = preset == "bigcores-256";
-    const std::string machine = big ? "typical-c256-b16" : "typical-c128-b8";
-    const std::vector<unsigned> threads =
-        big ? std::vector<unsigned>{64, 128, 256} : std::vector<unsigned>{32, 64, 128};
-    return cfg::makeManifest(artifactDir, machine,
-                             {"Baseline", "LosaTM-SAFU", "LockillerTM"},
-                             {"genome", "ssca2", "kmeans+", "vacation+"}, threads,
-                             seed);
-  }
-  throw std::invalid_argument(
-      "unknown preset: " + preset +
-      " (try smoke | figures | table2-backends | table3-dbtraffic | "
-      "bigcores-128 | bigcores-256)");
 }
 
 /// Condense the merged lktm.stats.v1 at `inPath` into lktm.summary.v1 at
@@ -210,7 +146,7 @@ int main(int argc, char** argv) {
       if (artifactDir.empty()) artifactDir = manifestPath + ".d";
       cfg::SweepManifest m;
       try {
-        m = planPreset(preset, artifactDir, seed);
+        m = cfg::presetManifest(preset, artifactDir, seed);
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;

@@ -13,8 +13,9 @@
 # `status` must report the interrupted run's progress, under the default and
 # sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
-# of all four benchmark workloads), rerun every figure/table bench binary
-# and cmp its stdout against the committed pin in bench/product/ (the
+# of all four benchmark workloads), rerun paper_figures (every paper table
+# and figure, from one run of the `figures` preset) and ablation_mechanisms
+# and cmp their stdout against the committed pins in bench/product/ (the
 # simulated results are the product), smoke the database-traffic family (ycsb
 # on the TL2 backend must emit validating commit-latency percentiles; the
 # table3-dbtraffic grid must merge bit-identically across 1 and 4 host
@@ -125,11 +126,13 @@ echo "== end-to-end benchmark: smoke cells + fingerprint gate (bench/e2e) =="
 # BENCHMARK.json declares.
 bash bench/e2e/run.sh --smoke
 
-echo "== product pin: figure/table bench stdout vs bench/product/ =="
-# Every bench/ binary except the micro_substrates microbenchmarks prints one
-# paper table or figure; each must print exactly its committed
-# bench/product/<binary>.txt, and every pin must have its binary. A change
-# that moves a result regenerates the pins (EXPERIMENTS.md, "Regeneration").
+echo "== product pin: paper_figures + ablation_mechanisms stdout vs bench/product/ =="
+# Every bench/ binary except the micro_substrates microbenchmarks prints
+# simulated results: paper_figures every paper table and figure (it exits
+# nonzero if any cell fails), ablation_mechanisms the design ablations. Each
+# must print exactly its committed bench/product/<binary>.txt, and every pin
+# must have its binary. A change that moves a result regenerates the pins
+# (EXPERIMENTS.md, "Regeneration").
 d="build/product_check"
 rm -rf "$d" && mkdir -p "$d"
 for b in $(find build/bench -maxdepth 1 -type f -executable \
@@ -144,7 +147,7 @@ done
 for f in bench/product/*.txt; do
   [[ -f "$d/$(basename "$f")" ]] || { echo "$f has no bench binary" >&2; exit 1; }
 done
-echo "  ($(ls "$d" | wc -l) figure/table outputs match bench/product/)"
+echo "  ($(ls "$d" | wc -l) bench outputs match bench/product/)"
 
 echo "== model checker: TL2 commit footprint (stm-commit, exhaustive) =="
 ./build/tools/lktm_check --config stm-commit --depth 4000 | grep -q "CLEAN" \

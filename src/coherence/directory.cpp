@@ -28,15 +28,14 @@ DirectoryController::DirectoryController(sim::SimContext& ctx, noc::Network& net
       l1s_(numCores, nullptr),
       llcHits_(ctx.stats().counter("dir.llc.hits")),
       llcMisses_(ctx.stats().counter("dir.llc.misses")),
-      writebacks_(ctx.stats().counter("dir.writebacks",
-                                      "dirty lines written back into the LLC")),
-      sigRejects_(ctx.stats().counter("dir.sig_rejects",
-                                      "LLC signature-induced rejections")),
-      interBankMsgs_(ctx.stats().counter(
-          "dir.interbank.msgs",
-          "lock-mirror broadcast messages between LLC banks")),
-      waitqDepth_(ctx.stats().distribution(
-          "dir.waitq.depth", "requests queued behind a busy line at enqueue")) {
+      // Dirty lines written back into the LLC.
+      writebacks_(ctx.stats().counter("dir.writebacks")),
+      // LLC signature-induced rejections.
+      sigRejects_(ctx.stats().counter("dir.sig_rejects")),
+      // Lock-mirror broadcast messages between LLC banks.
+      interBankMsgs_(ctx.stats().counter("dir.interbank.msgs")),
+      // Requests queued behind a busy line, sampled at enqueue.
+      waitqDepth_(ctx.stats().distribution("dir.waitq.depth")) {
   if (numBanks == 0 || (numBanks & (numBanks - 1)) != 0) {
     throw std::invalid_argument(
         "directory bank count must be a power of two, got " +

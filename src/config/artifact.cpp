@@ -151,22 +151,21 @@ void writeRun(stats::json::Writer& w, const RunResult& r) {
 
 }  // namespace
 
-void writeStatsJson(std::ostream& os, const std::vector<const RunResult*>& runs) {
+void writeStatsJson(std::ostream& os, std::size_t count,
+                    const std::function<const RunResult&(std::size_t)>& runAt) {
   os.imbue(std::locale::classic());
   stats::json::Writer w(os, /*pretty=*/true);
   w.beginObject();
   w.field("schema", kStatsSchema);
   w.key("runs");
   w.beginArray();
-  for (const RunResult* r : runs) {
-    if (r != nullptr) writeRun(w, *r);
-  }
+  for (std::size_t i = 0; i < count; ++i) writeRun(w, runAt(i));
   w.endArray();
   w.endObject();
 }
 
 void writeStatsJson(std::ostream& os, const RunResult& run) {
-  writeStatsJson(os, std::vector<const RunResult*>{&run});
+  writeStatsJson(os, 1, [&run](std::size_t) -> const RunResult& { return run; });
 }
 
 bool writeFileAtomic(const std::string& path, const std::string& content) {
@@ -211,51 +210,6 @@ bool writeStatsJsonFile(const std::string& path, const RunResult& run) {
   std::ostringstream os;
   writeStatsJson(os, run);
   return writeFileAtomic(path, os.str());
-}
-
-void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os) {
-  using stats::json::Value;
-  const Value* schema = statsDoc.find("schema");
-  if (schema == nullptr || schema->text != kStatsSchema) {
-    throw std::runtime_error(std::string("summary input is not a ") +
-                             kStatsSchema + " document");
-  }
-  const Value* runs = statsDoc.find("runs");
-  if (runs == nullptr || !runs->isArray()) {
-    throw std::runtime_error("summary input has no \"runs\" array");
-  }
-  os.imbue(std::locale::classic());
-  stats::json::Writer w(os, /*pretty=*/true);
-  w.beginObject();
-  w.field("schema", kSummarySchema);
-  w.field("source", kStatsSchema);
-  w.key("runs");
-  w.beginArray();
-  for (const Value& run : *runs->array) {
-    if (!run.isObject()) continue;
-    w.beginObject();
-    // Fixed field order; numeric literals re-emitted raw so the summary is
-    // exactly as byte-deterministic as the merged document it condenses.
-    for (const char* key :
-         {"system", "workload", "machine", "threads", "cores", "banks", "seed",
-          "cycles", "status", "diagnostic"}) {
-      const Value* v = run.find(key);
-      if (v == nullptr) continue;
-      w.key(key);
-      if (v->isNumber()) {
-        w.rawNumber(v->text);
-      } else {
-        w.value(v->text);
-      }
-    }
-    if (const Value* derived = run.find("derived"); derived != nullptr) {
-      w.key("derived");
-      stats::json::writeValue(w, *derived);
-    }
-    w.endObject();
-  }
-  w.endArray();
-  w.endObject();
 }
 
 namespace {
@@ -469,18 +423,57 @@ std::vector<RunResult> statsRunsFromJson(const Value& doc) {
   return runsOf<RunResult>(doc, kStatsSchema, runResultFromJson);
 }
 
+namespace {
+
+/// The per-run reader of lktm.summary.v1, which the summary writer also
+/// applies to lktm.stats.v1 runs: identity/scale fields and "derived".
+SummaryRun summaryRunFromJson(const Value& run) {
+  SummaryRun s;
+  readIdentity(run, s.run);
+  s.derived =
+      within("derived", [&] { return DerivedMetrics::fromJson(need(run, "derived")); });
+  return s;
+}
+
+}  // namespace
+
 std::vector<SummaryRun> summaryRunsFromJson(const Value& doc) {
   const Value* source = doc.find("source");
   if (source == nullptr || !source->isString() || source->text != kStatsSchema) {
     malformed(std::string("\"source\" must be \"") + kStatsSchema + "\"");
   }
-  return runsOf<SummaryRun>(doc, kSummarySchema, [](const Value& run) {
-    SummaryRun s;
-    readIdentity(run, s.run);
-    s.derived =
-        within("derived", [&] { return DerivedMetrics::fromJson(need(run, "derived")); });
-    return s;
-  });
+  return runsOf<SummaryRun>(doc, kSummarySchema, summaryRunFromJson);
+}
+
+void writeSummaryArtifact(const Value& statsDoc, std::ostream& os) {
+  const std::vector<SummaryRun> runs =
+      runsOf<SummaryRun>(statsDoc, kStatsSchema, summaryRunFromJson);
+  os.imbue(std::locale::classic());
+  stats::json::Writer w(os, /*pretty=*/true);
+  w.beginObject();
+  w.field("schema", kSummarySchema);
+  w.field("source", kStatsSchema);
+  w.key("runs");
+  w.beginArray();
+  for (const SummaryRun& s : runs) {
+    const RunResult& r = s.run;
+    w.beginObject();
+    w.field("system", r.system);
+    w.field("workload", r.workload);
+    w.field("machine", r.machine);
+    w.field("threads", r.threads);
+    w.field("cores", r.cores);
+    w.field("banks", r.banks);
+    w.field("seed", r.seed);
+    w.field("cycles", r.cycles);
+    w.field("status", toString(r.status));
+    w.field("diagnostic", r.diagnostic);
+    w.key("derived");
+    s.derived.writeJson(w);
+    w.endObject();
+  }
+  w.endArray();
+  w.endObject();
 }
 
 RunResult loadStatsArtifact(const std::string& path) {

@@ -28,11 +28,16 @@
 // locale-independent, so the same run always produces byte-identical output.
 //
 // The readers below are the schema: what they accept is a valid document,
-// and validate_stats_json is only a front end that calls them. A field the
-// writers gain is taught to its reader, nowhere else.
+// and validate_stats_json is only a front end that calls them. Each schema
+// also has one writer (writeStatsJson, writeSummaryArtifact), and the tools
+// that re-write a document (sweep merge, summarize) read it with the reader
+// first, so they cannot emit what the reader rejects. A field the schema
+// gains is taught to its one reader and its one writer, nowhere else.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -51,9 +56,10 @@ inline constexpr const char* kStatsSchema = "lktm.stats.v1";
 /// instead of megabytes of raw counters.
 inline constexpr const char* kSummarySchema = "lktm.summary.v1";
 
-/// A run's "derived" block, shared by both schemas that carry it: writeRun
-/// emits it, the lktm.stats.v1 reader requires it to equal what the run's
-/// own stats derive, and the lktm.summary.v1 reader parses it.
+/// A run's "derived" block, shared by both schemas that carry it: both
+/// writers emit it with writeJson, the lktm.stats.v1 reader requires it to
+/// equal what the run's own stats derive, and the lktm.summary.v1 reader
+/// parses it.
 struct DerivedMetrics {
   /// (htm+stl+stm) / (htm+stl+stm+aborts); JSON null when the run made no
   /// speculative attempts (idle cores must not read as a perfect 1.0).
@@ -92,8 +98,14 @@ struct SummaryRun {
 /// writer and by trace/counterexample embeddings).
 void writeSnapshotJson(stats::json::Writer& w, const stats::StatSnapshot& snap);
 
-/// Write the full artifact document for one or more runs.
-void writeStatsJson(std::ostream& os, const std::vector<const RunResult*>& runs);
+/// The one lktm.stats.v1 writer: a document of `count` runs, run i being
+/// what `runAt(i)` returns. Runs are asked for once each, in order, and each
+/// is written before the next is asked for, so a caller that loads runs on
+/// demand holds one at a time. An exception from `runAt` propagates and
+/// leaves `os` half written.
+void writeStatsJson(std::ostream& os, std::size_t count,
+                    const std::function<const RunResult&(std::size_t)>& runAt);
+/// A one-run document: every per-job artifact and `lktm-sim --stats-json`.
 void writeStatsJson(std::ostream& os, const RunResult& run);
 
 /// The one file writer behind every artifact and manifest checkpoint: write
@@ -112,11 +124,13 @@ std::string readFile(const std::string& path);
 /// (with a message on stderr) when it cannot be written.
 bool writeStatsJsonFile(const std::string& path, const RunResult& run);
 
-/// Reduce a parsed lktm.stats.v1 document to its lktm.summary.v1 companion:
-/// per run, the identity/scale fields and the "derived" block, re-emitted
-/// through the raw-literal writer so the summary bytes are as deterministic
-/// as the merge they came from. Throws std::runtime_error when `statsDoc` is
-/// not a stats artifact.
+/// The one lktm.summary.v1 writer: reduce a parsed lktm.stats.v1 document to
+/// its summary companion. Each run is read with the summary-run reader
+/// (identity/scale fields and DerivedMetrics::fromJson) and written back as
+/// those fields and DerivedMetrics::writeJson, so the output is a document
+/// summaryRunsFromJson accepts. Throws std::runtime_error, naming the run and
+/// field, before writing anything when `statsDoc` is not a stats document or
+/// one of its runs does not read.
 void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os);
 
 /// Rebuild a RunResult from one parsed "runs" entry: the inverse of the

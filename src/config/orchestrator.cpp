@@ -211,9 +211,8 @@ JobRecord jobRecordFromJson(const Value& e) {
 
 }  // namespace
 
-SweepManifest SweepManifest::fromJson(const std::string& text) {
+SweepManifest SweepManifest::fromJson(const Value& doc) {
   try {
-    const Value doc = stats::json::parse(text);
     const Value* schema = doc.find("schema");
     if (schema == nullptr || !schema->isString() || schema->text != kManifestSchema) {
       throw std::runtime_error(std::string("schema is not ") + kManifestSchema);
@@ -238,7 +237,12 @@ SweepManifest SweepManifest::fromJson(const std::string& text) {
 }
 
 SweepManifest SweepManifest::load(const std::string& path) {
-  return fromJson(readFile(path));
+  const std::string text = readFile(path);
+  try {
+    return fromJson(stats::json::parse(text));
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
 }
 
 std::string SweepManifest::toJson() const {
@@ -377,9 +381,7 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
     if (state == JobState::Ok && !manifest.artifactDir.empty()) {
       artifactPath =
           (fs::path(manifest.artifactDir) / (jobFileStem(spec) + ".json")).string();
-      std::ostringstream doc;
-      writeStatsJson(doc, r);
-      if (!writeFileAtomic(artifactPath, doc.str())) {
+      if (!writeStatsJsonFile(artifactPath, r)) {
         state = JobState::Failed;
         r.status = RunStatus::Failed;
         r.diagnostic = "cannot write artifact " + artifactPath;
@@ -468,41 +470,30 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
 }
 
 bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath) {
-  std::ostringstream os;
-  stats::json::Writer w(os, /*pretty=*/true);
-  w.beginObject();
-  w.field("schema", kStatsSchema);
-  w.key("runs");
-  w.beginArray();
+  std::vector<const JobRecord*> ok;
   for (const JobRecord& j : manifest.jobs) {
-    if (j.state != JobState::Ok) continue;
-    Value doc;
-    try {
-      doc = stats::json::parse(readFile(j.artifact));
-    } catch (const std::exception& e) {
-      std::cerr << "error: artifact of " << j.spec.id() << ": " << e.what() << "\n";
-      return false;
-    }
-    const Value* runs = doc.find("runs");
-    if (runs == nullptr || !runs->isArray() || runs->array->size() != 1) {
-      std::cerr << "error: " << j.artifact << " is not a one-run artifact\n";
-      return false;
-    }
-    Value run = runs->array->at(0);
-    if (run.isObject()) {
+    if (j.state == JobState::Ok) ok.push_back(&j);
+  }
+  if (ok.empty()) {
+    std::cerr << "error: no job is ok, so there is nothing to merge\n";
+    return false;
+  }
+  std::ostringstream os;
+  RunResult run;  // the one run held at a time
+  std::size_t at = 0;
+  try {
+    writeStatsJson(os, ok.size(), [&](std::size_t i) -> const RunResult& {
+      at = i;
+      run = loadStatsArtifact(ok[i]->artifact);
       // Host timing is the one field a resume cannot reproduce; zero it so
       // merged bytes depend only on the job specs.
-      Value zero;
-      zero.kind = Value::Kind::Number;
-      zero.number = 0.0;
-      zero.text = "0";
-      (*run.object)["wall_seconds"] = zero;
-    }
-    stats::json::writeValue(w, run);
+      run.wallSeconds = 0.0;
+      return run;
+    });
+  } catch (const std::exception& e) {
+    std::cerr << "error: artifact of " << ok[at]->spec.id() << ": " << e.what() << "\n";
+    return false;
   }
-  w.endArray();
-  w.endObject();
-
   return writeFileAtomic(outPath, os.str());
 }
 

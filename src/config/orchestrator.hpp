@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "config/sweep.hpp"
+#include "stats/json.hpp"
 
 namespace lktm::cfg {
 
@@ -91,12 +92,13 @@ struct SweepManifest {
   /// True when every job is Ok.
   bool allOk() const;
 
-  /// Parse a manifest document: this reader is the lktm.manifest.v3 schema.
-  /// Throws std::runtime_error, naming the field, on malformed input: a
-  /// string "artifact_dir"; per job, every field of its type (integers plain
-  /// and within range), a known state, a stored "id" equal to the id its
-  /// fields produce, and an artifact path on every "ok" job; unique ids.
-  static SweepManifest fromJson(const std::string& text);
+  /// Read a parsed manifest document: this reader is the lktm.manifest.v3
+  /// schema. Throws std::runtime_error, naming the field, on malformed input:
+  /// a string "artifact_dir"; per job, every field of its type (integers
+  /// plain and within range), a known state, a stored "id" equal to the id
+  /// its fields produce, and an artifact path on every "ok" job; unique ids.
+  static SweepManifest fromJson(const stats::json::Value& doc);
+  /// Parse and read the manifest file at `path`; errors name the path.
   static SweepManifest load(const std::string& path);
   std::string toJson() const;
   /// Atomic save (writeFileAtomic), so a kill mid-write can never truncate
@@ -160,11 +162,14 @@ OrchestratorReport runManifest(SweepManifest& manifest, const std::string& manif
                                std::vector<RunResult>* results = nullptr);
 
 /// Merge the per-job artifacts of every Ok job (manifest order) into one
-/// multi-run lktm.stats.v1 document. Each run entry is re-emitted through the
-/// deterministic JSON re-writer with "wall_seconds" zeroed, so the merged
-/// bytes depend only on the job specs — not on interruptions, resumes or
-/// hostThreads. Returns false (with a message on stderr) when an artifact is
-/// missing or unreadable.
+/// multi-run lktm.stats.v1 document. Each artifact is read with
+/// loadStatsArtifact and written back by the one run writer with
+/// "wall_seconds" zeroed, one run at a time, so each merged run entry is its
+/// per-job artifact's run byte for byte apart from that field, and the
+/// merged bytes depend only on the job specs — not on interruptions, resumes
+/// or hostThreads. Returns false, with a message on stderr naming the job
+/// and the reader's field, and writes nothing when an artifact does not read
+/// or no job is Ok.
 bool writeMergedArtifact(const SweepManifest& manifest, const std::string& outPath);
 
 /// Cross-product helper: one Pending record per (workload x system x threads)

@@ -18,9 +18,9 @@ Cpu::Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& ba
       params_(params),
       onHalt_(std::move(onHalt)),
       bd_(ctx.stats(), "core." + std::to_string(id)),
+      // Cycles from critical-section begin to commit, spanning retries.
       commitLatency_(ctx.stats().histogram(
-          stats::statPath("core." + std::to_string(id), "latency.commit"),
-          "cycles from critical-section begin to commit, spanning retries")) {
+          stats::statPath("core." + std::to_string(id), "latency.commit"))) {
   l1_.setCpuPort(*this);
 }
 

@@ -199,10 +199,10 @@ void reg(SimContext& ctx, const std::string& p) { ctx.stats().histogram(p); }
                       "stat-path-literal", "src/noc/network.cpp",
                       R"lint(
 void reg(SimContext& ctx, unsigned id) {
-  ctx.stats().counter("noc.messages", "messages injected");
+  ctx.stats().counter("noc.messages");
   ctx.stats().counter(statPath("core", id, "l1.hits"));
   ctx.stats().counter(stats::statPath("core", id, "l1.misses"));
-  ctx.stats().formula("noc.avg", [] { return 0.0; }, "doc");
+  ctx.stats().formula("noc.avg", [] { return 0.0; });
 }
 )lint"));
   cases.push_back(neg("stat-path-literal/split-literal", "stat-path-literal",

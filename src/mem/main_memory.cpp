@@ -3,8 +3,9 @@
 namespace lktm::mem {
 
 void MainMemory::attachStats(stats::StatRegistry& reg) {
-  lineReads_ = &reg.counter("mem.line_reads", "DRAM line fetches");
-  lineWrites_ = &reg.counter("mem.line_writes", "DRAM line writebacks");
+  // DRAM line fetches and writebacks.
+  lineReads_ = &reg.counter("mem.line_reads");
+  lineWrites_ = &reg.counter("mem.line_writes");
 }
 
 LineData MainMemory::readLine(LineAddr line) const {

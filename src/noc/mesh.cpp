@@ -32,8 +32,7 @@ MeshNetwork::MeshNetwork(sim::SimContext& ctx, MeshParams params)
       pool_(ctx.pool<MeshPacket>()),
       params_(params),
       linkFree_(numTiles()),
-      hopsHist_(ctx.stats().histogram("noc.hops",
-                                      "mesh hop count per message (log2 buckets)")) {
+      hopsHist_(ctx.stats().histogram("noc.hops")) {  // mesh hops per message
   if (params_.cols == 0 || params_.rows == 0) {
     throw std::invalid_argument(
         "mesh geometry must have at least one column and one row, got " +

@@ -10,8 +10,7 @@ namespace lktm::stats {
 ThreadBreakdown::ThreadBreakdown(StatRegistry& reg, const std::string& prefix) {
   for (std::size_t i = 0; i < cycles_.size(); ++i) {
     const auto cat = static_cast<TimeCat>(i);
-    cycles_[i] = &reg.counter(statPath(prefix, "time", timeCatSlug(cat)),
-                              "cycles spent in this execution category");
+    cycles_[i] = &reg.counter(statPath(prefix, "time", timeCatSlug(cat)));
   }
 }
 

@@ -148,7 +148,7 @@ class Parser {
     }
     Value v;
     v.kind = Value::Kind::Number;
-    v.text = src_.substr(start, pos_ - start);  // raw literal, kept for re-emission
+    v.text = src_.substr(start, pos_ - start);  // raw literal, kept for exactU64
     const char* end = v.text.data() + v.text.size();
     // from_chars reports both overflow and underflow to zero as out of range.
     const auto [stop, ec] = std::from_chars(v.text.data(), end, v.number);
@@ -401,49 +401,6 @@ void Writer::value(bool v) {
 void Writer::null() {
   separate();
   os_ << "null";
-}
-
-void Writer::rawNumber(const std::string& literal) {
-  separate();
-  os_ << literal;
-}
-
-void writeValue(Writer& w, const Value& v) {
-  switch (v.kind) {
-    case Value::Kind::Null:
-      w.null();
-      return;
-    case Value::Kind::Bool:
-      w.value(v.boolean);
-      return;
-    case Value::Kind::Number:
-      if (!v.text.empty()) {
-        w.rawNumber(v.text);
-      } else {
-        w.value(v.number);
-      }
-      return;
-    case Value::Kind::String:
-      w.value(v.text);
-      return;
-    case Value::Kind::Array:
-      w.beginArray();
-      if (v.array != nullptr) {
-        for (const Value& e : *v.array) writeValue(w, e);
-      }
-      w.endArray();
-      return;
-    case Value::Kind::Object:
-      w.beginObject();
-      if (v.object != nullptr) {
-        for (const auto& [k, child] : *v.object) {
-          w.key(k);
-          writeValue(w, child);
-        }
-      }
-      w.endObject();
-      return;
-  }
 }
 
 }  // namespace lktm::stats::json

@@ -27,8 +27,8 @@ struct Value {
   bool boolean = false;
   double number = 0.0;
   /// String content for Kind::String; for Kind::Number, the raw literal as it
-  /// appeared in the document. The raw literal is what makes u64 values above
-  /// 2^53 (seeds, counters) survive a parse → re-emit round trip exactly.
+  /// appeared in the document. exactU64 reads integers from the literal, so
+  /// u64 values above 2^53 (seeds, counters) are not rounded through `number`.
   std::string text;
   std::shared_ptr<Array> array;
   std::shared_ptr<Object> object;
@@ -107,9 +107,6 @@ class Writer {
   void value(double v);
   void value(bool v);
   void null();
-  /// Emit a pre-formatted numeric literal verbatim (raw text from a parsed
-  /// Value): the byte-exactness workhorse of artifact merging.
-  void rawNumber(const std::string& literal);
 
   /// key + value in one call.
   template <class T>
@@ -131,12 +128,5 @@ class Writer {
   std::vector<Scope> stack_;
   bool pendingKey_ = false;
 };
-
-/// Re-emit a parsed Value through `w`: objects in key-sorted (map) order,
-/// numbers via their raw literal. Deterministic — the same parsed document
-/// always re-emits the same bytes — which is what lets the sweep orchestrator
-/// merge per-job artifacts into a bit-stable combined document regardless of
-/// how many interruptions/resumes produced them.
-void writeValue(Writer& w, const Value& v);
 
 }  // namespace lktm::stats::json

@@ -78,11 +78,6 @@ std::uint64_t StatSnapshot::value(std::string_view path) const {
   return e != nullptr && e->kind == StatKind::Counter ? e->value : 0;
 }
 
-double StatSnapshot::number(std::string_view path) const {
-  const SnapshotEntry* e = find(path);
-  return e != nullptr && e->kind == StatKind::Formula ? e->number : 0.0;
-}
-
 bool StatSnapshot::matches(std::string_view pattern, std::string_view path) {
   // Segment-wise comparison; '*' matches exactly one segment.
   std::size_t pi = 0, si = 0;
@@ -111,160 +106,73 @@ std::uint64_t StatSnapshot::sumMatching(std::string_view pattern) const {
 }
 
 SnapshotEntry StatSnapshot::mergedHistogram(std::string_view pattern) const {
-  StatSnapshot acc;
   SnapshotEntry out;
   out.path = std::string(pattern);
   out.kind = StatKind::Histogram;
-  acc.add(out);
   for (const SnapshotEntry& e : entries_) {
     if (e.kind != StatKind::Histogram || !matches(pattern, e.path)) continue;
-    StatSnapshot one;
-    SnapshotEntry c = e;
-    c.path = std::string(pattern);
-    one.add(std::move(c));
-    acc.merge(one);
-  }
-  return acc.entries().front();
-}
-
-namespace {
-
-std::uint64_t subSat(std::uint64_t a, std::uint64_t b) { return a >= b ? a - b : 0; }
-
-std::vector<std::pair<unsigned, std::uint64_t>> diffBuckets(
-    const std::vector<std::pair<unsigned, std::uint64_t>>& a,
-    const std::vector<std::pair<unsigned, std::uint64_t>>& b) {
-  std::vector<std::pair<unsigned, std::uint64_t>> out;
-  std::size_t i = 0, j = 0;
-  while (i < a.size()) {
-    while (j < b.size() && b[j].first < a[i].first) ++j;
-    std::uint64_t v = a[i].second;
-    if (j < b.size() && b[j].first == a[i].first) v = subSat(v, b[j].second);
-    if (v != 0) out.emplace_back(a[i].first, v);
-    ++i;
-  }
-  return out;
-}
-
-std::vector<std::pair<unsigned, std::uint64_t>> mergeBuckets(
-    const std::vector<std::pair<unsigned, std::uint64_t>>& a,
-    const std::vector<std::pair<unsigned, std::uint64_t>>& b) {
-  std::vector<std::pair<unsigned, std::uint64_t>> out;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a[i].first < b[j].first)) {
-      out.push_back(a[i++]);
-    } else if (i >= a.size() || b[j].first < a[i].first) {
-      out.push_back(b[j++]);
+    out.count += e.count;
+    if (e.sum > std::numeric_limits<std::uint64_t>::max() - out.sum) {
+      out.sum = std::numeric_limits<std::uint64_t>::max();
+      out.overflowed = true;
     } else {
-      out.emplace_back(a[i].first, a[i].second + b[j].second);
-      ++i;
-      ++j;
+      out.sum += e.sum;
     }
+    out.overflowed = out.overflowed || e.overflowed;
+    out.buckets.insert(out.buckets.end(), e.buckets.begin(), e.buckets.end());
   }
-  return out;
-}
-
-}  // namespace
-
-StatSnapshot StatSnapshot::diff(const StatSnapshot& base) const {
-  StatSnapshot out;
-  for (const SnapshotEntry& e : entries_) {
-    const SnapshotEntry* b = base.find(e.path);
-    if (b == nullptr || b->kind != e.kind) {
-      out.add(e);
-      continue;
-    }
-    SnapshotEntry d = e;
-    d.value = subSat(e.value, b->value);
-    d.count = subSat(e.count, b->count);
-    d.sum = subSat(e.sum, b->sum);
-    d.buckets = diffBuckets(e.buckets, b->buckets);
-    d.number = e.number - b->number;
-    out.add(std::move(d));
-  }
-  return out;
-}
-
-void StatSnapshot::merge(const StatSnapshot& other) {
-  for (const SnapshotEntry& o : other.entries_) {
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), o.path,
-        [](const SnapshotEntry& a, const std::string& p) { return a.path < p; });
-    if (it == entries_.end() || it->path != o.path) {
-      entries_.insert(it, o);
-      continue;
-    }
-    if (it->kind != o.kind) {
-      throw std::logic_error("StatSnapshot::merge: kind mismatch at '" + o.path + "'");
-    }
-    it->value += o.value;
-    if (o.sum > std::numeric_limits<std::uint64_t>::max() - it->sum) {
-      it->sum = std::numeric_limits<std::uint64_t>::max();
-      it->overflowed = true;
+  // Sort by bucket index and add up the entries that share one.
+  std::sort(out.buckets.begin(), out.buckets.end());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < out.buckets.size(); ++i) {
+    if (n != 0 && out.buckets[n - 1].first == out.buckets[i].first) {
+      out.buckets[n - 1].second += out.buckets[i].second;
     } else {
-      it->sum += o.sum;
+      out.buckets[n++] = out.buckets[i];
     }
-    it->overflowed = it->overflowed || o.overflowed;
-    it->buckets = mergeBuckets(it->buckets, o.buckets);
-    // min/max widen; empty sides (count == 0) must not contribute their zeros.
-    if (o.count != 0) {
-      if (it->count == 0) {
-        it->min = o.min;
-        it->max = o.max;
-      } else {
-        it->min = std::min(it->min, o.min);
-        it->max = std::max(it->max, o.max);
-      }
-    }
-    it->count += o.count;
-    // Formulas cannot be re-evaluated from a dump; keep this side's value.
   }
+  out.buckets.resize(n);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // StatRegistry
 
-StatRegistry::Entry& StatRegistry::registerPath(std::string path, std::string help,
-                                                StatKind kind) {
+StatRegistry::Entry& StatRegistry::registerPath(std::string path, StatKind kind) {
   if (path.empty()) throw std::logic_error("StatRegistry: empty stat path");
   const auto [it, inserted] = byPath_.emplace(path, entries_.size());
   if (!inserted) {
     throw std::logic_error("StatRegistry: path already registered: '" + path + "'");
   }
-  entries_.push_back(Entry{std::move(path), std::move(help), kind, 0});
+  entries_.push_back(Entry{std::move(path), kind, 0});
   return entries_.back();
 }
 
-Counter& StatRegistry::counter(std::string path, std::string help) {
-  Entry& e = registerPath(std::move(path), std::move(help), StatKind::Counter);
+Counter& StatRegistry::counter(std::string path) {
+  Entry& e = registerPath(std::move(path), StatKind::Counter);
   e.index = counters_.size();
   counters_.emplace_back();
   return counters_.back();
 }
 
-Histogram& StatRegistry::histogram(std::string path, std::string help) {
-  Entry& e = registerPath(std::move(path), std::move(help), StatKind::Histogram);
+Histogram& StatRegistry::histogram(std::string path) {
+  Entry& e = registerPath(std::move(path), StatKind::Histogram);
   e.index = histograms_.size();
   histograms_.emplace_back();
   return histograms_.back();
 }
 
-Distribution& StatRegistry::distribution(std::string path, std::string help) {
-  Entry& e = registerPath(std::move(path), std::move(help), StatKind::Distribution);
+Distribution& StatRegistry::distribution(std::string path) {
+  Entry& e = registerPath(std::move(path), StatKind::Distribution);
   e.index = distributions_.size();
   distributions_.emplace_back();
   return distributions_.back();
 }
 
-void StatRegistry::formula(std::string path, FormulaFn fn, std::string help) {
-  Entry& e = registerPath(std::move(path), std::move(help), StatKind::Formula);
+void StatRegistry::formula(std::string path, FormulaFn fn) {
+  Entry& e = registerPath(std::move(path), StatKind::Formula);
   e.index = formulas_.size();
   formulas_.push_back(std::move(fn));
-}
-
-bool StatRegistry::contains(std::string_view path) const {
-  return byPath_.find(std::string(path)) != byPath_.end();
 }
 
 void StatRegistry::clear() {
@@ -276,25 +184,14 @@ void StatRegistry::clear() {
   formulas_.clear();
 }
 
-void StatRegistry::reset() {
-  for (Counter& c : counters_) c.reset();
-  for (Histogram& h : histograms_) h.reset();
-  for (Distribution& d : distributions_) d.reset();
-  // Formulas are derived: they re-evaluate from the (reset) stats.
-}
-
-std::vector<std::size_t> StatRegistry::sortedOrder() const {
+StatSnapshot StatRegistry::snapshot() const {
   std::vector<std::size_t> order(entries_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return entries_[a].path < entries_[b].path;
   });
-  return order;
-}
-
-StatSnapshot StatRegistry::snapshot() const {
   StatSnapshot snap;
-  for (const std::size_t i : sortedOrder()) {
+  for (const std::size_t i : order) {
     const Entry& e = entries_[i];
     SnapshotEntry s;
     s.path = e.path;
@@ -328,13 +225,6 @@ StatSnapshot StatRegistry::snapshot() const {
     snap.add(std::move(s));
   }
   return snap;
-}
-
-void StatRegistry::forEach(const std::function<void(const std::string&, StatKind,
-                                                    const std::string&)>& fn) const {
-  for (const std::size_t i : sortedOrder()) {
-    fn(entries_[i].path, entries_[i].kind, entries_[i].help);
-  }
 }
 
 }  // namespace lktm::stats

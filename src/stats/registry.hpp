@@ -16,11 +16,10 @@
 //
 // Lifecycle: SimContext::beginRun() clears the registry; the components of
 // the next run re-register from scratch, so no value can leak between sweep
-// iterations. reset() (zero every value, keep registrations) is the single
-// reset path for harnesses that reuse live components.
+// iterations.
 //
-// Iteration and snapshots are deterministically ordered by path. Registering
-// the same path twice throws.
+// Snapshots are deterministically ordered by path. Registering the same path
+// twice throws.
 #pragma once
 
 #include <array>
@@ -38,7 +37,6 @@ namespace lktm::stats {
 
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { v_ += n; }
   Counter& operator++() {
     ++v_;
     return *this;
@@ -49,7 +47,6 @@ class Counter {
   }
   std::uint64_t value() const { return v_; }
   operator std::uint64_t() const { return v_; }  // NOLINT(google-explicit-constructor)
-  void reset() { v_ = 0; }
 
  private:
   std::uint64_t v_ = 0;
@@ -87,12 +84,6 @@ class Histogram {
   std::uint64_t sum() const { return sum_; }
   bool overflowed() const { return overflowed_; }
   std::uint64_t bucket(unsigned b) const { return buckets_.at(b); }
-  void reset() {
-    buckets_.fill(0);
-    count_ = 0;
-    sum_ = 0;
-    overflowed_ = false;
-  }
 
  private:
   std::array<std::uint64_t, kBuckets> buckets_{};
@@ -114,15 +105,6 @@ class Distribution {
   /// 0 when empty (min/max are meaningless without samples).
   std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
   std::uint64_t max() const { return count_ == 0 ? 0 : max_; }
-  double mean() const {
-    return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-  void reset() {
-    count_ = 0;
-    sum_ = 0;
-    min_ = std::numeric_limits<std::uint64_t>::max();
-    max_ = 0;
-  }
 
  private:
   std::uint64_t count_ = 0;
@@ -167,8 +149,6 @@ class StatSnapshot {
   const SnapshotEntry* find(std::string_view path) const;
   /// Counter value at `path` (0 when absent or not a counter).
   std::uint64_t value(std::string_view path) const;
-  /// Formula value at `path` (0.0 when absent or not a formula).
-  double number(std::string_view path) const;
 
   /// Sum of all *counter* values whose path matches `pattern`, where a `*`
   /// segment matches exactly one path segment: "core.*.commits.htm" sums the
@@ -179,17 +159,6 @@ class StatSnapshot {
   /// wildcard rules as sumMatching): counts, sums (saturating) and buckets
   /// add, overflowed ORs. Path is the pattern; empty entry when none match.
   SnapshotEntry mergedHistogram(std::string_view pattern) const;
-
-  /// Entry-wise `this - base` for entries present in both (counters, counts,
-  /// sums, buckets subtract saturating at 0; formulas subtract; min/max carry
-  /// this snapshot's values — extrema do not diff). Entries absent from
-  /// `base` pass through unchanged; entries only in `base` are dropped.
-  StatSnapshot diff(const StatSnapshot& base) const;
-
-  /// Path-union aggregation for sweeps: counters, counts, sums and buckets
-  /// add; min/max widen; formulas keep this snapshot's value (they cannot be
-  /// re-evaluated from a dump). Kind mismatch on a shared path throws.
-  void merge(const StatSnapshot& other);
 
   bool operator==(const StatSnapshot&) const = default;
 
@@ -209,39 +178,28 @@ class StatRegistry {
 
   /// Register a stat at `path`. References stay valid until clear().
   /// Registering an already-taken path throws std::logic_error.
-  Counter& counter(std::string path, std::string help = "");
-  Histogram& histogram(std::string path, std::string help = "");
-  Distribution& distribution(std::string path, std::string help = "");
-  void formula(std::string path, FormulaFn fn, std::string help = "");
+  Counter& counter(std::string path);
+  Histogram& histogram(std::string path);
+  Distribution& distribution(std::string path);
+  void formula(std::string path, FormulaFn fn);
 
-  bool contains(std::string_view path) const;
   std::size_t size() const { return entries_.size(); }
 
   /// Drop every registration (SimContext::beginRun: the next run's components
   /// re-register from scratch).
   void clear();
 
-  /// Zero every registered value, keeping the registrations. The single
-  /// reset path for harnesses that reuse live components across runs.
-  void reset();
-
   /// Evaluate every stat (including formulas) into a path-sorted snapshot.
   StatSnapshot snapshot() const;
-
-  /// Deterministic path-sorted iteration over (path, kind, help).
-  void forEach(const std::function<void(const std::string& path, StatKind kind,
-                                        const std::string& help)>& fn) const;
 
  private:
   struct Entry {
     std::string path;
-    std::string help;
     StatKind kind = StatKind::Counter;
     std::size_t index = 0;  ///< into the kind's deque
   };
 
-  Entry& registerPath(std::string path, std::string help, StatKind kind);
-  std::vector<std::size_t> sortedOrder() const;
+  Entry& registerPath(std::string path, StatKind kind);
 
   std::vector<Entry> entries_;
   std::unordered_map<std::string, std::size_t> byPath_;

@@ -46,8 +46,7 @@ std::array<Counter*, TxStats::kCauses> registerCauses(StatRegistry& reg,
   std::array<Counter*, TxStats::kCauses> out{};
   for (std::size_t i = 0; i < TxStats::kCauses; ++i) {
     const auto cause = static_cast<AbortCause>(i);
-    out[i] = &reg.counter(statPath(prefix, "aborts", abortCauseSlug(cause)),
-                          "aborts attributed to this cause");
+    out[i] = &reg.counter(statPath(prefix, "aborts", abortCauseSlug(cause)));
   }
   return out;
 }
@@ -55,21 +54,19 @@ std::array<Counter*, TxStats::kCauses> registerCauses(StatRegistry& reg,
 }  // namespace
 
 TxStats::TxStats(StatRegistry& reg, const std::string& prefix)
-    : htmCommits(reg.counter(statPath(prefix, "commits.htm"),
-                             "transactions committed speculatively")),
-      lockCommits(reg.counter(statPath(prefix, "commits.lock"),
-                              "critical sections completed in TL mode")),
-      stlCommits(reg.counter(statPath(prefix, "commits.stl"),
-                             "transactions that switched (STL) and committed")),
-      stmCommits(reg.counter(statPath(prefix, "commits.stm"),
-                             "software (TL2 path) transactions committed")),
-      aborts(reg.counter(statPath(prefix, "aborts.total"),
-                         "total aborted speculative attempts")),
+    // commits.htm: committed speculatively; commits.lock: critical sections
+    // completed in TL mode; commits.stl: switched (STL) and committed;
+    // commits.stm: committed on the software (TL2) path.
+    : htmCommits(reg.counter(statPath(prefix, "commits.htm"))),
+      lockCommits(reg.counter(statPath(prefix, "commits.lock"))),
+      stlCommits(reg.counter(statPath(prefix, "commits.stl"))),
+      stmCommits(reg.counter(statPath(prefix, "commits.stm"))),
+      aborts(reg.counter(statPath(prefix, "aborts.total"))),
       abortsByCause(registerCauses(reg, prefix)),
       switchAttempts(reg.counter(statPath(prefix, "switch.attempts"))),
       switchGrants(reg.counter(statPath(prefix, "switch.grants"))),
-      rejectsSent(reg.counter(statPath(prefix, "rejects.sent"),
-                              "recovery: toxic requests revoked")),
+      // Recovery: toxic requests this core revoked.
+      rejectsSent(reg.counter(statPath(prefix, "rejects.sent"))),
       rejectsReceived(reg.counter(statPath(prefix, "rejects.received"))),
       wakeupsSent(reg.counter(statPath(prefix, "wakeups.sent"))) {}
 

@@ -111,7 +111,7 @@ TEST(Mesh, CountsFlitHops) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 1u);
   EXPECT_EQ(h->sum, 2u);
-  EXPECT_DOUBLE_EQ(snap.number("noc.avg_flit_hops_per_msg"), kDataFlits * 3.0);
+  EXPECT_DOUBLE_EQ(snap.find("noc.avg_flit_hops_per_msg")->number, kDataFlits * 3.0);
 }
 
 TEST(Ideal, FixedLatency) {

@@ -48,13 +48,6 @@ Value& statAt(Value& run, const std::string& path) {
   throw std::logic_error("fixture lacks stat " + path);
 }
 
-std::string textOf(const Value& doc) {
-  std::ostringstream os;
-  json::Writer w(os, /*pretty=*/true);
-  json::writeValue(w, doc);
-  return os.str();
-}
-
 /// Apply each mutation to a fresh parse of `base` and require `read` to
 /// throw a std::runtime_error that names the mutated field. The unmutated
 /// document must read cleanly.
@@ -74,16 +67,19 @@ void expectEachRejected(const std::string& base, const std::vector<Mutation>& ta
   }
 }
 
-/// What `lktm-sim --system LockillerTM --workload counter --threads 4
-/// --stats-json` writes (wall_seconds aside).
-std::string counterArtifact() {
+/// The run `lktm-sim --system LockillerTM --workload counter --threads 4`
+/// makes, and below, the artifact its --stats-json writes (wall_seconds
+/// aside).
+cfg::RunResult counterRun() {
   cfg::RunConfig rc;
   rc.system = cfg::systemByName("LockillerTM");
   rc.threads = 4;
-  const cfg::RunResult r =
-      cfg::runSimulation(rc, [] { return wl::makeCounter(4, 2, 256, 11); });
+  return cfg::runSimulation(rc, [] { return wl::makeCounter(4, 2, 256, 11); });
+}
+
+std::string counterArtifact() {
   std::ostringstream os;
-  cfg::writeStatsJson(os, r);
+  cfg::writeStatsJson(os, counterRun());
   return os.str();
 }
 
@@ -243,8 +239,7 @@ TEST(SchemaReader, SmokeManifestRejectsEachCorruption) {
        },
        "duplicate job id"},
   };
-  expectEachRejected(base, table,
-                     [](const Value& doc) { cfg::SweepManifest::fromJson(textOf(doc)); });
+  expectEachRejected(base, table, [](const Value& doc) { cfg::SweepManifest::fromJson(doc); });
 }
 
 TEST(SchemaReader, CommittedSummaryRejectsEachCorruption) {
@@ -290,6 +285,37 @@ TEST(SchemaReader, SummaryDerivedBlockIsTheStatsOne) {
   EXPECT_EQ(runs[0].derived, cfg::DerivedMetrics::of(run));
   EXPECT_EQ(runs[0].run.seed, run.seed);
   EXPECT_EQ(runs[0].run.cycles, run.cycles);
+}
+
+TEST(SchemaReader, SummaryOfAMalformedRunThrows) {
+  // The summary writer reads every run with the summary-run reader before it
+  // writes a byte: a malformed run throws naming its field instead of being
+  // dropped or copied into a summary that the summary reader rejects.
+  const cfg::RunResult r = counterRun();
+  std::ostringstream twoRuns;
+  cfg::writeStatsJson(twoRuns, 2, [&r](std::size_t) -> const cfg::RunResult& { return r; });
+  const std::vector<Mutation> table = {
+      {"second run lacks cycles",
+       [](Value& doc) { member(doc, "runs").array->at(1).object->erase("cycles"); },
+       "runs[1]: missing \"cycles\""},
+      {"second run not an object",
+       [](Value& doc) { member(doc, "runs").array->at(1) = literal("7"); },
+       "runs[1]: run entry is not an object"},
+      {"p99 a string",
+       [](Value& doc) {
+         member(member(member(run0(doc), "derived"), "commit_latency"), "p99") =
+             literal("\"447\"");
+       },
+       "\"p99\""},
+      {"a lktm.summary.v1 input",
+       [](Value& doc) { member(doc, "schema") = literal("\"lktm.summary.v1\""); },
+       "not a lktm.stats.v1 document"},
+  };
+  expectEachRejected(twoRuns.str(), table, [](const Value& doc) {
+    std::ostringstream summary;
+    cfg::writeSummaryArtifact(doc, summary);
+    ASSERT_EQ(cfg::summaryRunsFromJson(json::parse(summary.str())).size(), 2u);
+  });
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Instrumentation-spine tests: registry semantics (paths, kinds, lifecycle),
-// snapshot algebra, the TxStats/ThreadBreakdown handle bundles, the versioned
+// snapshot queries, the TxStats/ThreadBreakdown handle bundles, the versioned
 // stats-JSON artifact, the trace layer, and the sweep reset-leakage
 // regression (same config run twice through a shared SimContext must yield
 // identical snapshots).
@@ -33,13 +33,14 @@ namespace {
 
 TEST(Registry, CountersRegisterAndAccumulate) {
   StatRegistry reg;
-  Counter& c = reg.counter("a.b.c", "help text");
+  Counter& c = reg.counter("a.b.c");
   ++c;
   c += 4;
-  c.inc();
-  EXPECT_EQ(c.value(), 6u);
-  EXPECT_TRUE(reg.contains("a.b.c"));
-  EXPECT_FALSE(reg.contains("a.b"));
+  EXPECT_EQ(c.value(), 5u);
+  const StatSnapshot snap = reg.snapshot();
+  ASSERT_NE(snap.find("a.b.c"), nullptr);
+  EXPECT_EQ(snap.find("a.b.c")->value, 5u);
+  EXPECT_EQ(snap.find("a.b"), nullptr);
   EXPECT_EQ(reg.size(), 1u);
 }
 
@@ -65,16 +66,11 @@ TEST(Registry, SnapshotIsPathSorted) {
   EXPECT_EQ(snap.entries()[2].path, "z.last");
 }
 
-TEST(Registry, ClearDropsRegistrationsResetKeepsThem) {
+TEST(Registry, ClearDropsRegistrations) {
   StatRegistry reg;
-  Counter& c = reg.counter("x");
-  c += 7;
-  reg.reset();
-  EXPECT_TRUE(reg.contains("x"));
-  EXPECT_EQ(c.value(), 0u);  // same storage, zeroed
-  c += 2;
+  reg.counter("x") += 7;
   reg.clear();
-  EXPECT_FALSE(reg.contains("x"));
+  EXPECT_EQ(reg.snapshot().find("x"), nullptr);
   EXPECT_EQ(reg.size(), 0u);
   // The path is free again (the sweep re-registration path).
   reg.counter("x");
@@ -88,10 +84,10 @@ TEST(Registry, FormulaEvaluatesAtSnapshotTime) {
     return d.value() == 0 ? 0.0
                           : static_cast<double>(n.value()) / static_cast<double>(d.value());
   });
-  EXPECT_DOUBLE_EQ(reg.snapshot().number("ratio"), 0.0);
+  EXPECT_DOUBLE_EQ(reg.snapshot().find("ratio")->number, 0.0);
   n += 6;
   d += 4;
-  EXPECT_DOUBLE_EQ(reg.snapshot().number("ratio"), 1.5);
+  EXPECT_DOUBLE_EQ(reg.snapshot().find("ratio")->number, 1.5);
 }
 
 // --------------------------------------------------------------- histogram
@@ -161,9 +157,6 @@ TEST(Histogram, SumSaturatesAtBoundaryInsteadOfWrapping) {
   h.record(kMax);  // stays saturated
   EXPECT_EQ(h.sum(), kMax);
   EXPECT_TRUE(h.overflowed());
-  h.reset();
-  EXPECT_EQ(h.sum(), 0u);
-  EXPECT_FALSE(h.overflowed());
 }
 
 TEST(HistogramPercentile, SmallExactValues) {
@@ -253,10 +246,9 @@ TEST(Distribution, TracksExtrema) {
   EXPECT_EQ(d.sum(), 52u);
   EXPECT_EQ(d.min(), 3u);
   EXPECT_EQ(d.max(), 40u);
-  EXPECT_DOUBLE_EQ(d.mean(), 52.0 / 3.0);
 }
 
-// ---------------------------------------------------------- snapshot algebra
+// ---------------------------------------------------------- snapshot queries
 
 TEST(Snapshot, SumMatchingWildcardIsOneSegment) {
   StatRegistry reg;
@@ -270,56 +262,6 @@ TEST(Snapshot, SumMatchingWildcardIsOneSegment) {
   EXPECT_EQ(snap.sumMatching("core.*.commits.*"), 112u);
   EXPECT_EQ(snap.sumMatching("core.*"), 0u);  // '*' never spans segments
   EXPECT_EQ(snap.sumMatching("nothing.*.here"), 0u);
-}
-
-TEST(Snapshot, DiffThenMergeRecoversCounters) {
-  StatRegistry reg;
-  Counter& a = reg.counter("a");
-  Counter& b = reg.counter("b");
-  a += 10;
-  b += 2;
-  const StatSnapshot base = reg.snapshot();
-  a += 5;
-  b += 1;
-  const StatSnapshot later = reg.snapshot();
-
-  StatSnapshot delta = later.diff(base);
-  EXPECT_EQ(delta.value("a"), 5u);
-  EXPECT_EQ(delta.value("b"), 1u);
-
-  // merge(base) on the diff reconstructs the later snapshot's counters.
-  delta.merge(base);
-  EXPECT_EQ(delta.value("a"), later.value("a"));
-  EXPECT_EQ(delta.value("b"), later.value("b"));
-}
-
-TEST(Snapshot, MergeSumsCountersAndWidensExtrema) {
-  StatRegistry r1;
-  r1.counter("c") += 3;
-  r1.distribution("d").record(5);
-  StatRegistry r2;
-  r2.counter("c") += 4;
-  r2.distribution("d").record(50);
-  r2.counter("only_in_two") += 9;
-
-  StatSnapshot s = r1.snapshot();
-  s.merge(r2.snapshot());
-  EXPECT_EQ(s.value("c"), 7u);
-  EXPECT_EQ(s.value("only_in_two"), 9u);
-  const SnapshotEntry* d = s.find("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count, 2u);
-  EXPECT_EQ(d->min, 5u);
-  EXPECT_EQ(d->max, 50u);
-}
-
-TEST(Snapshot, MergeKindMismatchThrows) {
-  StatRegistry r1;
-  r1.counter("p");
-  StatRegistry r2;
-  r2.histogram("p");
-  StatSnapshot s = r1.snapshot();
-  EXPECT_THROW(s.merge(r2.snapshot()), std::logic_error);
 }
 
 // -------------------------------------------------------- handle bundles

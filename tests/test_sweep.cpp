@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "config/artifact.hpp"
 #include "config/orchestrator.hpp"
@@ -161,7 +164,7 @@ TEST(Orchestrator, ManifestRoundTripPreservesU64Seeds) {
   j.cycles = 0xfedcba9876543210ull;
   m.jobs.push_back(j);
 
-  const SweepManifest back = SweepManifest::fromJson(m.toJson());
+  const SweepManifest back = SweepManifest::fromJson(stats::json::parse(m.toJson()));
   ASSERT_EQ(back.jobs.size(), 1u);
   EXPECT_EQ(back.artifactDir, "runs");
   EXPECT_TRUE(back.jobs[0].spec == j.spec);
@@ -197,7 +200,8 @@ TEST(Orchestrator, DuplicateJobIdsRejected) {
   m.jobs.resize(2);
   m.jobs[0].spec = JobSpec{"A", "w", "typical", 2, 11};
   m.jobs[1].spec = JobSpec{"A", "w", "typical", 2, 11};
-  EXPECT_THROW((void)SweepManifest::fromJson(m.toJson()), std::runtime_error);
+  EXPECT_THROW((void)SweepManifest::fromJson(stats::json::parse(m.toJson())),
+               std::runtime_error);
 }
 
 TEST(Orchestrator, FiguresPresetIsTheRenderedGrid) {
@@ -510,6 +514,97 @@ TEST(Orchestrator, MergedArtifactIsValidStatsV1) {
     EXPECT_EQ(runs[i].seed, jobRunSeed(m.jobs[i].spec.seed, m.jobs[i].spec.system,
                                        m.jobs[i].spec.workload, m.jobs[i].spec.threads));
   }
+}
+
+/// Where the number after the first `"key": ` at or after `from` starts in
+/// `text`, and its length.
+std::pair<std::size_t, std::size_t> numberAt(const std::string& text, const std::string& key,
+                                             std::size_t from) {
+  const std::string tag = "\"" + key + "\": ";
+  const std::size_t at = text.find(tag, from);
+  if (at == std::string::npos) throw std::logic_error("no " + tag + " in the document");
+  const std::size_t start = at + tag.size();
+  return {start, text.find_first_of(",\n}", start) - start};
+}
+
+std::string numberAfter(const std::string& text, const std::string& key,
+                        std::size_t from = 0) {
+  const auto [start, len] = numberAt(text, key, from);
+  return text.substr(start, len);
+}
+
+std::string withNumber(std::string text, const std::string& key, const std::string& value,
+                       std::size_t from = 0) {
+  const auto [start, len] = numberAt(text, key, from);
+  return text.replace(start, len, value);
+}
+
+TEST(Orchestrator, MergedRunIsThePerJobRun) {
+  // One writer per schema: the merged document is the per-job artifacts'
+  // run entries, byte for byte, with only "wall_seconds" zeroed.
+  const std::string dir = tempDir("merged_runs");
+  SweepManifest m = testManifest(dir + "/runs");
+  OrchestratorOptions opts;
+  opts.hostThreads = 2;
+  runManifest(m, dir + "/sweep.json", opts);
+  ASSERT_TRUE(m.allOk());
+  ASSERT_TRUE(writeMergedArtifact(m, dir + "/merged.json"));
+
+  const std::string head = "{\n  \"schema\": \"lktm.stats.v1\",\n  \"runs\": [\n";
+  const std::string tail = "\n  ]\n}\n";
+  std::string want = head;
+  for (const JobRecord& j : m.jobs) {
+    const std::string doc = withNumber(readFile(j.artifact), "wall_seconds", "0");
+    ASSERT_EQ(doc.substr(0, head.size()), head);
+    ASSERT_EQ(doc.substr(doc.size() - tail.size()), tail);
+    if (want.size() > head.size()) want += ",\n";
+    want += doc.substr(head.size(), doc.size() - head.size() - tail.size());
+  }
+  want += tail;
+  EXPECT_EQ(readFile(dir + "/merged.json"), want);
+}
+
+TEST(Orchestrator, MergeRejectsAnInvalidJobArtifact) {
+  // A per-job p99 hand-set to its p999: the stats reader rejects the
+  // artifact, so merge must fail naming the job and the field, and leave no
+  // merged file a reader would reject.
+  const std::string dir = tempDir("merge_invalid");
+  SweepManifest m = makeManifest(dir + "/runs", "typical", {"TL2-STM"}, {"ycsb"}, {4});
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  runManifest(m, dir + "/sweep.json", opts);
+  ASSERT_TRUE(m.allOk());
+  const std::string artifact = readFile(m.jobs[0].artifact);
+  const std::size_t lat = artifact.find("\"commit_latency\"");
+  const std::string p999 = numberAfter(artifact, "p999", lat);
+  ASSERT_NE(numberAfter(artifact, "p99", lat), p999);  // the corruption bites
+  ASSERT_TRUE(writeFileAtomic(m.jobs[0].artifact, withNumber(artifact, "p99", p999, lat)));
+
+  const std::string out = dir + "/merged.json";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(writeMergedArtifact(m, out));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(m.jobs[0].spec.id()), std::string::npos) << err;
+  EXPECT_NE(err.find("commit_latency.p99"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(out));
+}
+
+TEST(Orchestrator, MergeWithNoOkJobFailsAndWritesNothing) {
+  // Every job times out: there is no run to merge, and a document with an
+  // empty "runs" is one the stats reader rejects.
+  const std::string dir = tempDir("merge_none_ok");
+  SweepManifest m = testManifest(dir + "/runs");
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  opts.jobCycleBudget = 10;
+  runManifest(m, dir + "/sweep.json", opts);
+  ASSERT_TRUE(m.complete());
+  ASSERT_EQ(m.countIn(JobState::Timeout), m.jobs.size());
+  const std::string out = dir + "/merged.json";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(writeMergedArtifact(m, out));
+  testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(fs::exists(out));
 }
 
 }  // namespace

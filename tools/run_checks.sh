@@ -9,9 +9,10 @@
 # directory path and verify that a 513-core machine is rejected with the
 # 512-core limit, run the bounded 2-bank model-checker configs (clean + the
 # swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
-# (interrupt + resume must merge bit-identical to an uninterrupted run, and
-# `status` must report the interrupted run's progress, under the default and
-# sanitize builds), run the end-to-end benchmark's smoke mode
+# (interrupt + resume must merge bit-identical to an uninterrupted run,
+# `status` must report the interrupted run's progress, and merge must exit 1
+# and write nothing for a corrupted per-job p99 or an all-timeout sweep,
+# under the default and sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
 # of all four benchmark workloads), rerun paper_figures (every paper table
 # and figure, from one run of the `figures` preset) and ablation_mechanisms
@@ -226,6 +227,32 @@ run_sweep_smoke() {
   "$bdir/tools/lktm_sweep" merge --manifest "$d/b/sweep.json" --out "$d/b/merged.json" >/dev/null
   cmp "$d/a/merged.json" "$d/b/merged.json"
   "$bdir/tools/validate_stats_json" "$d/a/sweep.json" "$d/a/merged.json" "$d/a/sweep.json.d"/*.json
+  # Merge bites: merge reads every per-job artifact with the schema reader,
+  # so a p99 hand-set to its p999 (now that b is merged and checked) must
+  # make it exit 1 and leave no --out file; so must a sweep whose jobs all
+  # timed out, which has no run to merge.
+  local f="$d/b/sweep.json.d/Baseline_bank_typical_2_11.json" p999
+  p999="$(sed -n 's/^ *"p999": \([0-9]*\)$/\1/p' "$f")"
+  sed -i "s/\"p99\": [0-9]*,/\"p99\": $p999,/" "$f"
+  if [[ -z "$p999" ]] || "$bdir/tools/validate_stats_json" "$f" >/dev/null 2>&1; then
+    echo "the corrupted p99 in $f did not bite" >&2
+    return 1
+  fi
+  if "$bdir/tools/lktm_sweep" merge --manifest "$d/b/sweep.json" \
+      --out "$d/b/bad.json" >/dev/null 2>&1 || [[ -e "$d/b/bad.json" ]]; then
+    echo "merge accepted an artifact whose p99 is its p999" >&2
+    return 1
+  fi
+  mkdir -p "$d/c"
+  "$bdir/tools/lktm_sweep" plan --preset smoke --manifest "$d/c/sweep.json" >/dev/null
+  "$bdir/tools/lktm_sweep" run --manifest "$d/c/sweep.json" --cycle-budget 10 \
+    --quiet >/dev/null 2>&1 || true
+  if "$bdir/tools/lktm_sweep" merge --manifest "$d/c/sweep.json" \
+      --out "$d/c/merged.json" --summary "$d/c/summary.json" >/dev/null 2>&1 ||
+      [[ -e "$d/c/merged.json" || -e "$d/c/summary.json" ]]; then
+    echo "merge of an all-timeout sweep did not fail cleanly" >&2
+    return 1
+  fi
 }
 run_sweep_smoke build
 

@@ -31,7 +31,7 @@ std::string validate(const std::string& text) {
   } else if (schema == cfg::kSummarySchema) {
     cfg::summaryRunsFromJson(doc);
   } else if (schema == cfg::kManifestSchema) {
-    cfg::SweepManifest::fromJson(text);
+    cfg::SweepManifest::fromJson(doc);
   } else {
     throw std::runtime_error("schema is \"" + schema + "\", expected \"" +
                              cfg::kStatsSchema + "\", \"" + cfg::kSummarySchema +

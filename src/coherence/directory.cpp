@@ -61,14 +61,7 @@ void DirectoryController::connectL1(CoreId core, MsgSink* sink) {
 }
 
 void DirectoryController::preloadLlc(LineAddr from, LineAddr to) {
-  if (to > from) {
-    const std::size_t perBank = (to - from) / banks_.size() + 1;
-    for (Bank& b : banks_) b.llc.reserve(b.llc.size() + perBank);
-  }
-  for (LineAddr l = from; l < to; ++l) {
-    auto [data, inserted] = bankFor(l).llc.tryEmplace(l);
-    if (inserted) *data = memory_.readLine(l);
-  }
+  memory_.warmLlc(from, to);
 }
 
 void DirectoryController::sendToL1(CoreId core, Msg msg) {
@@ -84,19 +77,6 @@ void DirectoryController::sendBankToBank(unsigned srcBank, unsigned dstBank,
        std::move(msg));
 }
 
-mem::LineData& DirectoryController::llcFetch(Bank& b, LineAddr line, bool& cold) {
-  if (mem::LineData* data = b.llc.find(line)) {
-    cold = false;
-    ++llcHits_;
-    return *data;
-  }
-  cold = true;
-  ++llcMisses_;
-  mem::LineData* data = b.llc.tryEmplace(line).first;
-  *data = memory_.readLine(line);
-  return *data;
-}
-
 DirectoryController::DirSnapshot DirectoryController::snapshot(LineAddr line) const {
   DirSnapshot s;
   const Bank& b = bankFor(line);
@@ -106,11 +86,6 @@ DirectoryController::DirSnapshot DirectoryController::snapshot(LineAddr line) co
   }
   s.busy = b.pending.contains(line);
   return s;
-}
-
-mem::LineData DirectoryController::llcData(LineAddr line) const {
-  if (const mem::LineData* data = bankFor(line).llc.find(line)) return *data;
-  return memory_.readLine(line);
 }
 
 bool DirectoryController::anyOverflow() const {
@@ -177,7 +152,7 @@ void DirectoryController::onMessage(const Msg& msg) {
     case MsgType::FwdReject: return onFwdResponse(msg);
     case MsgType::PutM: return onPutM(msg);
     case MsgType::WbClean: {
-      bankFor(msg.line).llc[msg.line] = msg.data;
+      memory_.writeBackLlc(msg.line, msg.data);
       return;
     }
     case MsgType::TxAbortInv: {
@@ -217,7 +192,7 @@ void DirectoryController::startRequest(const Msg& msg) {
   p.rejectHint = AbortCause::MemConflict;
   p.waitUnblock = false;
   // LLC/tag access latency; cold lines additionally pay the memory latency.
-  const bool cold = !b.llc.contains(msg.line);
+  const bool cold = !memory_.inLlc(msg.line);
   const Cycle lat = params_.llcLatency + (cold ? params_.memLatency : 0);
   engine_.schedule(lat, [this, line = msg.line]() { handleRequest(line); });
 }
@@ -228,8 +203,11 @@ void DirectoryController::handleRequest(LineAddr line) {
   assert(pp != nullptr);
   Pending& p = *pp;
   DirInfo& d = b.dir[line];
-  bool cold = false;
-  llcFetch(b, line, cold);  // materialize data
+  if (memory_.fillLlc(line)) {
+    ++llcMisses_;
+  } else {
+    ++llcHits_;
+  }
 
   // HTMLock mechanism: LLC overflow-signature filter (Fig 5 step 3),
   // answered entirely from this bank's signatures and lock mirror.
@@ -246,19 +224,19 @@ void DirectoryController::handleRequest(LineAddr line) {
   }
 
   if (wantX) {
-    handleGetX(b, p, d);
+    handleGetX(p, d);
   } else {
-    handleGetS(b, p, d);
+    handleGetS(p, d);
   }
 }
 
-void DirectoryController::handleGetS(Bank& b, Pending& p, DirInfo& d) {
+void DirectoryController::handleGetS(Pending& p, DirInfo& d) {
   const LineAddr line = p.req.line;
   const CoreId r = p.req.from;
   if (d.owner == r || !d.hasCopies()) {
     // No other copies (or the owner silently dropped a clean line and is
     // re-requesting): grant exclusive, MESI E-state optimization.
-    Msg resp{.type = MsgType::DataE, .line = line, .data = b.llc[line], .hasData = true};
+    Msg resp{.type = MsgType::DataE, .line = line, .data = memory_.lineData(line), .hasData = true};
     d.owner = r;
     d.sharers.clear();
     p.waitUnblock = true;
@@ -272,18 +250,18 @@ void DirectoryController::handleGetS(Bank& b, Pending& p, DirInfo& d) {
     return;
   }
   // Shared: serve from LLC.
-  Msg resp{.type = MsgType::DataS, .line = line, .data = b.llc[line], .hasData = true};
+  Msg resp{.type = MsgType::DataS, .line = line, .data = memory_.lineData(line), .hasData = true};
   d.sharers.insert(r);
   p.waitUnblock = true;
   sendToL1(r, std::move(resp));
 }
 
-void DirectoryController::handleGetX(Bank& b, Pending& p, DirInfo& d) {
+void DirectoryController::handleGetX(Pending& p, DirInfo& d) {
   const LineAddr line = p.req.line;
   const CoreId r = p.req.from;
   if (d.owner == r) {
     // Owner silently dropped its clean copy and wants it back exclusively.
-    Msg resp{.type = MsgType::DataE, .line = line, .data = b.llc[line], .hasData = true};
+    Msg resp{.type = MsgType::DataE, .line = line, .data = memory_.lineData(line), .hasData = true};
     p.waitUnblock = true;
     sendToL1(r, std::move(resp));
     return;
@@ -302,7 +280,7 @@ void DirectoryController::handleGetX(Bank& b, Pending& p, DirInfo& d) {
   if (others == 0) {
     // Even when the requester is a listed sharer, send data: it may have
     // silently dropped its clean copy, and the directory cannot tell.
-    Msg resp{.type = MsgType::DataE, .line = line, .data = b.llc[line], .hasData = true};
+    Msg resp{.type = MsgType::DataE, .line = line, .data = memory_.lineData(line), .hasData = true};
     d.sharers.clear();
     d.owner = r;
     p.waitUnblock = true;
@@ -313,7 +291,7 @@ void DirectoryController::handleGetX(Bank& b, Pending& p, DirInfo& d) {
     // Injected defect: grant exclusive data while the sharers keep their
     // copies and stay listed — the requester and every sharer now hold the
     // line simultaneously, violating SWMR.
-    Msg resp{.type = MsgType::DataE, .line = line, .data = b.llc[line], .hasData = true};
+    Msg resp{.type = MsgType::DataE, .line = line, .data = memory_.lineData(line), .hasData = true};
     d.owner = r;
     p.waitUnblock = true;
     sendToL1(r, std::move(resp));
@@ -328,9 +306,10 @@ void DirectoryController::handleGetX(Bank& b, Pending& p, DirInfo& d) {
 }
 
 void DirectoryController::hashState(sim::StateHasher& h) const {
-  h.section(0x30);  // LLC data, per bank
-  for (const Bank& b : banks_) {
-    b.llc.forEachOrdered([&](LineAddr line, const mem::LineData& data) {
+  h.section(0x30);  // LLC data, per bank: each bank's resident lines, ascending
+  for (unsigned bi = 0; bi < banks_.size(); ++bi) {
+    memory_.forEachLlcLine([&](LineAddr line, const mem::LineData& data) {
+      if (bankOfLine(line) != bi) return;
       h.put(line);
       for (std::uint64_t word : data) h.put(word);
     });
@@ -418,7 +397,7 @@ void DirectoryController::onInvResponse(const Msg& msg, bool rejected) {
     finishPending(msg.line);
     return;
   }
-  Msg resp{.type = MsgType::DataE, .line = msg.line, .data = b.llc[msg.line],
+  Msg resp{.type = MsgType::DataE, .line = msg.line, .data = memory_.lineData(msg.line),
            .hasData = true};
   d.sharers.clear();
   d.owner = r;
@@ -446,7 +425,7 @@ void DirectoryController::onFwdResponse(const Msg& msg) {
       // requester receives exclusive data either way.
       d.owner = r;
       d.sharers.clear();
-      Msg resp{.type = MsgType::DataE, .line = msg.line, .data = b.llc[msg.line], .hasData = true};
+      Msg resp{.type = MsgType::DataE, .line = msg.line, .data = memory_.lineData(msg.line), .hasData = true};
       p.acksLeft = 0;
       p.waitUnblock = true;
       sendToL1(r, std::move(resp));
@@ -454,20 +433,20 @@ void DirectoryController::onFwdResponse(const Msg& msg) {
     }
     case MsgType::FwdAck: {
       if (msg.hasData) {
-        b.llc[msg.line] = msg.data;
+        memory_.writeBackLlc(msg.line, msg.data);
         ++writebacks_;
       }
       Msg resp;
       if (isGetX) {
         d.sharers.clear();
         d.owner = r;
-        resp = Msg{.type = MsgType::DataE, .line = msg.line, .data = b.llc[msg.line], .hasData = true};
+        resp = Msg{.type = MsgType::DataE, .line = msg.line, .data = memory_.lineData(msg.line), .hasData = true};
       } else {
         const CoreId prevOwner = d.owner;
         d.owner = kNoCore;
         d.sharers.insert(r);
         if (msg.keptCopy && prevOwner != kNoCore) d.sharers.insert(prevOwner);
-        resp = Msg{.type = MsgType::DataS, .line = msg.line, .data = b.llc[msg.line], .hasData = true};
+        resp = Msg{.type = MsgType::DataS, .line = msg.line, .data = memory_.lineData(msg.line), .hasData = true};
       }
       p.acksLeft = 0;
       p.waitUnblock = true;
@@ -482,7 +461,7 @@ void DirectoryController::onFwdResponse(const Msg& msg) {
 void DirectoryController::onPutM(const Msg& msg) {
   Bank& b = bankFor(msg.line);
   if (DirInfo* d = b.dir.find(msg.line); d != nullptr && d->owner == msg.from) {
-    b.llc[msg.line] = msg.data;
+    memory_.writeBackLlc(msg.line, msg.data);
     d->owner = kNoCore;
     ++writebacks_;
   }
@@ -500,7 +479,7 @@ void DirectoryController::onSigAdd(const Msg& msg) {
     d->sharers.erase(msg.from);
   }
   if (msg.hasData) {
-    b.llc[msg.line] = msg.data;
+    memory_.writeBackLlc(msg.line, msg.data);
     ++writebacks_;
     Msg ack{.type = MsgType::PutAck, .line = msg.line};
     sendToL1(msg.from, std::move(ack));

@@ -9,7 +9,7 @@
 //
 // Banking: the logical directory is sharded into numBanks address-interleaved
 // banks (bank = line mod numBanks, numBanks a power of two). Each bank owns
-// its own line tables, pending queue, wait queues, and HTMLock signature
+// its own directory table, pending queue, wait queues, and HTMLock signature
 // pair. The SwitchArbiter slot stays globally unique and lives at the *home
 // bank* (bank 0, where HlaReq/SigClear arrive), but its decisions now travel
 // to the other banks as explicit NoC messages: a grant broadcasts
@@ -20,10 +20,13 @@
 // degenerates to a synchronous local update and the controller is
 // message-for-message identical to the pre-banking monolith.
 //
-// Capacity note (documented in DESIGN.md): the LLC data store is sparse and
-// effectively unbounded; LLC capacity effects are second-order for the
-// paper's experiments (its sensitivity axis is the L1), while cold misses do
-// pay the memory latency.
+// Capacity note (documented in DESIGN.md): the LLC is unbounded and never
+// evicts; LLC capacity effects are second-order for the paper's experiments
+// (its sensitivity axis is the L1), while cold misses do pay the memory
+// latency. Because nothing is evicted and the directory never writes DRAM,
+// a resident line's memory copy is never read again, so the LLC keeps no
+// data of its own: MainMemory holds each line once, with an in-LLC bit, and
+// the warmed footprint is one line range there.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +60,9 @@ class DirectoryController final : public MsgSink {
 
   /// Warm the inclusive LLC with the lines [from, to) before simulation, so
   /// short benchmark runs measure steady-state behaviour instead of cold-miss
-  /// serialization (documented substitution in DESIGN.md).
+  /// serialization (documented substitution in DESIGN.md). O(1) on an LLC
+  /// with nothing resident (MainMemory::warmLlc); counts one mem.line_reads
+  /// per newly resident line.
   void preloadLlc(LineAddr from, LineAddr to);
 
   void onMessage(const Msg& msg) override;
@@ -70,8 +75,9 @@ class DirectoryController final : public MsgSink {
   };
   DirSnapshot snapshot(LineAddr line) const;
 
-  bool llcHas(LineAddr line) const { return bankFor(line).llc.contains(line); }
-  mem::LineData llcData(LineAddr line) const;
+  bool llcHas(LineAddr line) const { return memory_.inLlc(line); }
+  /// The line's data at the LLC: the one copy MainMemory keeps.
+  mem::LineData llcData(LineAddr line) const { return memory_.lineData(line); }
 
   unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
   unsigned bankOfLine(LineAddr line) const {
@@ -154,12 +160,12 @@ class DirectoryController final : public MsgSink {
     bool waitUnblock = false;
   };
 
-  /// One address-interleaved directory shard: independent line tables plus
-  /// its own HTMLock signature pair, waiter table and lock mirror.
+  /// One address-interleaved directory shard: independent directory tables
+  /// plus its own HTMLock signature pair, waiter table and lock mirror. Line
+  /// data and LLC residency are not per bank: MainMemory holds both.
   struct Bank {
     explicit Bank(core::HtmLockUnitParams sigParams) : hl(sigParams) {}
 
-    sim::FlatLineTable<mem::LineData> llc;
     sim::FlatLineTable<DirInfo> dir;
     sim::FlatLineTable<Pending> pending;        // busy lines
     sim::FlatLineTable<std::deque<Msg>> waitq;  // queued requests per line
@@ -217,14 +223,13 @@ class DirectoryController final : public MsgSink {
 
   void sendToL1(CoreId core, Msg msg);
   void sendBankToBank(unsigned srcBank, unsigned dstBank, Msg msg);
-  mem::LineData& llcFetch(Bank& b, LineAddr line, bool& cold);
 
   void startRequest(const Msg& msg);
   void handleRequest(LineAddr line);
   void finishPending(LineAddr line);
 
-  void handleGetS(Bank& b, Pending& p, DirInfo& d);
-  void handleGetX(Bank& b, Pending& p, DirInfo& d);
+  void handleGetS(Pending& p, DirInfo& d);
+  void handleGetX(Pending& p, DirInfo& d);
   void sendReject(const PendingReq& req, AbortCause hint);
 
   void onInvResponse(const Msg& msg, bool rejected);

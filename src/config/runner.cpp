@@ -163,9 +163,8 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
       backendName,
       tm::BackendConfig{cfg.system.policy, cfg.system.retry, wl::kFallbackLockAddr});
   res.backend = backend->name();
-  // The footprint guard must precede the LLC warm-up: preloading a footprint
-  // that reaches the STM scratch region would allocate LLC state for the
-  // whole (possibly enormous) range before the rejection fires.
+  // The footprint guard precedes the LLC warm-up, so a rejected workload
+  // never reaches the rest of the set-up.
   if (backend->usesStmScratch() && workload->footprintEnd() > tm::kStmScratchBase) {
     throw std::invalid_argument(
         "backend '" + backendName + "': workload '" + res.workload +
@@ -245,14 +244,14 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   }
 
   if (res.status == RunStatus::Ok && cfg.verifyWorkload) {
-    // Coherent word reader: freshest dirty L1 copy > LLC > main memory.
+    // Coherent word reader: freshest dirty L1 copy > main memory, which
+    // holds the LLC's data.
     wl::WordReader read = [&](Addr addr) -> std::uint64_t {
       const LineAddr line = lineOf(addr);
       for (auto& l1 : l1s) {
         const mem::CacheEntry* e = l1->cache().find(line);
         if (e != nullptr && e->dirty) return e->data[wordOf(addr)];
       }
-      if (dir.llcHas(line)) return dir.llcData(line)[wordOf(addr)];
       return memory.readWord(addr);
     };
     for (auto& v : workload->verify(read, n)) res.violations.push_back(v);

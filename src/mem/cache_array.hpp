@@ -55,7 +55,8 @@ class CacheArray {
 
   unsigned numSets() const { return sets_; }
   unsigned assoc() const { return geo_.assoc; }
-  unsigned setOf(LineAddr line) const { return static_cast<unsigned>(line % sets_); }
+  /// sets_ is a power of two (the constructor rejects anything else).
+  unsigned setOf(LineAddr line) const { return static_cast<unsigned>(line & (sets_ - 1)); }
 
   /// Returns the valid entry holding `line`, or nullptr.
   CacheEntry* find(LineAddr line);

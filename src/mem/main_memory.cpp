@@ -5,29 +5,43 @@ namespace lktm::mem {
 void MainMemory::attachStats(stats::StatRegistry& reg) {
   // DRAM line fetches and writebacks.
   lineReads_ = &reg.counter("mem.line_reads");
-  lineWrites_ = &reg.counter("mem.line_writes");
-}
-
-LineData MainMemory::readLine(LineAddr line) const {
-  if (lineReads_ != nullptr) ++*lineReads_;
-  auto it = store_.find(line);
-  if (it == store_.end()) return LineData{};
-  return it->second;
-}
-
-void MainMemory::writeLine(LineAddr line, const LineData& data) {
-  if (lineWrites_ != nullptr) ++*lineWrites_;
-  store_[line] = data;
+  reg.counter("mem.line_writes");
 }
 
 std::uint64_t MainMemory::readWord(Addr addr) const {
-  auto it = store_.find(lineOf(addr));
-  if (it == store_.end()) return 0;
-  return it->second[wordOf(addr)];
+  return lineData(lineOf(addr))[wordOf(addr)];
 }
 
 void MainMemory::writeWord(Addr addr, std::uint64_t value) {
-  store_[lineOf(addr)][wordOf(addr)] = value;
+  store_[lineOf(addr)].data[wordOf(addr)] = value;
+}
+
+bool MainMemory::fillLlc(LineAddr line) {
+  if (inWarmRange(line)) return false;
+  Line& l = store_[line];
+  if (l.inLlc) return false;
+  l.inLlc = true;
+  anyFilled_ = true;
+  if (lineReads_ != nullptr) ++*lineReads_;
+  return true;
+}
+
+void MainMemory::warmLlc(LineAddr from, LineAddr to) {
+  if (from >= to) return;
+  if (warmFrom_ == warmTo_ && !anyFilled_) {
+    warmFrom_ = from;
+    warmTo_ = to;
+    if (lineReads_ != nullptr) *lineReads_ += to - from;
+    return;
+  }
+  for (LineAddr l = from; l < to; ++l) fillLlc(l);
+}
+
+void MainMemory::writeBackLlc(LineAddr line, const LineData& data) {
+  Line& l = store_[line];
+  l.data = data;
+  l.inLlc = true;
+  anyFilled_ = true;
 }
 
 }  // namespace lktm::mem

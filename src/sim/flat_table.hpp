@@ -1,7 +1,8 @@
 // Open-addressed hash table keyed by 64-bit line addresses, replacing the
 // node-based std::map / std::unordered_map tables on the coherence datapath
-// (directory line state, pending transactions, wait queues, MSHRs, wakeup
-// tables, L1 writeback buffers and overflow shadow sets).
+// (main memory's line store, directory line state, pending transactions,
+// wait queues, MSHRs, wakeup tables, L1 writeback buffers and overflow
+// shadow sets).
 //
 // Design:
 //  * power-of-two capacity, linear probing, max load factor 3/4;
@@ -49,15 +50,6 @@ class FlatLineTable {
   std::size_t capacity() const { return slots_.size(); }
 
   bool contains(LineAddr key) const { return findSlot(key) != kNpos; }
-
-  /// Pre-size the slab for at least `n` entries (respecting the max load
-  /// factor), so bulk fills like the LLC preload pay one sizing instead of a
-  /// geometric rehash cascade of 80-byte slots.
-  void reserve(std::size_t n) {
-    std::size_t want = kMinCapacity;
-    while (n * 4 > want * 3) want *= 2;
-    if (want > slots_.size()) rehashTo(want);
-  }
 
   V* find(LineAddr key) {
     const std::size_t i = findSlot(key);

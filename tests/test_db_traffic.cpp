@@ -255,7 +255,6 @@ TEST(DbTraffic, StmScratchFootprintGuardFiresBeforeWarmup) {
   cfg::RunConfig ok;
   ok.system = cfg::systemByName("LockillerTM");
   ok.threads = 1;
-  ok.warmLlc = false;  // don't walk a >1 GiB footprint into the LLC
   const cfg::RunResult r =
       cfg::runSimulation(ok, [] { return std::make_unique<HugeRowStore>(); });
   EXPECT_TRUE(r.ok()) << r.str();

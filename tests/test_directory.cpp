@@ -355,6 +355,95 @@ TEST(Directory, SigAddRemovesHolderFromSharerBookkeeping) {
   EXPECT_EQ(h.dir.llcData(5)[0], 31u);
 }
 
+TEST(Directory, WarmUpKeepsNoPerLineState) {
+  DirHarness h;
+  h.memory.attachStats(h.ctx.stats());
+  const LineAddr from = 1000;
+  const LineAddr to = from + (LineAddr{1} << 24);
+  h.memory.writeWord(byteOf(from + 5), 3);
+  const std::size_t touched = h.memory.touchedLines();
+  h.dir.preloadLlc(from, to);
+  EXPECT_EQ(h.memory.touchedLines(), touched);
+  EXPECT_EQ(h.ctx.stats().snapshot().value("mem.line_reads"), to - from);
+  EXPECT_TRUE(h.dir.llcHas(from));
+  EXPECT_TRUE(h.dir.llcHas(to - 1));
+  EXPECT_FALSE(h.dir.llcHas(from - 1));
+  EXPECT_FALSE(h.dir.llcHas(to));
+  EXPECT_EQ(h.dir.llcData(from + 5)[0], 3u);  // warmed from memory's copy
+}
+
+TEST(Directory, WritebacksLandInTheOneStoreWithoutDramWrites) {
+  DirHarness h;
+  h.memory.attachStats(h.ctx.stats());
+  auto reads = [&] { return h.ctx.stats().snapshot().value("mem.line_reads"); };
+  auto expectLine = [&](std::uint64_t v) {
+    EXPECT_EQ(h.dir.llcData(5)[0], v);
+    EXPECT_EQ(h.memory.readWord(byteOf(5)), v);  // the verify reader's fallback
+  };
+
+  h.sendToDir(h.req(MsgType::GetX, 5, 0));
+  h.drain();
+  h.l1s[0].expect(MsgType::DataE);
+  EXPECT_EQ(reads(), 1u) << "a cold fill reads DRAM once";
+  h.sendToDir(h.req(MsgType::Unblock, 5, 0));
+  h.drain();
+
+  Msg put;
+  put.type = MsgType::PutM;
+  put.line = 5;
+  put.from = 0;
+  put.hasData = true;
+  put.data[0] = 11;
+  h.sendToDir(put);
+  h.drain();
+  h.l1s[0].expect(MsgType::PutAck);
+  expectLine(11);
+
+  h.sendToDir(h.req(MsgType::GetX, 5, 1));
+  h.drain();
+  EXPECT_EQ(h.l1s[1].expect(MsgType::DataE).data[0], 11u);
+  h.sendToDir(h.req(MsgType::Unblock, 5, 1));
+  h.sendToDir(h.req(MsgType::GetS, 5, 2));
+  h.drain();
+  h.l1s[1].expect(MsgType::FwdGetS);
+  Msg ack;
+  ack.type = MsgType::FwdAck;
+  ack.line = 5;
+  ack.from = 1;
+  ack.hasData = true;
+  ack.data[0] = 22;
+  h.sendToDir(ack);
+  h.drain();
+  EXPECT_EQ(h.l1s[2].expect(MsgType::DataS).data[0], 22u);
+  expectLine(22);
+  h.sendToDir(h.req(MsgType::Unblock, 5, 2));
+  h.drain();
+
+  Msg sig;
+  sig.type = MsgType::SigAdd;
+  sig.line = 5;
+  sig.from = 2;
+  sig.hasData = true;
+  sig.data[0] = 33;
+  h.sendToDir(sig);
+  h.drain();
+  h.l1s[2].expect(MsgType::PutAck);
+  expectLine(33);
+
+  Msg wb;
+  wb.type = MsgType::WbClean;
+  wb.line = 5;
+  wb.from = 0;
+  wb.data[0] = 44;
+  h.sendToDir(wb);
+  h.drain();
+  expectLine(44);
+
+  EXPECT_EQ(reads(), 1u);
+  EXPECT_EQ(h.ctx.stats().snapshot().value("mem.line_writes"), 0u);
+  EXPECT_EQ(h.dir.llcMisses(), 1u);
+}
+
 TEST(Directory, ColdMissPaysMemoryLatency) {
   DirHarness h;
   const Cycle t0 = h.engine.now();

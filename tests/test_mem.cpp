@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "mem/cache_array.hpp"
 #include "mem/main_memory.hpp"
 #include "mem/mshr.hpp"
 #include "mem/signature.hpp"
+#include "sim/context.hpp"
 #include "sim/rng.hpp"
 
 namespace lktm::mem {
@@ -249,7 +252,8 @@ TEST(Signature, RejectsBadGeometry) {
 TEST(MainMemory, SparseZeroDefault) {
   MainMemory m;
   EXPECT_EQ(m.readWord(0x5000), 0u);
-  EXPECT_EQ(m.readLine(3), LineData{});
+  EXPECT_EQ(m.lineData(3), LineData{});
+  EXPECT_FALSE(m.inLlc(3));
   EXPECT_EQ(m.touchedLines(), 0u);
 }
 
@@ -266,9 +270,54 @@ TEST(MainMemory, LineReadWrite) {
   LineData d{};
   d[0] = 1;
   d[7] = 8;
-  m.writeLine(4, d);
-  EXPECT_EQ(m.readLine(4), d);
+  m.writeBackLlc(4, d);
+  EXPECT_EQ(m.lineData(4), d);
   EXPECT_EQ(m.readWord(byteOf(4) + 7 * 8), 8u);
+  EXPECT_TRUE(m.inLlc(4));
+}
+
+TEST(MainMemory, ColdFillCountsOneLineReadAndKeepsTheData) {
+  sim::SimContext ctx;
+  MainMemory m;
+  m.attachStats(ctx.stats());
+  m.writeWord(byteOf(9), 42);
+  EXPECT_FALSE(m.inLlc(9));
+  EXPECT_TRUE(m.fillLlc(9));
+  EXPECT_FALSE(m.fillLlc(9));  // already resident
+  EXPECT_TRUE(m.inLlc(9));
+  EXPECT_EQ(m.lineData(9)[0], 42u);
+  EXPECT_EQ(m.touchedLines(), 1u);
+  EXPECT_EQ(ctx.stats().snapshot().value("mem.line_reads"), 1u);
+  EXPECT_EQ(ctx.stats().snapshot().value("mem.line_writes"), 0u);
+}
+
+TEST(MainMemory, LaterWarmUpFillsOnlyTheLinesNotResident) {
+  sim::SimContext ctx;
+  MainMemory m;
+  m.attachStats(ctx.stats());
+  m.warmLlc(10, 20);
+  m.fillLlc(30);
+  m.warmLlc(15, 35);  // LLC not empty: line by line
+  for (LineAddr l = 10; l < 35; ++l) EXPECT_TRUE(m.inLlc(l)) << l;
+  EXPECT_FALSE(m.inLlc(9));
+  EXPECT_FALSE(m.inLlc(35));
+  // 10 warmed + 1 cold fill + the 14 lines of [20, 35) other than 30.
+  EXPECT_EQ(ctx.stats().snapshot().value("mem.line_reads"), 25u);
+  EXPECT_EQ(m.touchedLines(), 15u);  // one slot per line filled one by one
+}
+
+TEST(MainMemory, LlcWalkMergesTheWarmedRangeWithFilledLinesInOrder) {
+  MainMemory m;
+  m.writeWord(byteOf(3), 1);   // in memory, not resident
+  m.writeWord(byteOf(11), 7);  // inside the range: resident with its data
+  m.warmLlc(10, 13);
+  m.fillLlc(2);
+  m.fillLlc(20);
+  std::vector<std::pair<LineAddr, std::uint64_t>> seen;
+  m.forEachLlcLine([&](LineAddr line, const LineData& d) { seen.emplace_back(line, d[0]); });
+  const std::vector<std::pair<LineAddr, std::uint64_t>> want = {
+      {2, 0}, {10, 0}, {11, 7}, {12, 0}, {20, 0}};
+  EXPECT_EQ(seen, want);
 }
 
 TEST(Types, AddressHelpers) {

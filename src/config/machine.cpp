@@ -1,5 +1,6 @@
 #include "config/machine.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -103,6 +104,27 @@ void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov) {
     m.mesh.rows = ov.meshRows;
     m.name += "-m" + std::to_string(ov.meshCols) + "x" + std::to_string(ov.meshRows);
   }
+  if (ov.signatureBits != 0) {
+    if ((ov.signatureBits & (ov.signatureBits - 1)) != 0) {
+      throw std::invalid_argument("machine '" + m.name + "': signature bits must be a power " +
+                                  "of two, got " + std::to_string(ov.signatureBits));
+    }
+    if (ov.signatureBits == m.signatureBits) {
+      throw std::invalid_argument("machine '" + m.name + "': -sig=" +
+                                  std::to_string(ov.signatureBits) +
+                                  " restates the preset's own signature size");
+    }
+    m.signatureBits = ov.signatureBits;
+    m.name += "-sig=" + std::to_string(ov.signatureBits);
+  }
+  if (ov.idealNetwork) {
+    if (m.idealNetwork) {
+      throw std::invalid_argument("machine '" + m.name +
+                                  "': -net=ideal restates the preset's own network");
+    }
+    m.idealNetwork = true;
+    m.name += "-net=ideal";
+  }
   if (!ov.backend.empty()) {
     if (!tm::isBackendName(ov.backend)) {
       throw std::invalid_argument("machine '" + m.name + "': unknown TM backend '" +
@@ -116,36 +138,65 @@ void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov) {
 
 namespace {
 
-/// Match one "-cN" / "-bN" / "-mWxH" suffix token into `ov`; returns the
-/// token's length (including the dash) or 0 when `name` ends in no such
-/// token. Tokens are parsed right-to-left so preset names containing dashes
-/// ("small-cache") stay intact.
+/// Match one "-cN" / "-bN" / "-mWxH" / "-sig=N" / "-net=ideal" / "-be=NAME"
+/// suffix token of `name` into `ov`; returns the token's length (including
+/// the dash) or 0 when `name` ends in no such token. Tokens are parsed
+/// right-to-left so preset names containing dashes ("small-cache") stay
+/// intact. Throws std::invalid_argument on a token `ov` already holds and on
+/// a malformed "-sig=" / "-net=" token, which no preset name ends in.
 std::size_t parseSuffixToken(const std::string& name, MachineOverrides& ov) {
   const std::size_t dash = name.rfind('-');
   if (dash == std::string::npos) return 0;
   const std::string tok = name.substr(dash + 1);
   if (tok.size() < 2) return 0;
+  auto reject = [&](const std::string& why) {
+    throw std::invalid_argument("machine '" + name + "': -" + tok + " " + why);
+  };
+  auto once = [&](bool alreadySet) {
+    if (alreadySet) reject("repeats a suffix");
+    return tok.size() + 1;
+  };
   unsigned a = 0;
   unsigned b = 0;
   char tail = 0;
   // "-be=NAME" first: it must never fall through to the numeric patterns
   // (sscanf would not match "b%u" on "be=...", but keep the intent explicit).
   if (tok.compare(0, 3, "be=") == 0 && tok.size() > 3) {
+    const std::size_t n = once(!ov.backend.empty());
     ov.backend = tok.substr(3);
-    return tok.size() + 1;
+    return n;
+  }
+  if (tok.compare(0, 4, "sig=") == 0) {
+    const std::string bits = tok.substr(4);
+    const auto [end, ec] = std::from_chars(bits.data(), bits.data() + bits.size(), a);
+    if (ec != std::errc{} || std::to_string(a) != bits || a == 0) {
+      reject("needs a signature size N >= 1, written in decimal");
+    }
+    const std::size_t n = once(ov.signatureBits != 0);
+    ov.signatureBits = a;
+    return n;
+  }
+  if (tok.compare(0, 4, "net=") == 0) {
+    if (tok != "net=ideal") reject("names no network (the only one is -net=ideal)");
+    const std::size_t n = once(ov.idealNetwork);
+    ov.idealNetwork = true;
+    return n;
   }
   if (std::sscanf(tok.c_str(), "c%u%c", &a, &tail) == 1 && a != 0) {
+    const std::size_t n = once(ov.cores != 0);
     ov.cores = a;
-    return tok.size() + 1;
+    return n;
   }
   if (std::sscanf(tok.c_str(), "b%u%c", &a, &tail) == 1 && a != 0) {
+    const std::size_t n = once(ov.banks != 0);
     ov.banks = a;
-    return tok.size() + 1;
+    return n;
   }
   if (std::sscanf(tok.c_str(), "m%ux%u%c", &a, &b, &tail) == 2 && a != 0 && b != 0) {
+    const std::size_t n = once(ov.meshCols != 0);
     ov.meshCols = a;
     ov.meshRows = b;
-    return tok.size() + 1;
+    return n;
   }
   return 0;
 }

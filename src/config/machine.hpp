@@ -1,12 +1,15 @@
 // Machine configurations: Table I (typical) plus the Fig 13 sensitivity
 // configurations (small: 8KB L1 / 1MB LLC, large: 128KB L1 / 32MB LLC).
 //
-// Large-core scaling: every preset can be scaled past its stock geometry with
-// MachineOverrides (core count, LLC bank count, mesh shape, TM backend).
-// Overrides are recorded in the machine *name* as "-cN" / "-bN" / "-mWxH" /
-// "-be=NAME" suffixes, and machineByName parses those suffixes back — so a
-// sweep manifest entry like "typical-c128-b8" or "typical-be=tl2" round-trips
-// through the orchestrator with no schema change and no code edits.
+// Every knob that changes a result past the preset is part of the machine's
+// *name*: MachineOverrides records it as a suffix, in this canonical order,
+//   -cN        core count          -sig=N      HTMLock signature bits
+//   -bN        LLC directory banks -net=ideal  contention-free network
+//   -mWxH      mesh shape          -be=NAME    TM backend
+// and machineByName parses those suffixes back — so a sweep manifest entry
+// like "typical-c128-b8", "small-cache-sig=64" or "typical-be=tl2"
+// round-trips through the orchestrator with no schema change and no code
+// edits.
 #pragma once
 
 #include <string>
@@ -28,7 +31,7 @@ struct MachineParams {
   noc::MeshParams mesh{};              ///< 4x8, X-Y routing, 1-cycle links
   cpu::CpuParams cpu{};
   unsigned signatureBits = 2048;       ///< HTMLock LLC overflow signatures
-  bool idealNetwork = false;           ///< ablation: contention-free fixed-latency net
+  bool idealNetwork = false;           ///< contention-free fixed-latency net
   Cycle idealNetworkLatency = 6;       ///< ~average mesh traversal
   Cycle maxCycles = 400'000'000;       ///< per-run simulation budget
   Cycle watchdogWindow = 4'000'000;    ///< forward-progress hang detector
@@ -53,29 +56,33 @@ struct MachineParams {
   std::string describe() const;
 };
 
-/// Scale overrides applied on top of a named preset; 0 means "keep the
-/// preset's value". Overriding cores without a mesh derives a near-square
-/// mesh for the new core count automatically.
+/// Overrides applied on top of a named preset; 0 / false / empty means "keep
+/// the preset's value". Overriding cores without a mesh derives a
+/// near-square mesh for the new core count automatically.
 struct MachineOverrides {
   unsigned cores = 0;
   unsigned banks = 0;
   unsigned meshCols = 0;
   unsigned meshRows = 0;
+  unsigned signatureBits = 0;
+  bool idealNetwork = false;
   std::string backend;  ///< empty = keep the system's backend choice
 };
 
 /// Apply `ov` to `m`, suffixing the machine name ("-cN", "-bN", "-mWxH",
-/// "-be=NAME") so artifacts and manifests record the scaled configuration.
-/// Throws std::invalid_argument on a backend name not in the registry;
-/// geometry is not validated here — call m.validate() when final.
+/// "-sig=N", "-net=ideal", "-be=NAME") so artifacts and manifests record the
+/// configuration that ran. Throws std::invalid_argument on a backend name
+/// not in the registry, on signature bits that are not a power of two, and
+/// on a signature size or network that restates the preset's own; geometry
+/// is not validated here — call m.validate() when final.
 void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov);
 
 /// Look up a machine by name: the presets "typical", "small-cache" (alias
 /// "small"), "large-cache" (alias "large"), optionally scaled by suffixes as
 /// produced by applyMachineOverrides — e.g. "typical-c128-b8",
-/// "large-cache-c256-b16-m16x16", or "typical-be=hybrid". Throws
-/// std::invalid_argument on an unknown name (the sweep manifest stores
-/// machines by these names).
+/// "large-cache-c256-b16-m16x16", "typical-net=ideal" or "typical-be=hybrid".
+/// Throws std::invalid_argument on an unknown name, a repeated suffix or a
+/// malformed one (the sweep manifest stores machines by these names).
 MachineParams machineByName(const std::string& name);
 
 }  // namespace lktm::cfg

@@ -541,6 +541,52 @@ SweepManifest presetManifest(const std::string& name, const std::string& artifac
                           wl::stampNames(), kPaperThreadCounts, seed));
     }
     append(presetManifest("table3-dbtraffic", artifactDir, seed));
+    // The ablation tables; their default-valued cells are grid cells already.
+    std::set<std::string> ids;
+    for (const JobRecord& j : m.jobs) ids.insert(j.spec.id());
+    for (JobRecord& j : presetManifest("ablations", artifactDir, seed).jobs) {
+      if (ids.insert(j.spec.id()).second) m.jobs.push_back(std::move(j));
+    }
+    return m;
+  }
+  if (name == "ablations") {
+    // The design-choice ablations beyond the paper, each knob spelled as its
+    // name token (a default value spells none):
+    //   (a) retry budget x persistent-abort skip, Baseline on vacation+ @16;
+    //   (b) HTMLock signature size, LockillerTM on yada @8, small cache;
+    //   (c) CGL lock algorithm (MCS vs TTS), kmeans- @2/8/32;
+    //   (d) mesh vs ideal network, LockillerTM @32;
+    //   (e) the switch-on-fault extension, LockillerTM on yada @2/8/16.
+    SweepManifest m;
+    m.artifactDir = artifactDir;
+    auto add = [&](const std::string& system, const std::string& workload,
+                   const std::string& machine, unsigned threads) {
+      m.jobs.push_back(JobRecord{JobSpec{system, workload, machine, threads, seed}});
+    };
+    const unsigned defaultRetries = rt::RetryPolicy{}.maxRetries;
+    for (const unsigned retries : {1u, 4u, 8u, 16u}) {
+      const std::string budget =
+          retries == defaultRetries ? "" : "+retries=" + std::to_string(retries);
+      add("Baseline" + budget, "vacation+", "typical", 16);
+      add("Baseline" + budget + "+noskip", "vacation+", "typical", 16);
+    }
+    for (const unsigned bits : {64u, 256u, 2048u, 16384u}) {
+      add("LockillerTM", "yada",
+          bits == MachineParams{}.signatureBits ? "small-cache"
+                                                : "small-cache-sig=" + std::to_string(bits),
+          8);
+    }
+    for (const char* system : {"CGL", "CGL+lock=tts"}) {
+      for (const unsigned threads : {2u, 8u, 32u}) add(system, "kmeans-", "typical", threads);
+    }
+    for (const char* workload : {"intruder", "kmeans+", "vacation-"}) {
+      add("LockillerTM", workload, "typical", 32);
+      add("LockillerTM", workload, "typical-net=ideal", 32);
+    }
+    for (const unsigned threads : {2u, 8u, 16u}) {
+      add("LockillerTM", "yada", "typical", threads);
+      add("LockillerTM+sof", "yada", "typical", threads);
+    }
     return m;
   }
   if (name == "table2-backends") {
@@ -572,7 +618,7 @@ SweepManifest presetManifest(const std::string& name, const std::string& artifac
   }
   throw std::invalid_argument(
       "unknown preset: " + name +
-      " (try smoke | figures | table2-backends | table3-dbtraffic | "
+      " (try smoke | figures | ablations | table2-backends | table3-dbtraffic | "
       "bigcores-128 | bigcores-256)");
 }
 

@@ -185,10 +185,11 @@ SweepManifest makeManifest(const std::string& artifactDir,
 inline const std::vector<unsigned> kPaperThreadCounts{2, 4, 8, 16, 32};
 
 /// The named job list behind `lktm_sweep plan --preset NAME` and
-/// paper_figures: smoke | figures | table2-backends | table3-dbtraffic |
-/// bigcores-128 | bigcores-256. "figures" is exactly the grid paper_figures
-/// renders (Figs 1 and 7-13, Table III). Throws std::invalid_argument on an
-/// unknown name.
+/// paper_figures: smoke | figures | ablations | table2-backends |
+/// table3-dbtraffic | bigcores-128 | bigcores-256. "figures" is exactly the
+/// grid paper_figures renders (Figs 1 and 7-13, Table III and the
+/// "ablations" cells it lacks). Throws std::invalid_argument on an unknown
+/// name.
 SweepManifest presetManifest(const std::string& name, const std::string& artifactDir,
                              std::uint64_t seed = kDefaultSweepSeed);
 

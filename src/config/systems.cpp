@@ -1,5 +1,6 @@
 #include "config/systems.hpp"
 
+#include <charconv>
 #include <cstring>
 #include <stdexcept>
 
@@ -98,9 +99,82 @@ std::vector<SystemSpec> evaluatedSystems() {
   return out;
 }
 
+namespace {
+
+/// `text` as a canonical decimal (no sign, no leading zero, fits unsigned),
+/// or 0 when it is not one.
+unsigned canonicalUnsigned(const std::string& text) {
+  unsigned n = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), n);
+  return ec == std::errc{} && std::to_string(n) == text ? n : 0;
+}
+
+/// Apply the policy tokens of `name` (everything from its first '+', at
+/// `plus`) to `spec`, the configuration of the row the name starts with.
+void applyPolicyTokens(SystemSpec& spec, const std::string& name, std::size_t plus) {
+  const std::string row = spec.name;
+  auto reject = [&](const std::string& why) {
+    throw std::invalid_argument("system '" + name + "': " + why +
+                                " (policy tokens, in this order, each at most once: " +
+                                kPolicyTokenGrammar + ")");
+  };
+  // The retry loop runs only where HTM is attempted; the coarse-grained
+  // lock is the CGL row's only synchronization (the elision rows' fallback
+  // lock and the backend-defined rows ignore it).
+  const bool attemptsHtm = spec.policy.htmEnabled;
+  const bool takesCglLock = !spec.policy.htmEnabled && spec.backend.empty();
+  int last = -1;  // grammar position of the previous token
+  while (plus != std::string::npos) {
+    const std::size_t end = name.find('+', plus + 1);
+    const std::string tok =
+        name.substr(plus + 1, end == std::string::npos ? end : end - plus - 1);
+    plus = end;
+    const std::string quoted = "'+" + tok + "'";
+    int kind = 0;
+    bool applies = false;
+    bool restates = false;
+    if (tok.starts_with("retries=")) {
+      const unsigned n = canonicalUnsigned(tok.substr(8));
+      if (n == 0) reject(quoted + " needs a budget N >= 1, written in decimal");
+      kind = 0;
+      applies = attemptsHtm;
+      restates = n == spec.retry.maxRetries;
+      spec.retry.maxRetries = n;
+    } else if (tok == "noskip") {
+      kind = 1;
+      applies = attemptsHtm;
+      restates = !spec.retry.skipRetriesOnPersistent;
+      spec.retry.skipRetriesOnPersistent = false;
+    } else if (tok == "lock=tts") {
+      kind = 2;
+      applies = takesCglLock;
+      restates = spec.retry.cglLock == rt::LockImpl::TestAndSet;
+      spec.retry.cglLock = rt::LockImpl::TestAndSet;
+    } else if (tok == "sof") {
+      kind = 3;
+      applies = spec.policy.switching;
+      restates = spec.policy.switchOnFault;
+      spec.policy.switchOnFault = true;
+    } else {
+      reject("unknown policy token " + quoted);
+    }
+    if (kind <= last) reject(quoted + " is repeated or out of order");
+    if (!applies) reject(row + " has no use for " + quoted);
+    if (restates) reject(quoted + " restates " + row + "'s own value");
+    last = kind;
+  }
+}
+
+}  // namespace
+
 SystemSpec systemByName(const std::string& name) {
+  const std::size_t plus = name.find('+');
+  const std::string row = name.substr(0, plus);
   for (auto& s : evaluatedSystems()) {
-    if (s.name == name) return s;
+    if (s.name != row) continue;
+    applyPolicyTokens(s, name, plus);
+    s.name = name;
+    return s;
   }
   throw std::invalid_argument("unknown system: " + name);
 }

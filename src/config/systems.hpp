@@ -25,6 +25,19 @@ struct SystemSpec {
 /// registry (TL2-STM, Hybrid-TM).
 std::vector<SystemSpec> evaluatedSystems();
 
+/// The policy tokens a system name may carry after its row name, in the one
+/// order they may appear, each at most once:
+///   +retries=N  software attempt budget (N >= 1; rows that attempt HTM)
+///   +noskip     retry persistent aborts too (rows that attempt HTM)
+///   +lock=tts   test-and-test-and-set instead of MCS (CGL)
+///   +sof        switch-on-fault extension (rows with switchingMode)
+inline constexpr const char* kPolicyTokenGrammar = "+retries=N +noskip +lock=tts +sof";
+
+/// Look up an evaluated row by name, optionally followed by policy tokens
+/// ("Baseline+retries=4+noskip", "LockillerTM+sof"). The returned spec's
+/// name is `name`: every configuration has exactly one name. Throws
+/// std::invalid_argument on an unknown row, an unknown or misplaced token, a
+/// token the row cannot use, or a token that restates the row's own value.
 SystemSpec systemByName(const std::string& name);
 
 }  // namespace lktm::cfg

@@ -66,8 +66,8 @@ struct TmPolicy {
   bool switching = false;   ///< switchingMode mechanism (STL on overflow)
   /// Extension beyond the paper (it deliberately aborts on exceptions,
   /// Section III-C): also attempt the STL switch on a fault inside the
-  /// transaction. Off in every Table II system; exercised by the ablation
-  /// benches.
+  /// transaction. Off in every Table II system; the "+sof" system-name
+  /// token turns it on (cfg::systemByName), as in ablation (e).
   bool switchOnFault = false;
 };
 

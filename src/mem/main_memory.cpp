@@ -3,9 +3,8 @@
 namespace lktm::mem {
 
 void MainMemory::attachStats(stats::StatRegistry& reg) {
-  // DRAM line fetches and writebacks.
+  // DRAM line fetches; the LLC never evicts, so it never writes one back.
   lineReads_ = &reg.counter("mem.line_reads");
-  reg.counter("mem.line_writes");
 }
 
 std::uint64_t MainMemory::readWord(Addr addr) const {

@@ -17,12 +17,11 @@ namespace lktm::mem {
 
 class MainMemory {
  public:
-  /// Opt-in instrumentation: registers "mem.line_reads"/"mem.line_writes" in
-  /// `reg`. A line read is one LLC fill from DRAM (cold or warmed); the LLC
-  /// never evicts, so nothing is ever written back to DRAM and line_writes
-  /// stays 0. Workload setup and invariant checks that poke memory via the
-  /// word accessors are not counted. Unattached (unit-test) instances count
-  /// nothing.
+  /// Opt-in instrumentation: registers "mem.line_reads" in `reg`, one per
+  /// LLC fill from DRAM (cold or warmed). The LLC never evicts, so nothing
+  /// is ever written back to DRAM and there is no write counter. Workload
+  /// setup and invariant checks that poke memory via the word accessors are
+  /// not counted. Unattached (unit-test) instances count nothing.
   void attachStats(stats::StatRegistry& reg);
 
   /// Word accessors for workload initialization and final invariant checks.
@@ -62,7 +61,7 @@ class MainMemory {
   }
 
   /// An L1 writeback into the LLC: stores `data` and marks the line
-  /// resident. Not a DRAM write, so line_writes does not move.
+  /// resident. Not a DRAM write: nothing is counted.
   void writeBackLlc(LineAddr line, const LineData& data);
 
   /// Visits every resident line with its data, in ascending line order.

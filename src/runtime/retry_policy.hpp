@@ -1,5 +1,7 @@
 // Parameters of the software retry loop around xbegin (Listing 1's
-// `retry_strategy`). Exposed separately so benches can ablate them.
+// `retry_strategy`). Every Table II row keeps the defaults; a system name
+// changes them with the "+retries=N", "+noskip" and "+lock=tts" tokens
+// (cfg::systemByName).
 #pragma once
 
 #include "sim/types.hpp"

@@ -144,8 +144,7 @@ class FuzzSwitchOnFaultTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FuzzSwitchOnFaultTest, ExtensionPreservesInvariants) {
   cfg::RunConfig rc;
   rc.machine = cfg::MachineParams::smallCache();
-  rc.system = cfg::systemByName("LockillerTM");
-  rc.system.policy.switchOnFault = true;
+  rc.system = cfg::systemByName("LockillerTM+sof");
   rc.threads = 5;
   const auto r = cfg::runSimulation(
       rc, [&] { return std::make_unique<FuzzWorkload>(GetParam()); });

@@ -213,6 +213,82 @@ TEST(Integration, Table2RegistryMatchesPaper) {
   EXPECT_THROW(systemByName("nope"), std::invalid_argument);
 }
 
+// Every knob that changes a result has one canonical name token. Each
+// accepted name comes back byte for byte as the configuration's name and
+// sets the field its tokens name; every other spelling is refused.
+TEST(Integration, NameTokensRoundTripAndSetTheirField) {
+  const struct {
+    const char* name;
+    bool (*sets)(const SystemSpec&);
+  } systems[] = {
+      {"Baseline+retries=1", [](const SystemSpec& s) { return s.retry.maxRetries == 1; }},
+      {"Baseline+noskip",
+       [](const SystemSpec& s) { return !s.retry.skipRetriesOnPersistent; }},
+      {"Hybrid-TM+retries=16+noskip",
+       [](const SystemSpec& s) {
+         return s.retry.maxRetries == 16 && !s.retry.skipRetriesOnPersistent &&
+                s.backend == "hybrid";
+       }},
+      {"CGL+lock=tts",
+       [](const SystemSpec& s) { return s.retry.cglLock == rt::LockImpl::TestAndSet; }},
+      {"LockillerTM+sof", [](const SystemSpec& s) { return s.policy.switchOnFault; }},
+      {"LockillerTM+retries=4+noskip+sof",
+       [](const SystemSpec& s) {
+         return s.retry.maxRetries == 4 && !s.retry.skipRetriesOnPersistent &&
+                s.policy.switchOnFault;
+       }},
+  };
+  for (const auto& c : systems) {
+    const SystemSpec s = systemByName(c.name);
+    EXPECT_EQ(s.name, c.name);
+    EXPECT_TRUE(c.sets(s)) << c.name;
+  }
+  // No row spells a knob's default value.
+  for (const SystemSpec& row : evaluatedSystems()) {
+    EXPECT_EQ(row.retry.maxRetries, rt::RetryPolicy{}.maxRetries) << row.name;
+    EXPECT_TRUE(row.retry.skipRetriesOnPersistent) << row.name;
+    EXPECT_EQ(row.retry.cglLock, rt::LockImpl::Mcs) << row.name;
+    EXPECT_FALSE(row.policy.switchOnFault) << row.name;
+  }
+
+  const struct {
+    const char* name;
+    bool (*sets)(const MachineParams&);
+  } machines[] = {
+      {"typical-sig=64", [](const MachineParams& m) { return m.signatureBits == 64; }},
+      {"small-cache-sig=16384",
+       [](const MachineParams& m) {
+         return m.signatureBits == 16384 && m.l1.sizeBytes == 8 * 1024;
+       }},
+      {"typical-net=ideal", [](const MachineParams& m) { return m.idealNetwork; }},
+      {"typical-c64-b4-sig=512-net=ideal-be=tl2",
+       [](const MachineParams& m) {
+         return m.numCores == 64 && m.numBanks == 4 && m.signatureBits == 512 &&
+                m.idealNetwork && m.backend == "tl2";
+       }},
+  };
+  for (const auto& c : machines) {
+    const MachineParams m = machineByName(c.name);
+    EXPECT_EQ(m.name, c.name);
+    EXPECT_TRUE(c.sets(m)) << c.name;
+  }
+
+  for (const char* bad :
+       {"LockillerTM+bogus", "LockillerTM+", "CGL+sof", "Lockiller-RWIL+sof",
+        "Baseline+retries=0", "Baseline+retries=8", "Baseline+retries=04",
+        "Baseline+retries=", "Baseline+noskip+retries=4", "LockillerTM+sof+sof",
+        "TL2-STM+retries=4", "CGL+noskip", "Baseline+lock=tts", "CGL+lock=mcs",
+        "CGL+lock=spin", "Nope+sof"}) {
+    EXPECT_THROW(systemByName(bad), std::invalid_argument) << bad;
+  }
+  for (const char* bad :
+       {"typical-sig=0", "typical-sig=100", "typical-sig=2048", "typical-sig=064",
+        "typical-net=fast", "typical-net=mesh", "typical-net=ideal-net=ideal",
+        "typical-c64-c32"}) {
+    EXPECT_THROW(machineByName(bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(Integration, MachinePresetsMatchPaper) {
   const auto typical = MachineParams::typical();
   EXPECT_EQ(typical.numCores, 32u);

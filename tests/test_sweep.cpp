@@ -6,13 +6,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "config/artifact.hpp"
+#include "config/machine.hpp"
 #include "config/orchestrator.hpp"
 #include "config/sweep.hpp"
+#include "config/systems.hpp"
 #include "stats/json.hpp"
 
 namespace lktm::test {
@@ -206,10 +209,15 @@ TEST(Orchestrator, DuplicateJobIdsRejected) {
 
 TEST(Orchestrator, FiguresPresetIsTheRenderedGrid) {
   // 11 systems x 9 STAMP x 5 thread counts on the typical machine, CGL and
-  // the 4 systems Fig 13 compares x 9 x 5 on each cache variant, then the 28
-  // table3-dbtraffic jobs.
+  // the 4 systems Fig 13 compares x 9 x 5 on each cache variant, the 28
+  // table3-dbtraffic jobs, then the 19 "ablations" cells the grid lacks (the
+  // other 11 of its 30 are grid cells already).
   SweepManifest m = presetManifest("figures", "");
-  EXPECT_EQ(m.jobs.size(), 973u);
+  EXPECT_EQ(m.jobs.size(), 992u);
+  std::set<std::string> ids;
+  for (const JobRecord& j : m.jobs) {
+    EXPECT_TRUE(ids.insert(j.spec.id()).second) << "duplicate id " << j.spec.id();
+  }
   for (const char* machine : {"small-cache", "large-cache"}) {
     for (const char* system : {"CGL", "LockillerTM"}) {
       EXPECT_NE(m.find(JobSpec{system, "yada", machine, 2}.id()), nullptr)
@@ -217,11 +225,34 @@ TEST(Orchestrator, FiguresPresetIsTheRenderedGrid) {
     }
   }
   const SweepManifest db = presetManifest("table3-dbtraffic", "");
-  ASSERT_LE(db.jobs.size(), m.jobs.size());
+  const std::size_t dbStart = 495 + 450;
+  ASSERT_LE(dbStart + db.jobs.size(), m.jobs.size());
   for (std::size_t i = 0; i < db.jobs.size(); ++i) {
-    EXPECT_EQ(m.jobs[m.jobs.size() - db.jobs.size() + i].spec, db.jobs[i].spec) << i;
+    EXPECT_EQ(m.jobs[dbStart + i].spec, db.jobs[i].spec) << i;
+  }
+  const SweepManifest ablations = presetManifest("ablations", "");
+  EXPECT_EQ(ablations.jobs.size(), 30u);
+  for (const JobRecord& j : ablations.jobs) {
+    EXPECT_NE(m.find(j.spec.id()), nullptr) << j.spec.id();
   }
   EXPECT_THROW((void)presetManifest("bogus", ""), std::invalid_argument);
+}
+
+TEST(Orchestrator, AblationCellsAreNamedByTheirTokens) {
+  // Every ablation knob is spelled in the cell's names, and each name is the
+  // one the lookup gives back.
+  SweepManifest m = presetManifest("ablations", "");
+  for (const JobRecord& j : m.jobs) {
+    EXPECT_EQ(systemByName(j.spec.system).name, j.spec.system);
+    EXPECT_EQ(machineByName(j.spec.machine).name, j.spec.machine);
+  }
+  for (const char* id : {"Baseline+retries=1+noskip/vacation+/typical@16#11",
+                         "LockillerTM/yada/small-cache-sig=64@8#11",
+                         "CGL+lock=tts/kmeans-/typical@32#11",
+                         "LockillerTM/intruder/typical-net=ideal@32#11",
+                         "LockillerTM+sof/yada/typical@2#11"}) {
+    EXPECT_NE(m.find(id), nullptr) << id;
+  }
 }
 
 // ------------------------------------------------------------- orchestrator

@@ -6,6 +6,10 @@
 //   lktm_sim --system LockillerTM --workload vacation+ --threads 8
 //   lktm_sim --system Baseline --workload yada --threads 32 --machine small
 //   lktm_sim --system LockillerTM --workload labyrinth --breakdown --seed 7
+//   lktm_sim --system LockillerTM+sof --workload yada --machine typical-net=ideal
+//
+// Every knob that changes a result is a token of the system or machine name
+// (see --list), so the artifact's names say which configuration ran.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,29 +39,31 @@ void usage() {
   std::printf(
       "usage: lktm_sim [options]\n"
       "  --list                 list systems, workloads and machines\n"
-      "  --system NAME          Table II system (default LockillerTM)\n"
+      "  --system NAME          Table II system, optionally with policy\n"
+      "                         tokens, e.g. Baseline+retries=4+noskip\n"
+      "                         (default LockillerTM)\n"
       "  --workload NAME        STAMP analog, counter/bank/linkedlist, or a\n"
       "                         database-traffic workload: ycsb | ycsb-lo |\n"
       "                         ycsb-w | ycsb-scan | tpcc | sps | sps-part\n"
       "                         (default vacation+)\n"
       "  --threads N            1..numCores (default 8)\n"
       "  --machine M            typical | small | large, optionally with\n"
-      "                         scale suffixes, e.g. typical-c128-b8\n"
-      "                         (default typical)\n"
+      "                         suffixes, e.g. typical-c128-b8 or\n"
+      "                         small-sig=64 (default typical)\n"
       "  --cores N              scale the machine to N cores (at most 512;\n"
       "                         derives a near-square mesh unless --mesh\n"
-      "                         is given)\n"
-      "  --banks N              LLC directory banks (power of two <= cores)\n"
-      "  --mesh WxH             mesh geometry, e.g. --mesh 16x8\n"
+      "                         is given); a -cN machine suffix\n"
+      "  --banks N              LLC directory banks (power of two <= cores);\n"
+      "                         a -bN machine suffix\n"
+      "  --mesh WxH             mesh geometry, e.g. --mesh 16x8; a -mWxH\n"
+      "                         machine suffix\n"
       "  --backend NAME         force the TM backend (lockiller | cgl | tl2 |\n"
       "                         hybrid); default: the system row's choice.\n"
-      "                         Equivalent to a -be=NAME machine suffix\n"
+      "                         A -be=NAME machine suffix\n"
       "  --seed N               workload generation seed (default 11)\n"
       "  --breakdown            print the per-category time breakdown\n"
       "  --stats-json PATH      write the lktm.stats.v1 artifact to PATH\n"
       "  --trace PATH           write a Chrome trace_event JSON to PATH\n"
-      "  --switch-on-fault      enable the switch-on-fault extension\n"
-      "  --ideal-net            contention-free network (ablation)\n"
       "  --no-check             skip coherence checker + invariants\n");
 }
 
@@ -67,14 +73,12 @@ int main(int argc, char** argv) {
   std::string system = "LockillerTM";
   std::string workload = "vacation+";
   std::string machineName = "typical";
-  cfg::MachineOverrides overrides;
+  std::string suffixes;  // machine-name suffixes the scale flags spell
   unsigned threads = 8;
   std::uint64_t seed = 11;
   bool breakdown = false;
   std::string statsJsonPath;
   std::string tracePath;
-  bool switchOnFault = false;
-  bool idealNet = false;
   bool check = true;
 
   for (int i = 1; i < argc; ++i) {
@@ -97,10 +101,13 @@ int main(int argc, char** argv) {
       for (const auto& w : wl::dbWorkloadNames()) std::printf(" %s", w.c_str());
       std::printf(
           "\n"
-          "machines: typical small large (suffixable: typical-c128-b8-m16x8)\n"
-          "          up to %u cores\n"
+          "system policy tokens, in this order, each at most once:\n"
+          "  %s\n"
+          "machines: typical small large\n"
+          "machine suffixes, in canonical order, each at most once:\n"
+          "  -cN -bN -mWxH -sig=N -net=ideal -be=NAME (up to %u cores)\n"
           "backends:\n",
-          sim::CoreMask::kMaxCores);
+          cfg::kPolicyTokenGrammar, sim::CoreMask::kMaxCores);
       for (const auto& be : tm::backendRegistry()) {
         std::printf("  %-16s %s\n", be.name, be.summary);
       }
@@ -114,17 +121,19 @@ int main(int argc, char** argv) {
     } else if (a == "--machine") {
       machineName = next();
     } else if (a == "--cores") {
-      overrides.cores = cli::unsignedArg<unsigned>("lktm-sim", "--cores", next());
-      if (overrides.cores == 0) {
+      const auto cores = cli::unsignedArg<unsigned>("lktm-sim", "--cores", next());
+      if (cores == 0) {
         std::fprintf(stderr, "--cores needs a positive core count\n");
         return 2;
       }
+      suffixes += "-c" + std::to_string(cores);
     } else if (a == "--banks") {
-      overrides.banks = cli::unsignedArg<unsigned>("lktm-sim", "--banks", next());
-      if (overrides.banks == 0) {
+      const auto banks = cli::unsignedArg<unsigned>("lktm-sim", "--banks", next());
+      if (banks == 0) {
         std::fprintf(stderr, "--banks needs a positive bank count\n");
         return 2;
       }
+      suffixes += "-b" + std::to_string(banks);
     } else if (a == "--mesh") {
       const std::string_view wxh = next();
       const std::size_t x = wxh.find('x');
@@ -136,16 +145,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--mesh wants WxH, e.g. --mesh 16x8\n");
         return 2;
       }
-      overrides.meshCols = *cols;
-      overrides.meshRows = *rows;
+      suffixes += "-m" + std::to_string(*cols) + "x" + std::to_string(*rows);
     } else if (a == "--backend") {
-      overrides.backend = next();
-      if (!tm::isBackendName(overrides.backend)) {
-        std::fprintf(stderr, "unknown TM backend '%s' (valid: %s)\n",
-                     overrides.backend.c_str(),
+      const std::string backend = next();
+      if (!tm::isBackendName(backend)) {
+        std::fprintf(stderr, "unknown TM backend '%s' (valid: %s)\n", backend.c_str(),
                      tm::backendNameList().c_str());
         return 2;
       }
+      suffixes += "-be=" + backend;
     } else if (a == "--seed") {
       seed = cli::unsignedArg<std::uint64_t>("lktm-sim", "--seed", next());
     } else if (a == "--breakdown") {
@@ -154,23 +162,20 @@ int main(int argc, char** argv) {
       statsJsonPath = next();
     } else if (a == "--trace") {
       tracePath = next();
-    } else if (a == "--switch-on-fault") {
-      switchOnFault = true;
-    } else if (a == "--ideal-net") {
-      idealNet = true;
     } else if (a == "--no-check") {
       check = false;
-    } else {
+    } else if (a == "--help" || a == "-h") {
       usage();
-      return a == "--help" || a == "-h" ? 0 : 2;
+      return 0;
+    } else {
+      std::fprintf(stderr, "lktm-sim: unknown option '%s' (try --help)\n", a.c_str());
+      return 2;
     }
   }
 
   cfg::RunConfig rc;
   try {
-    rc.machine = cfg::machineByName(machineName);
-    cfg::applyMachineOverrides(rc.machine, overrides);
-    rc.machine.idealNetwork = idealNet;
+    rc.machine = cfg::machineByName(machineName + suffixes);
     rc.machine.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -182,12 +187,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s (try --list)\n", e.what());
     return 2;
   }
-  rc.system.policy.switchOnFault = switchOnFault;
   if (threads == 0 || threads > rc.machine.numCores) {
     std::fprintf(stderr, "threads must be 1..%u\n", rc.machine.numCores);
     return 2;
   }
   rc.threads = threads;
+  // The seed a sweep job of the same cell records, so the two artifacts
+  // match byte for byte apart from wall_seconds.
+  rc.rngSeed = cfg::jobRunSeed(seed, rc.system.name, workload, threads);
   rc.runCoherenceChecker = check;
   rc.verifyWorkload = check;
 

@@ -35,7 +35,7 @@ void usage() {
       "  plan    create a job manifest\n"
       "    --manifest PATH      manifest file to write (required)\n"
       "    --artifact-dir DIR   per-job artifact directory (default: <manifest>.d)\n"
-      "    --preset NAME        smoke | figures | table2-backends |\n"
+      "    --preset NAME        smoke | figures | ablations | table2-backends |\n"
       "                         table3-dbtraffic | bigcores-128 | bigcores-256\n"
       "                         (default smoke; bigcores-* run 128 and 256\n"
       "                         cores, within the 512-core limit)\n"

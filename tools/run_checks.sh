@@ -15,8 +15,8 @@
 # under the default and sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
 # of all four benchmark workloads), rerun paper_figures (every paper table
-# and figure, from one run of the `figures` preset) and ablation_mechanisms
-# and cmp their stdout against the committed pins in bench/product/ (the
+# and figure and the design-choice ablations, from one run of the `figures`
+# preset) and cmp its stdout against the committed pin in bench/product/ (the
 # simulated results are the product), smoke the database-traffic family (ycsb
 # on the TL2 backend must emit validating commit-latency percentiles; the
 # table3-dbtraffic grid must merge bit-identically across 1 and 4 host
@@ -127,13 +127,13 @@ echo "== end-to-end benchmark: smoke cells + fingerprint gate (bench/e2e) =="
 # BENCHMARK.json declares.
 bash bench/e2e/run.sh --smoke
 
-echo "== product pin: paper_figures + ablation_mechanisms stdout vs bench/product/ =="
+echo "== product pin: paper_figures stdout vs bench/product/ =="
 # Every bench/ binary except the micro_substrates microbenchmarks prints
-# simulated results: paper_figures every paper table and figure (it exits
-# nonzero if any cell fails), ablation_mechanisms the design ablations. Each
-# must print exactly its committed bench/product/<binary>.txt, and every pin
-# must have its binary. A change that moves a result regenerates the pins
-# (EXPERIMENTS.md, "Regeneration").
+# simulated results; today that is paper_figures alone: every paper table and
+# figure, then the design-choice ablations (it exits nonzero if any cell
+# fails). Each must print exactly its committed bench/product/<binary>.txt,
+# and every pin must have its binary. A change that moves a result
+# regenerates the pin (EXPERIMENTS.md, "Regeneration").
 d="build/product_check"
 rm -rf "$d" && mkdir -p "$d"
 for b in $(find build/bench -maxdepth 1 -type f -executable \

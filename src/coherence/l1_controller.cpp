@@ -103,6 +103,37 @@ void L1Controller::cas(Addr addr, std::uint64_t expect, std::uint64_t desired,
                 .done = std::move(done)});
 }
 
+bool L1Controller::loadStaysAt(Addr addr, std::uint64_t value) const {
+  if (op_.active || mode_ != TxMode::None || switchPending_ || hlBeginDone_ != nullptr ||
+      !mshr_.empty()) {
+    return false;
+  }
+  const mem::CacheEntry* e = cache_.find(lineOf(addr));
+  return e != nullptr && e->data[wordOf(addr)] == value;
+}
+
+void L1Controller::creditHits(Addr addr, std::uint64_t n) {
+  if (n == 0) return;
+  mem::CacheEntry* e = cache_.find(lineOf(addr));
+  if (e == nullptr) {
+    throw std::logic_error("L1 c" + std::to_string(id_) +
+                           ": a parked CPU's line left the cache without waking it");
+  }
+  hits_ += n;
+  cache_.touch(*e, n);
+}
+
+void L1Controller::latchLoad(Addr addr, DoneValFn done) {
+  if (op_.active) throw std::logic_error("L1 already has an outstanding CPU op");
+  op_ = CpuOp{.active = true, .kind = OpKind::Load, .addr = addr, .done = std::move(done)};
+}
+
+void L1Controller::scheduleLookup(const sim::SpinLoop& loop) {
+  engine_.queue().scheduleUnparked(loop, [this]() {
+    if (op_.active) lookupAndHandle();
+  });
+}
+
 void L1Controller::startOp(CpuOp op) {
   if (op_.active) throw std::logic_error("L1 already has an outstanding CPU op");
   op_ = std::move(op);
@@ -375,6 +406,10 @@ void L1Controller::sendWakeup(CoreId core, LineAddr line) {
 // ------------------------------------------------------------ network port
 
 void L1Controller::onMessage(const Msg& msg) {
+  if (cpuParked_) [[unlikely]] {
+    cpuParked_ = false;
+    port_->wake();
+  }
   LKTM_LOG(sim::LogLevel::Trace, engine_.now(), "l1",
            "c" + std::to_string(id_) + " rx " + msg.str());
   switch (msg.type) {

@@ -51,6 +51,9 @@ class L1Controller final : public MsgSink {
     virtual void onAbort(AbortCause cause) = 0;
     /// switchingMode succeeded; the CPU is now in STL mode.
     virtual void onSwitchedToStl() = 0;
+    /// A message arrived while the CPU was parked (parkCpu): put the CPU's
+    /// pending event back before the L1 handles the message.
+    virtual void wake() {}
 
    protected:
     ~CpuPort() = default;
@@ -92,6 +95,23 @@ class L1Controller final : public MsgSink {
 
   TxMode mode() const { return mode_; }
   bool busy() const { return op_.active; }
+
+  // ---- spin parking (cpu::Cpu) ----
+  /// True when a load of `addr` would hit and return `value` for as long as
+  /// no message arrives: the word is resident with that value, no CPU op,
+  /// request or mode change is in flight, so only a message can change it.
+  bool loadStaysAt(Addr addr, std::uint64_t value) const;
+  /// The CPU stops issuing its spin loads; the next message calls
+  /// CpuPort::wake() first.
+  void parkCpu() { cpuParked_ = true; }
+  /// Credit `n` load hits on `addr` that a parked CPU did not issue: the hit
+  /// counter and the cache's LRU stamps read as if they had run.
+  void creditHits(Addr addr, std::uint64_t n);
+  /// Latch a load as load() does, without scheduling its lookup.
+  void latchLoad(Addr addr, DoneValFn done);
+  /// Schedule the latched load's lookup as the pending event of `loop`.
+  void scheduleLookup(const sim::SpinLoop& loop);
+  Cycle hitLatency() const { return params_.l1HitLatency; }
 
   // ---- network port ----
   void onMessage(const Msg& msg) override;
@@ -156,6 +176,7 @@ class L1Controller final : public MsgSink {
   std::vector<std::uint64_t> txMarks_;
 
   TxMode mode_ = TxMode::None;
+  bool cpuParked_ = false;
   bool triedSwitch_ = false;
   bool switchPending_ = false;            ///< applyingHLA: external reqs blocked
   std::deque<Msg> blockedExternal_;

@@ -205,8 +205,8 @@ std::size_t parseSuffixToken(const std::string& name, MachineOverrides& ov) {
 
 MachineParams machineByName(const std::string& name) {
   // Strip scale suffixes right-to-left, then look up the base preset and
-  // re-apply the overrides in canonical order (so the resulting name
-  // round-trips byte-identically through applyMachineOverrides).
+  // re-apply the overrides in canonical order; a name that does not come
+  // back byte-identical is refused.
   std::string base = name;
   MachineOverrides ov;
   for (std::size_t n = parseSuffixToken(base, ov); n != 0;
@@ -225,6 +225,12 @@ MachineParams machineByName(const std::string& name) {
     throw std::invalid_argument("unknown machine: " + name);
   }
   applyMachineOverrides(m, ov);
+  // One spelling per machine, so a manifest job's machine is its artifact's:
+  // the short preset names ("small") and reordered suffixes are refused.
+  if (m.name != name) {
+    throw std::invalid_argument("machine '" + name + "' is not canonical: write '" +
+                                m.name + "'");
+  }
   return m;
 }
 

@@ -77,12 +77,15 @@ struct MachineOverrides {
 /// is not validated here — call m.validate() when final.
 void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov);
 
-/// Look up a machine by name: the presets "typical", "small-cache" (alias
-/// "small"), "large-cache" (alias "large"), optionally scaled by suffixes as
-/// produced by applyMachineOverrides — e.g. "typical-c128-b8",
+/// Look up a machine by name: the presets "typical", "small-cache" and
+/// "large-cache", optionally scaled by suffixes as produced by
+/// applyMachineOverrides — e.g. "typical-c128-b8",
 /// "large-cache-c256-b16-m16x16", "typical-net=ideal" or "typical-be=hybrid".
-/// Throws std::invalid_argument on an unknown name, a repeated suffix or a
-/// malformed one (the sweep manifest stores machines by these names).
+/// Throws std::invalid_argument on an unknown name, a repeated suffix, a
+/// malformed one, and on any spelling other than the canonical one (suffixes
+/// out of order); the message names the canonical spelling. The sweep
+/// manifest stores machines by these names, and each artifact repeats its
+/// job's name.
 MachineParams machineByName(const std::string& name);
 
 }  // namespace lktm::cfg

@@ -22,17 +22,84 @@ Cpu::Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& ba
       commitLatency_(ctx.stats().histogram(
           stats::statPath("core." + std::to_string(id), "latency.commit"))) {
   l1_.setCpuPort(*this);
+  spinBranch_.assign(prog_.size(), false);
+  for (std::size_t p = 0; p + 3 < prog_.size(); ++p) {
+    const Instr& ld = prog_.code[p];
+    const Instr& br = prog_.code[p + 1];
+    const Instr& jmp = prog_.code[p + 3];
+    spinBranch_[p + 1] = ld.op == Op::Load && (br.op == Op::Beq || br.op == Op::Bne) &&
+                         prog_.code[p + 2].op == Op::Compute && jmp.op == Op::Jmp &&
+                         jmp.imm == static_cast<std::int64_t>(p) && ld.rd != kZeroReg &&
+                         ld.rd != ld.rs1 && (br.rs1 == ld.rd) != (br.rs2 == ld.rd);
+  }
+  spin_.phases = kSpinPhases;
 }
+
+Cpu::~Cpu() { engine_.queue().forget(spin_); }
 
 void Cpu::start() {
   bd_.beginSegment(TimeCat::NonTran, engine_.now());
   scheduleNext(1);
 }
 
-void Cpu::scheduleNext(Cycle delay) {
-  engine_.schedule(delay, [this, ep = epoch_] {
-    if (ep == epoch_ && !halted_) step();
-  });
+void Cpu::scheduleNext(Cycle delay) { engine_.schedule(delay, stepAction()); }
+
+coh::L1Controller::DoneValFn Cpu::loadDone(unsigned rd) {
+  return [this, ep = epoch_, rd](std::uint64_t v) {
+    if (ep != epoch_ || halted_) return;
+    setReg(rd, v);
+    if (inTx()) ++memRefsInTx_;
+    retire(1);
+  };
+}
+
+bool Cpu::tryPark() {
+  // At the loop's compute, just past its branch.
+  spinLoad_ = pc_ - 2;
+  const Instr& ld = prog_.code[spinLoad_];
+  if (inTx() || !l1_.loadStaysAt(spinAddr(), regs_[ld.rd])) return false;
+  const std::int64_t k = prog_.code[pc_].imm;
+  spin_.delay[kSpinCompute] = static_cast<Cycle>(k > 0 ? k : 1);
+  spin_.delay[kSpinJmp] = 1;
+  spin_.delay[kSpinLoad] = l1_.hitLatency();
+  spin_.delay[kSpinLookup] = 1;
+  spin_.delay[kSpinBranch] = 1;
+  if (!engine_.queue().park(spin_, kSpinCompute, 1)) return false;
+  spinCredited_ = 0;
+  l1_.parkCpu();
+  return true;
+}
+
+void Cpu::settleSpin() {
+  // The k-th loop event since park ran phase k % kSpinPhases.
+  auto ranOf = [](std::uint64_t events, unsigned phase) {
+    return events / kSpinPhases + (events % kSpinPhases > phase ? 1 : 0);
+  };
+  auto ran = [&](unsigned phase) { return ranOf(spin_.ran, phase) - ranOf(spinCredited_, phase); };
+  instsRetired_ += ran(kSpinCompute) + ran(kSpinJmp) + ran(kSpinLookup) + ran(kSpinBranch);
+  l1_.creditHits(spinAddr(), ran(kSpinLookup));
+  spinCredited_ = spin_.ran;
+  const unsigned rd = prog_.code[spinLoad_].rd;
+  switch (spin_.phase) {
+    case kSpinCompute: pc_ = spinLoad_ + 2; break;
+    case kSpinJmp: pc_ = spinLoad_ + 3; break;
+    case kSpinLoad: pc_ = spinLoad_; break;
+    case kSpinLookup:
+      pc_ = spinLoad_;
+      l1_.latchLoad(spinAddr(), loadDone(rd));
+      break;
+    case kSpinBranch: pc_ = spinLoad_ + 1; break;
+  }
+}
+
+void Cpu::wake() {
+  engine_.queue().unpark(spin_);
+  settleSpin();
+  if (spin_.phase == kSpinLookup) {
+    l1_.scheduleLookup(spin_);
+  } else {
+    engine_.queue().scheduleUnparked(spin_, stepAction());
+  }
 }
 
 void Cpu::retire(Cycle delay) {
@@ -138,6 +205,7 @@ void Cpu::step() {
       ++instsRetired_;
       if (inTx()) ++instsInTx_;
       pc_ = taken ? static_cast<std::size_t>(i.imm) : pc_ + 1;
+      if (!taken && spinBranch_[pc_ - 1] && tryPark()) return;
       scheduleNext(1);
       return;
     }
@@ -236,12 +304,7 @@ void Cpu::execMem(const Instr& i) {
   const Addr addr = regs_[i.rs1] + static_cast<std::uint64_t>(i.imm);
   switch (i.op) {
     case Op::Load:
-      l1_.load(addr, [this, ep = epoch_, rd = i.rd](std::uint64_t v) {
-        if (ep != epoch_ || halted_) return;
-        setReg(rd, v);
-        if (inTx()) ++memRefsInTx_;
-        retire(1);
-      });
+      l1_.load(addr, loadDone(i.rd));
       return;
     case Op::Store:
       l1_.store(addr, regs_[i.rs2], [this, ep = epoch_] {

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <functional>
+#include <vector>
 
 #include "coherence/l1_controller.hpp"
 #include "cpu/barrier.hpp"
@@ -29,6 +30,9 @@ class Cpu final : private coh::L1Controller::CpuPort {
  public:
   Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& barrier,
       Program program, CpuParams params, std::function<void()> onHalt = [] {});
+  ~Cpu();
+  Cpu(const Cpu&) = delete;
+  Cpu& operator=(const Cpu&) = delete;
 
   /// Schedule the first instruction.
   void start();
@@ -95,7 +99,41 @@ class Cpu final : private coh::L1Controller::CpuPort {
     commitLatency_.record(engine_.now() - sectionStart_);
   }
 
+  // Spin parking (DESIGN.md §8, "Parked spinners"). A loop
+  //   load rd,[rs1+imm]; beq|bne rd,rX -> exit; compute k; jmp load
+  // (rd not rs1 or rX) whose load would hit with the value rd already holds
+  // parks at its branch: its events leave the queue until a message reaches
+  // the L1, and wake() credits what they did and puts the next one back.
+  enum SpinPhase : unsigned { kSpinCompute, kSpinJmp, kSpinLoad, kSpinLookup, kSpinBranch,
+                              kSpinPhases };
+  struct Spinner final : sim::SpinLoop {
+    explicit Spinner(Cpu& c) : cpu(c) {}
+    Cpu& cpu;
+    void settle() override { cpu.settleSpin(); }
+  };
+  std::vector<bool> spinBranch_;  ///< by pc: the branch of such a loop
+  Spinner spin_{*this};
+  std::size_t spinLoad_ = 0;       ///< pc of the parked loop's load
+  std::uint64_t spinCredited_ = 0;  ///< loop events already credited
+
+  bool tryPark();
+  /// Credit the loop events run since park (retired instructions, L1 hits
+  /// and LRU stamps) and put pc and the L1's op latch at the pending phase.
+  void settleSpin();
+  void wake() override;
+  Addr spinAddr() const {
+    const Instr& ld = prog_.code[spinLoad_];
+    return regs_[ld.rs1] + static_cast<std::uint64_t>(ld.imm);
+  }
+
   void step();
+  /// The continuation that steps this CPU unless an abort or halt came first.
+  auto stepAction() {
+    return [this, ep = epoch_] {
+      if (ep == epoch_ && !halted_) step();
+    };
+  }
+  coh::L1Controller::DoneValFn loadDone(unsigned rd);
   void scheduleNext(Cycle delay);
   void retire(Cycle delay);
   void setReg(unsigned rd, std::uint64_t v) {

@@ -94,6 +94,8 @@ class CacheArray {
 
   /// Mark `e` as most recently used.
   void touch(CacheEntry& e) { e.lru = ++stamp_; }
+  /// `times` touches of `e` in a row.
+  void touch(CacheEntry& e, std::uint64_t times) { e.lru = stamp_ += times; }
 
   /// Install `line` into the given (previously victimized) entry.
   void install(CacheEntry& e, LineAddr line, MesiState st, const LineData& data);

@@ -48,14 +48,16 @@ namespace lktm::sim {
 
 void Engine::run(Cycle maxCycles) {
   lastProgress_ = q_.now();
-  const Cycle limit = q_.now() + maxCycles;
+  limit_ = q_.now() + maxCycles;
+  q_.setDeadline(deadline());
   auto diagnose = [this](std::ostringstream& oss) {
     for (const auto& d : diagnostics_) oss << "\n  " << d();
   };
   while (q_.runOne()) {
-    if (q_.now() - lastProgress_ > watchdogWindow_ || q_.now() > limit) {
+    if (q_.now() - lastProgress_ > watchdogWindow_ || q_.now() > limit_) {
+      q_.settleParked();
       std::ostringstream oss;
-      if (q_.now() > limit) {
+      if (q_.now() > limit_) {
         oss << "simulation exceeded cycle budget (" << maxCycles << " cycles)";
         diagnose(oss);
         throw SimulationTimeout(oss.str());
@@ -66,6 +68,7 @@ void Engine::run(Cycle maxCycles) {
       throw SimulationHang(oss.str());
     }
   }
+  q_.setDeadline(EventQueue::kNever);
 }
 
 }  // namespace lktm::sim

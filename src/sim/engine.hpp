@@ -44,9 +44,15 @@ class Engine {
     diagnostics_.clear();
   }
 
-  /// Components call this whenever application-visible progress happens
-  /// (an instruction retires, a transaction commits, ...).
-  void noteProgress() { lastProgress_ = q_.now(); }
+  /// Components call this when a thread makes progress the watchdog should
+  /// see: a transaction or lock/STM critical section commits, an hlbegin is
+  /// authorized, a barrier releases, a thread halts. Retiring an instruction
+  /// does not count, so a spin loop never notes progress (which also lets a
+  /// parked spinner leave the watchdog's view unchanged).
+  void noteProgress() {
+    lastProgress_ = q_.now();
+    q_.setDeadline(deadline());
+  }
 
   /// Register a callback that contributes one line to the hang diagnostic.
   void addDiagnostic(std::function<std::string()> fn) {
@@ -62,6 +68,13 @@ class Engine {
   EventQueue q_;
   Cycle watchdogWindow_;
   Cycle lastProgress_ = 0;
+  Cycle limit_ = EventQueue::kNever;
+
+  /// The last cycle an event may run at before run() throws.
+  Cycle deadline() const {
+    const Cycle idle = lastProgress_ + watchdogWindow_;
+    return idle < lastProgress_ || idle > limit_ ? limit_ : idle;
+  }
   std::vector<std::function<std::string()>> diagnostics_;
 };
 

@@ -8,6 +8,10 @@
 // The total order is bit-identical to the classic binary-heap implementation
 // (see tests/test_kernel.cpp's replay regression), but schedule/runOne are
 // O(1) amortized and allocation-free once the node slabs have warmed up.
+//
+// Parked spin loops (SpinLoop) run no events at all: the queue keeps each
+// one's pending place and, when the loop is woken, puts its next event back
+// exactly where the loop's own events would have put it (DESIGN.md §8).
 #pragma once
 
 #include <array>
@@ -55,6 +59,41 @@ class ScheduleOracle {
   virtual std::size_t pick(Cycle now, std::size_t nReady) = 0;
 };
 
+/// A loop of events that only reads state its owner watches (a CPU spinning
+/// on a line its L1 holds). Its owner parks it instead of scheduling its next
+/// event; the queue then runs the loop's events without executing anything.
+/// The loop cycles through `phases` events; phase i's event schedules the
+/// next phase's `delay[i]` cycles later, as the last thing it does.
+///
+/// While parked, `phase`/`when`/`seq`/`tie` describe the loop's pending event
+/// and `ran` counts the loop events run since park. After unpark() they
+/// describe the event the owner puts back with scheduleUnparked().
+class SpinLoop {
+ public:
+  static constexpr unsigned kMaxPhases = 8;
+
+  std::array<Cycle, kMaxPhases> delay{};
+  unsigned phases = 0;
+
+  unsigned phase = 0;      ///< phase of the pending event
+  Cycle when = 0;          ///< its cycle
+  std::uint64_t seq = 0;   ///< insertion counter when it would have been scheduled
+  std::uint64_t tie = 0;   ///< order among loop events of the same (when, seq)
+  std::uint64_t ran = 0;   ///< loop events run since park
+  bool parked = false;
+
+  /// The run ends (EventQueue::settleParked) with the loop parked: bring the
+  /// owner's state up to the `ran` loop events, as the unparked run shows it.
+  virtual void settle() = 0;
+
+ protected:
+  ~SpinLoop() = default;
+
+ private:
+  friend class EventQueue;
+  SpinLoop* nextParked_ = nullptr;
+};
+
 class EventQueue {
  public:
   using Action = sim::Action;
@@ -63,9 +102,15 @@ class EventQueue {
   /// 4096 covers every protocol latency (memory = 100 cycles) with headroom
   /// for Compute/DelayReg bursts; only extreme backoffs overflow.
   static constexpr std::size_t kHorizon = 4096;
+  /// No deadline: the run is not stopped at any cycle.
+  static constexpr Cycle kNever = ~Cycle{0};
+  /// Every phase delay of a parked loop is below this (the parked set is a
+  /// 64-cycle wheel).
+  static constexpr Cycle kParkedDelayLimit = 64;
 
   EventQueue();
   ~EventQueue();
+  // Not copyable or movable: the wheel's tails point into the queue.
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -92,22 +137,72 @@ class EventQueue {
   /// Run the next event; returns false if the queue is empty. The action runs
   /// in place inside its node, which returns to the free list afterwards —
   /// also when the action throws.
+  ///
+  /// With loops parked, the next event to run may be a parked loop's event
+  /// past the deadline (setDeadline): then the clock reads that event's
+  /// cycle, no queued event runs, and it returns true.
   bool runOne() {
+    if (nParked_ != 0 && parkedLoopPassesDeadline()) [[unlikely]] return true;
     if (size_ == 0) return false;
     Node* n = oracle_ != nullptr ? popWithOracle() : popDefault();
     --size_;
     ++executed_;
     const RecycleOnExit recycle{*this, n};
+    running_ = n;
     n->fn();
+    if (nParked_ != 0) [[unlikely]] logRun(*n);  // the event parked a loop
     return true;
+  }
+
+  /// The cycle past which the owner ends the run (Engine::run's watchdog and
+  /// cycle budget). A parked loop's event past it is where the run ends.
+  void setDeadline(Cycle when) { deadline_ = when; }
+
+  /// From inside a running event: park `loop` instead of scheduling its
+  /// `phase` event `delay` cycles from now (the loop's delays must be set).
+  /// Returns false, parking nothing, under a schedule oracle or when a delay
+  /// reaches kParkedDelayLimit; the caller then schedules as usual.
+  bool park(SpinLoop& loop, unsigned phase, Cycle delay);
+
+  /// From inside a running event: run every parked loop up to the present
+  /// and take `loop` off the parked set. Its fields then give its pending
+  /// event, which the owner must put back with scheduleUnparked().
+  void unpark(SpinLoop& loop);
+
+  /// The run ends after the last event run (or the parked loop's event that
+  /// passed the deadline): call settle() on every parked loop.
+  void settleParked();
+
+  /// Drop a parked loop whose owner goes away, running nothing. Every owner
+  /// calls it on destruction (reset() relies on it).
+  void forget(SpinLoop& loop);
+
+  /// Schedule `fn` as the pending event of a just-unparked loop: at
+  /// loop.when, before every event of that cycle inserted at or after
+  /// loop.seq, and among loop events by loop.tie.
+  template <class F>
+  void scheduleUnparked(const SpinLoop& loop, F&& fn) {
+    Node* n = allocNode();
+    try {
+      n->fn = std::forward<F>(fn);
+    } catch (...) {
+      recycleNode(n);
+      throw;
+    }
+    n->when = loop.when;
+    n->seq = loop.seq;
+    n->tie = loop.tie;
+    ++size_;
+    insertInOrder(n);
   }
 
   /// Run until the queue drains or `maxCycles` simulated cycles elapse.
   /// Throws SimulationHang if the budget is exceeded.
   void runUntilDrained(Cycle maxCycles);
 
-  /// Drop all pending events and rewind the clock and sequence counter to
-  /// zero. Node slabs are retained, so a reused queue does not re-allocate.
+  /// Drop all pending events and parked loops, clear the deadline, and
+  /// rewind the clock and sequence counter to zero. Node slabs are retained,
+  /// so a reused queue does not re-allocate.
   void reset();
 
   /// Events executed since construction (not reset by reset()).
@@ -131,12 +226,36 @@ class EventQueue {
   }
 
  private:
+  /// Ordinary events come after every loop event of the same (when, seq).
+  static constexpr std::uint64_t kEventTie = ~std::uint64_t{0};
+
   struct Node {
     Cycle when = 0;
     std::uint64_t seq = 0;
+    std::uint64_t tie = kEventTie;  ///< fits the padding before fn
     Node* next = nullptr;
     Action fn;
   };
+  /// An event's place in the total order: (when, seq, tie) ascending.
+  struct Key {
+    Cycle when;
+    std::uint64_t seq;
+    std::uint64_t tie;
+  };
+  static bool before(const Key& a, const Key& b) {
+    if (a.when != b.when) return a.when < b.when;
+    if (a.seq != b.seq) return a.seq < b.seq;
+    return a.tie < b.tie;
+  }
+  static Key keyOf(const Node& n) { return Key{n.when, n.seq, n.tie}; }
+  /// One event run while loops are parked, with the insertion counter after it.
+  struct LogEntry {
+    Key key;
+    std::uint64_t after;
+  };
+  /// 2048 x 32 B = 64 KiB; a full log is replayed and emptied.
+  static constexpr std::size_t kLogCapacity = 2048;
+  static constexpr std::size_t kWheel = kParkedDelayLimit;
   struct Bucket {
     Node* head = nullptr;
     Node* tail = nullptr;
@@ -168,8 +287,24 @@ class EventQueue {
   std::size_t ringSize_ = 0;
   std::uint64_t executed_ = 0;
 
+  // ---- parked spin loops ----
+  const Node* running_ = nullptr;  ///< the event whose action runs
+  Cycle deadline_ = kNever;
+  std::size_t nParked_ = 0;
+  std::uint64_t ties_ = 0;
+  /// Parked loops by pending cycle: a FIFO per cycle mod kWheel, every
+  /// pending cycle in [wheelNow_, wheelNow_ + kWheel). A slot's tail is the
+  /// link its next loop goes into (its head, when the slot is empty).
+  std::array<SpinLoop*, kWheel> wheelHead_{};
+  std::array<SpinLoop**, kWheel> wheelTail_{};
+  std::uint64_t wheelOcc_ = 0;
+  Cycle wheelNow_ = 0;
+  /// Events run since the last replay, and the counter before the first.
+  std::vector<LogEntry> log_;
+  std::uint64_t logBase_ = 0;
+
   static bool laterInHeap(const Node* a, const Node* b) {
-    return a->when != b->when ? a->when > b->when : a->seq > b->seq;
+    return before(keyOf(*b), keyOf(*a));
   }
 
   // ---- per-event fast path (inline) ----
@@ -203,6 +338,7 @@ class EventQueue {
     }
     n->when = when;
     n->seq = seq_++;
+    n->tie = kEventTie;
     ++size_;
     if (when - now_ < kHorizon) [[likely]] {
       appendToRing(n);
@@ -276,6 +412,13 @@ class EventQueue {
 
   // ---- rare paths (out of line) ----
 
+  void logRun(const Node& n);
+  void insertInOrder(Node* n);
+  bool parkedLoopPassesDeadline();
+  void replayToPresent();
+  SpinLoop* replayParked(const Key& stop, Cycle deadline);
+  void wheelPush(SpinLoop* loop);
+  void wheelRemove(SpinLoop& loop);
   void growSlab();
   void pushOverflow(Node* n);
   Node* popOverflow();

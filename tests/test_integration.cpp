@@ -284,7 +284,8 @@ TEST(Integration, NameTokensRoundTripAndSetTheirField) {
   for (const char* bad :
        {"typical-sig=0", "typical-sig=100", "typical-sig=2048", "typical-sig=064",
         "typical-net=fast", "typical-net=mesh", "typical-net=ideal-net=ideal",
-        "typical-c64-c32"}) {
+        "typical-c64-c32", "small", "large-c64", "typical-b2-c8",
+        "typical-be=tl2-sig=64"}) {
     EXPECT_THROW(machineByName(bad), std::invalid_argument) << bad;
   }
 }

@@ -1,7 +1,8 @@
 // Kernel regression tests for the pooled calendar-queue event substrate:
 //  * a 10k-event replay that locks the calendar queue's total order to the
 //    reference binary-heap semantics ((cycle, insertion-seq) ascending),
-//    including horizon-crossing and overflow-migration tie-break cases;
+//    including horizon-crossing and overflow-migration tie-break cases, and
+//    again with parked spin loops that the reference runs as events;
 //  * pool-reuse proofs that steady-state simulation performs no event-node,
 //    message-pool, or callable heap allocations after warm-up (kstats
 //    telemetry hooks);
@@ -138,6 +139,245 @@ TEST(KernelDeterminism, CalendarQueueReplaysReferenceHeapOrder) {
   for (std::size_t i = 0; i < expect.size(); ++i) {
     ASSERT_EQ(got[i], expect[i]) << "divergence at event " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Parked spin loops: the same trace plus three loops of events. The reference
+// heap runs every loop event; the calendar queue parks each loop after one
+// phase and wakes it when a trace event touches it. Every trace event, and
+// every touch with the loop's event count and pending phase, must come out
+// identically, and so must the event that first passes the deadline. Loops 0
+// and 1 have one shape and start side by side, so their parked events share
+// (cycle, seq) and only the tie orders them; loop 2 has a zero-delay phase.
+// Some 10k events run while loops are parked, so the queue's log of them
+// fills and is replayed several times.
+
+struct LoopShape {
+  std::vector<Cycle> delay;  ///< phase i's event schedules phase i+1 this much later
+  unsigned parkPhase;        ///< the calendar queue parks the loop after this phase
+  Cycle start;
+};
+
+const std::vector<LoopShape>& loopShapes() {
+  static const std::vector<LoopShape> shapes{
+      {{2, 1, 3, 1, 1}, 4, 5},
+      {{2, 1, 3, 1, 1}, 4, 5},
+      {{0, 5, 1}, 0, 9},
+  };
+  return shapes;
+}
+
+/// The loop trace event `id` touches, or -1.
+int touchedLoop(std::uint64_t id) {
+  const std::uint64_t h = mix(id ^ 0x5bd1e995u);
+  return h % 4 == 0 ? static_cast<int>((h >> 8) % loopShapes().size()) : -1;
+}
+
+struct LoopTrace {
+  std::vector<std::uint64_t> order;    ///< trace event ids in run order
+  std::vector<std::uint64_t> touches;  ///< (id, loop, loop events so far, pending phase)...
+  std::vector<std::uint64_t> loopEvents;
+  std::vector<unsigned> pendingPhase;
+  Cycle end = 0;  ///< the cycle of the first event past the deadline
+};
+
+LoopTrace runReferenceWithLoops(int seedEvents, int totalBudget, Cycle deadline) {
+  struct Ev {
+    Cycle when;
+    std::uint64_t seq;
+    std::uint64_t id;
+    int loop;  ///< -1: a trace event
+    unsigned phase;
+  };
+  struct Later {
+    bool operator()(const Ev& a, const Ev& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Ev, std::vector<Ev>, Later> pq;
+  Cycle now = 0;
+  std::uint64_t seq = 0;
+  LoopTrace out;
+  const auto& shapes = loopShapes();
+  out.loopEvents.assign(shapes.size(), 0);
+  out.pendingPhase.assign(shapes.size(), 0);
+  int budget = totalBudget;
+  for (int i = 0; i < seedEvents; ++i) {
+    const std::uint64_t id = static_cast<std::uint64_t>(i);
+    pq.push(Ev{traceDelay(mix(id * 77)), seq++, id, -1, 0});
+  }
+  for (std::size_t l = 0; l < shapes.size(); ++l) {
+    pq.push(Ev{shapes[l].start, seq++, 0, static_cast<int>(l), 0});
+  }
+  while (!pq.empty()) {
+    const Ev e = pq.top();
+    pq.pop();
+    now = e.when;
+    if (e.loop >= 0) {
+      const auto l = static_cast<std::size_t>(e.loop);
+      const unsigned next = (e.phase + 1) % static_cast<unsigned>(shapes[l].delay.size());
+      ++out.loopEvents[l];
+      out.pendingPhase[l] = next;
+      pq.push(Ev{now + shapes[l].delay[e.phase], seq++, 0, e.loop, next});
+    } else {
+      if (const int l = touchedLoop(e.id); l >= 0) {
+        const auto li = static_cast<std::size_t>(l);
+        out.touches.insert(out.touches.end(), {e.id, li, out.loopEvents[li],
+                                               out.pendingPhase[li]});
+      }
+      onTraceEvent(e.id, out.order, budget, [&](Cycle d, std::uint64_t cid) {
+        pq.push(Ev{now + d, seq++, cid, -1, 0});
+      });
+    }
+    if (now > deadline) break;
+  }
+  out.end = now;
+  return out;
+}
+
+struct QueueLoop final : sim::SpinLoop {
+  std::uint64_t events = 0;  ///< loop events run by the queue or credited at unpark
+  unsigned pending = 0;      ///< phase of the pending event while not parked
+  bool settled = false;
+  void settle() override { settled = true; }
+};
+
+LoopTrace runCalendarWithLoops(int seedEvents, int totalBudget, Cycle deadline,
+                               std::uint64_t* wakes) {
+  sim::EventQueue q;
+  LoopTrace out;
+  const auto& shapes = loopShapes();
+  std::vector<QueueLoop> loops(shapes.size());
+  for (std::size_t l = 0; l < shapes.size(); ++l) {
+    loops[l].phases = static_cast<unsigned>(shapes[l].delay.size());
+    for (unsigned p = 0; p < loops[l].phases; ++p) loops[l].delay[p] = shapes[l].delay[p];
+  }
+  int budget = totalBudget;
+  std::function<void(std::size_t, unsigned)> fireLoop = [&](std::size_t l, unsigned phase) {
+    QueueLoop& loop = loops[l];
+    ++loop.events;
+    const unsigned next = (phase + 1) % loop.phases;
+    loop.pending = next;
+    if (phase == shapes[l].parkPhase && q.park(loop, next, loop.delay[phase])) return;
+    q.schedule(loop.delay[phase], [&fireLoop, l, next] { fireLoop(l, next); });
+  };
+  std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
+    if (const int l = touchedLoop(id); l >= 0) {
+      const auto li = static_cast<std::size_t>(l);
+      QueueLoop& loop = loops[li];
+      if (loop.parked) {
+        q.unpark(loop);
+        ++*wakes;
+        loop.events += loop.ran;
+        loop.pending = loop.phase;
+        q.scheduleUnparked(loop, [&fireLoop, li, phase = loop.phase] { fireLoop(li, phase); });
+      }
+      out.touches.insert(out.touches.end(), {id, li, loop.events, loop.pending});
+    }
+    onTraceEvent(id, out.order, budget, [&](Cycle d, std::uint64_t cid) {
+      q.schedule(d, [&fire, cid] { fire(cid); });
+    });
+  };
+  for (int i = 0; i < seedEvents; ++i) {
+    const std::uint64_t id = static_cast<std::uint64_t>(i);
+    q.schedule(traceDelay(mix(id * 77)), [&fire, id] { fire(id); });
+  }
+  for (std::size_t l = 0; l < shapes.size(); ++l) {
+    q.schedule(shapes[l].start, [&fireLoop, l] { fireLoop(l, 0); });
+  }
+  q.setDeadline(deadline);
+  while (q.runOne()) {
+    if (q.now() > deadline) break;
+  }
+  q.settleParked();
+  for (QueueLoop& loop : loops) {
+    EXPECT_EQ(loop.settled, loop.parked);
+    out.loopEvents.push_back(loop.events + (loop.parked ? loop.ran : 0));
+    out.pendingPhase.push_back(loop.parked ? loop.phase : loop.pending);
+  }
+  out.end = q.now();
+  return out;
+}
+
+TEST(KernelDeterminism, ParkedLoopsKeepTheReferenceHeapOrder) {
+  ReferenceHeapQueue plain;
+  plain.run(2048, 8000);
+  const Cycle deadline = plain.now + 500;  // past the trace's last event
+  const LoopTrace expect = runReferenceWithLoops(2048, 8000, deadline);
+  std::uint64_t wakes = 0;
+  const LoopTrace got = runCalendarWithLoops(2048, 8000, deadline, &wakes);
+  ASSERT_GE(expect.order.size(), 10000u);
+  EXPECT_GE(wakes, 500u);
+  ASSERT_EQ(got.order.size(), expect.order.size());
+  for (std::size_t i = 0; i < expect.order.size(); ++i) {
+    ASSERT_EQ(got.order[i], expect.order[i]) << "divergence at trace event " << i;
+  }
+  ASSERT_EQ(got.touches.size(), expect.touches.size());
+  for (std::size_t i = 0; i < expect.touches.size(); i += 4) {
+    ASSERT_EQ(std::vector<std::uint64_t>(got.touches.begin() + i, got.touches.begin() + i + 4),
+              std::vector<std::uint64_t>(expect.touches.begin() + i,
+                                         expect.touches.begin() + i + 4))
+        << "touch " << i / 4 << " (id, loop, loop events, pending phase)";
+  }
+  EXPECT_EQ(got.loopEvents, expect.loopEvents);
+  EXPECT_EQ(got.pendingPhase, expect.pendingPhase);
+  EXPECT_EQ(got.end, expect.end);
+}
+
+TEST(KernelQueue, TiedLoopEventsKeepTheOrderOfTheirPredecessors) {
+  // Loop a (one phase, every 2 cycles) parks at cycle 1; at cycle 6 event x
+  // parks loop b, due at 7. Nothing was inserted in between, so both loops'
+  // events at 7 have the same place (7, A). Unparked, a's event at 7 came
+  // from its event at 5, which ran before x: a runs first. This holds only
+  // if b's park first runs a's events up to x.
+  sim::EventQueue q;
+  std::vector<QueueLoop> loops(2);
+  for (QueueLoop& loop : loops) {
+    loop.phases = 1;
+    loop.delay[0] = 2;
+  }
+  std::vector<int> order;
+  q.schedule(1, [&] { ASSERT_TRUE(q.park(loops[0], 0, 2)); });
+  q.schedule(6, [&] { ASSERT_TRUE(q.park(loops[1], 0, 1)); });
+  q.schedule(6, [&] {
+    for (int l : {1, 0}) {
+      QueueLoop& loop = loops[static_cast<std::size_t>(l)];
+      q.unpark(loop);
+      EXPECT_EQ(loop.when, 7u);
+      q.scheduleUnparked(loop, [&order, l] { order.push_back(l); });
+    }
+  });
+  while (q.runOne()) {
+  }
+  EXPECT_EQ(loops[0].ran, 2u);  // its events at 3 and 5
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(KernelQueue, DrainedQueueEndsAtTheParkedLoopsFirstEventPastTheDeadline) {
+  // Two loops parked in one cycle, then nothing else: the run ends where the
+  // unparked loops' first event past the deadline would have run, with the
+  // loops brought up to that event.
+  sim::EventQueue q;
+  std::vector<QueueLoop> loops(2);
+  for (QueueLoop& loop : loops) {
+    loop.phases = 2;
+    loop.delay[0] = 3;
+    loop.delay[1] = 4;
+  }
+  q.schedule(1, [&] { ASSERT_TRUE(q.park(loops[0], 0, 1)); });
+  q.schedule(1, [&] { ASSERT_TRUE(q.park(loops[1], 1, 1)); });
+  q.setDeadline(20);
+  ASSERT_TRUE(q.runOne());
+  ASSERT_TRUE(q.runOne());
+  ASSERT_TRUE(q.runOne());  // no event left: a loop event passes the deadline
+  q.settleParked();
+  // Loop 0 runs at 2, 5, 9, 12, 16, 19, 23; loop 1 at 2, 6, 9, 13, 16, 20,
+  // 23. Both reach 23 first past 20; loop 0's event there came from 19 and
+  // loop 1's from 20, so loop 0's runs first and ends the run.
+  EXPECT_EQ(q.now(), 23u);
+  EXPECT_EQ(loops[0].ran, 7u);
+  EXPECT_EQ(loops[1].ran, 6u);
+  EXPECT_TRUE(loops[0].settled && loops[1].settled);
 }
 
 // ---------------------------------------------------------------------------

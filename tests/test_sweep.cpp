@@ -443,6 +443,24 @@ TEST(Orchestrator, PermanentFailureIsNotRetried) {
   EXPECT_NE(m.jobs[0].diagnostic.find("deterministic bug"), std::string::npos);
 }
 
+TEST(Orchestrator, NonCanonicalMachineNameNeverReachesAnArtifact) {
+  // "small" used to run as "small-cache", so the job's machine and its
+  // artifact's machine differed. The job now fails and names the spelling.
+  const std::string dir = tempDir("noncanonical_machine");
+  SweepManifest m = makeManifest(dir, "small", {"Baseline"}, {"counter"}, {2},
+                                 kDefaultSweepSeed);
+  OrchestratorOptions opts;
+  opts.hostThreads = 1;
+  const OrchestratorReport rep = runManifest(m, "", opts);
+  EXPECT_EQ(rep.ok, 0u);
+  EXPECT_EQ(m.jobs[0].state, JobState::Failed);
+  EXPECT_NE(m.jobs[0].diagnostic.find("write 'small-cache'"), std::string::npos)
+      << m.jobs[0].diagnostic;
+  EXPECT_TRUE(fs::is_empty(dir));
+  EXPECT_THROW((void)machineByName("small-cache-b2-c8"), std::invalid_argument);
+  EXPECT_EQ(machineByName("small-cache-c8-b2").name, "small-cache-c8-b2");
+}
+
 TEST(Orchestrator, CycleBudgetEndsRunAsDeterministicTimeout) {
   SweepManifest m;
   m.jobs.resize(1);

@@ -4,7 +4,7 @@
 //
 //   lktm_sim --list
 //   lktm_sim --system LockillerTM --workload vacation+ --threads 8
-//   lktm_sim --system Baseline --workload yada --threads 32 --machine small
+//   lktm_sim --system Baseline --workload yada --threads 32 --machine small-cache
 //   lktm_sim --system LockillerTM --workload labyrinth --breakdown --seed 7
 //   lktm_sim --system LockillerTM+sof --workload yada --machine typical-net=ideal
 //
@@ -47,9 +47,10 @@ void usage() {
       "                         ycsb-w | ycsb-scan | tpcc | sps | sps-part\n"
       "                         (default vacation+)\n"
       "  --threads N            1..numCores (default 8)\n"
-      "  --machine M            typical | small | large, optionally with\n"
-      "                         suffixes, e.g. typical-c128-b8 or\n"
-      "                         small-sig=64 (default typical)\n"
+      "  --machine M            typical | small-cache | large-cache,\n"
+      "                         optionally with suffixes in canonical order,\n"
+      "                         e.g. typical-c128-b8 or small-cache-sig=64\n"
+      "                         (default typical)\n"
       "  --cores N              scale the machine to N cores (at most 512;\n"
       "                         derives a near-square mesh unless --mesh\n"
       "                         is given); a -cN machine suffix\n"
@@ -73,7 +74,10 @@ int main(int argc, char** argv) {
   std::string system = "LockillerTM";
   std::string workload = "vacation+";
   std::string machineName = "typical";
-  std::string suffixes;  // machine-name suffixes the scale flags spell
+  // Machine-name suffixes the scale flags spell, joined in canonical order
+  // whatever the order of the flags (a repeated flag repeats its suffix,
+  // which machineByName refuses).
+  std::string coresSuffix, banksSuffix, meshSuffix, backendSuffix;
   unsigned threads = 8;
   std::uint64_t seed = 11;
   bool breakdown = false;
@@ -103,7 +107,7 @@ int main(int argc, char** argv) {
           "\n"
           "system policy tokens, in this order, each at most once:\n"
           "  %s\n"
-          "machines: typical small large\n"
+          "machines: typical small-cache large-cache\n"
           "machine suffixes, in canonical order, each at most once:\n"
           "  -cN -bN -mWxH -sig=N -net=ideal -be=NAME (up to %u cores)\n"
           "backends:\n",
@@ -126,14 +130,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--cores needs a positive core count\n");
         return 2;
       }
-      suffixes += "-c" + std::to_string(cores);
+      coresSuffix += "-c" + std::to_string(cores);
     } else if (a == "--banks") {
       const auto banks = cli::unsignedArg<unsigned>("lktm-sim", "--banks", next());
       if (banks == 0) {
         std::fprintf(stderr, "--banks needs a positive bank count\n");
         return 2;
       }
-      suffixes += "-b" + std::to_string(banks);
+      banksSuffix += "-b" + std::to_string(banks);
     } else if (a == "--mesh") {
       const std::string_view wxh = next();
       const std::size_t x = wxh.find('x');
@@ -145,7 +149,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--mesh wants WxH, e.g. --mesh 16x8\n");
         return 2;
       }
-      suffixes += "-m" + std::to_string(*cols) + "x" + std::to_string(*rows);
+      meshSuffix += "-m" + std::to_string(*cols) + "x" + std::to_string(*rows);
     } else if (a == "--backend") {
       const std::string backend = next();
       if (!tm::isBackendName(backend)) {
@@ -153,7 +157,7 @@ int main(int argc, char** argv) {
                      tm::backendNameList().c_str());
         return 2;
       }
-      suffixes += "-be=" + backend;
+      backendSuffix += "-be=" + backend;
     } else if (a == "--seed") {
       seed = cli::unsignedArg<std::uint64_t>("lktm-sim", "--seed", next());
     } else if (a == "--breakdown") {
@@ -175,7 +179,8 @@ int main(int argc, char** argv) {
 
   cfg::RunConfig rc;
   try {
-    rc.machine = cfg::machineByName(machineName + suffixes);
+    rc.machine = cfg::machineByName(machineName + coresSuffix + banksSuffix + meshSuffix +
+                                    backendSuffix);
     rc.machine.validate();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

@@ -18,7 +18,6 @@
 #include "config/machine.hpp"
 #include "config/orchestrator.hpp"
 #include "config/systems.hpp"
-#include "runtime/backends/backend.hpp"
 #include "stats/report.hpp"
 #include "workloads/db_traffic.hpp"
 #include "workloads/workload.hpp"
@@ -148,9 +147,9 @@ void table1() {
               cfg::MachineParams::largeCache().describe().c_str());
 }
 
-// Table II: the evaluated systems and their mechanism composition, from the
-// same registry (cfg::evaluatedSystems(), which appends the TM-backend rows)
-// the sweeps run.
+// Table II: the evaluated systems, the backend each row names and their
+// mechanism composition, from the same table (cfg::evaluatedSystems()) the
+// sweeps run.
 void table2() {
   std::printf("TABLE II. Evaluated Systems (reproduction)\n\n");
   stats::Table t({"System", "Description", "backend", "conflict",
@@ -158,8 +157,7 @@ void table2() {
                   "lock subscr."});
   for (const auto& s : cfg::evaluatedSystems()) {
     const auto& p = s.policy;
-    const std::string backend =
-        !s.backend.empty() ? s.backend : tm::defaultBackendFor(p);
+    const std::string backend = s.backendName();
     t.addRow({s.name, s.description, backend,
               p.htmEnabled ? core::toString(p.conflict) : "-",
               p.htmEnabled && p.conflict == core::ConflictPolicy::Recovery

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "runtime/backends/backend.hpp"
 #include "sim/core_mask.hpp"
 
 namespace lktm::cfg {
@@ -60,7 +59,7 @@ void MachineParams::validate() const {
           "machine '" + name + "': mesh " + std::to_string(mesh.cols) + "x" +
           std::to_string(mesh.rows) + " has " + std::to_string(mesh.cols * mesh.rows) +
           " tiles, fewer than " + std::to_string(numCores) +
-          " cores (need cols*rows >= cores; try --mesh " +
+          " cores (need cols*rows >= cores; try the suffix -m" +
           std::to_string(noc::MeshParams::forTiles(numCores).cols) + "x" +
           std::to_string(noc::MeshParams::forTiles(numCores).rows) + ")");
     }
@@ -83,6 +82,22 @@ std::string MachineParams::describe() const {
   return oss.str();
 }
 
+namespace {
+
+/// Suffixes read from a machine name; 0 / false means "keep the preset's
+/// value". Overriding cores without a mesh derives a near-square mesh for
+/// the new core count.
+struct MachineOverrides {
+  unsigned cores = 0;
+  unsigned banks = 0;
+  unsigned meshCols = 0;
+  unsigned meshRows = 0;
+  unsigned signatureBits = 0;
+  bool idealNetwork = false;
+};
+
+/// Apply `ov` to `m`, suffixing the machine name so artifacts and manifests
+/// record the configuration that ran.
 void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov) {
   if (ov.cores != 0) {
     m.numCores = ov.cores;
@@ -125,24 +140,12 @@ void applyMachineOverrides(MachineParams& m, const MachineOverrides& ov) {
     m.idealNetwork = true;
     m.name += "-net=ideal";
   }
-  if (!ov.backend.empty()) {
-    if (!tm::isBackendName(ov.backend)) {
-      throw std::invalid_argument("machine '" + m.name + "': unknown TM backend '" +
-                                  ov.backend + "' (valid: " +
-                                  tm::backendNameList() + ")");
-    }
-    m.backend = ov.backend;
-    m.name += "-be=" + ov.backend;
-  }
 }
 
-namespace {
-
-/// Match one "-cN" / "-bN" / "-mWxH" / "-sig=N" / "-net=ideal" / "-be=NAME"
-/// suffix token of `name` into `ov`; returns the token's length (including
-/// the dash) or 0 when `name` ends in no such token. Tokens are parsed
-/// right-to-left so preset names containing dashes ("small-cache") stay
-/// intact. Throws std::invalid_argument on a token `ov` already holds and on
+/// Match one "-cN" / "-bN" / "-mWxH" / "-sig=N" / "-net=ideal" suffix token
+/// of `name` into `ov`; returns the token's length (including the dash) or 0
+/// when `name` ends in no such token. Tokens are parsed right-to-left so
+/// preset names containing dashes ("small-cache") stay intact. Throws std::invalid_argument on a token `ov` already holds and on
 /// a malformed "-sig=" / "-net=" token, which no preset name ends in.
 std::size_t parseSuffixToken(const std::string& name, MachineOverrides& ov) {
   const std::size_t dash = name.rfind('-');
@@ -159,13 +162,6 @@ std::size_t parseSuffixToken(const std::string& name, MachineOverrides& ov) {
   unsigned a = 0;
   unsigned b = 0;
   char tail = 0;
-  // "-be=NAME" first: it must never fall through to the numeric patterns
-  // (sscanf would not match "b%u" on "be=...", but keep the intent explicit).
-  if (tok.compare(0, 3, "be=") == 0 && tok.size() > 3) {
-    const std::size_t n = once(!ov.backend.empty());
-    ov.backend = tok.substr(3);
-    return n;
-  }
   if (tok.compare(0, 4, "sig=") == 0) {
     const std::string bits = tok.substr(4);
     const auto [end, ec] = std::from_chars(bits.data(), bits.data() + bits.size(), a);

@@ -113,8 +113,8 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
     throw std::invalid_argument(
         "run config: " + std::to_string(cfg.threads) + " threads exceed the " +
         std::to_string(cfg.machine.numCores) + " cores of machine '" +
-        cfg.machine.name + "' (one thread per core; scale the machine with "
-        "--cores or a -cN name suffix)");
+        cfg.machine.name + "' (one thread per core; scale the machine with a "
+        "-cN name suffix)");
   }
 
   RunResult res;
@@ -132,7 +132,6 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   }
   sim::SimContext& simCtx = *ctx;
   simCtx.beginRun(cfg.machine.watchdogWindow, cfg.rngSeed);
-  simCtx.setTraceSink(cfg.traceSink);  // nullptr clears any previous run's sink
   sim::Engine& engine = simCtx.engine();
   mem::MainMemory memory;
   memory.attachStats(simCtx.stats());
@@ -153,21 +152,15 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   res.workload = workload->name();
   workload->init(memory, n);
 
-  // Backend resolution: machine suffix > system row > policy default.
-  const std::string backendName = !cfg.machine.backend.empty()
-                                      ? cfg.machine.backend
-                                      : (!cfg.system.backend.empty()
-                                             ? cfg.system.backend
-                                             : tm::defaultBackendFor(cfg.system.policy));
   std::unique_ptr<tm::Backend> backend = tm::makeBackend(
-      backendName,
+      cfg.system.backendName(),
       tm::BackendConfig{cfg.system.policy, cfg.system.retry, wl::kFallbackLockAddr});
   res.backend = backend->name();
   // The footprint guard precedes the LLC warm-up, so a rejected workload
   // never reaches the rest of the set-up.
   if (backend->usesStmScratch() && workload->footprintEnd() > tm::kStmScratchBase) {
     throw std::invalid_argument(
-        "backend '" + backendName + "': workload '" + res.workload +
+        "backend '" + res.backend + "': workload '" + res.workload +
         "' footprint reaches into the software-TM metadata region (>= " +
         std::to_string(tm::kStmScratchBase) + ")");
   }

@@ -129,15 +129,14 @@ struct RunConfig {
   bool verifyWorkload = true;
   /// Warm the inclusive LLC with the workload footprint (steady-state runs).
   bool warmLlc = true;
-  /// Optional event-trace sink. The run installs it on the SimContext for its
-  /// duration; caller keeps ownership.
-  sim::TraceSink* traceSink = nullptr;
 };
 
-/// Run one simulation. When `ctx` is non-null the run executes inside that
-/// context (beginRun() resets its logical state first, pools keep their
-/// memory — the sweep reuse path); when null a fresh context is built on the
-/// stack, which preserves the simple one-shot call shape.
+/// Run one simulation on the backend its system row names
+/// (SystemSpec::backendName). When `ctx` is non-null the run executes inside
+/// that context (beginRun() resets its logical state first, pools keep their
+/// memory — the sweep reuse path) and traces into the context's sink, if one
+/// is attached; when null a fresh context is built on the stack, which
+/// preserves the simple one-shot call shape.
 RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkload,
                         sim::SimContext* ctx = nullptr);
 

@@ -1,7 +1,6 @@
 #include "config/systems.hpp"
 
 #include <charconv>
-#include <cstring>
 #include <stdexcept>
 
 #include "runtime/backends/backend.hpp"
@@ -53,16 +52,11 @@ TmPolicy withSwitching(TmPolicy p) {
   p.switching = true;
   return p;
 }
-
-/// Policy backing a backend-defined Table II row (tl2, hybrid). The backend
-/// decides the execution path itself; the policy only has to agree with it
-/// about whether the HTM hardware may be engaged.
-TmPolicy policyForBackend(const char* backendName) {
-  TmPolicy p;
-  p.htmEnabled = std::strcmp(backendName, "tl2") != 0;  // tl2: pure software
-  return p;
-}
 }  // namespace
+
+std::string SystemSpec::backendName() const {
+  return backend.empty() ? tm::defaultBackendFor(policy) : backend;
+}
 
 std::vector<SystemSpec> evaluatedSystems() {
   std::vector<SystemSpec> out;
@@ -88,14 +82,15 @@ std::vector<SystemSpec> evaluatedSystems() {
       {"LockillerTM", "Lockiller-RWI + HTMLock + SwitchingMode",
        withSwitching(withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased))),
        {}});
-  // Backend-defined rows (TL2-STM, Hybrid-TM): one per registry entry that
-  // declares itself a Table II system, so paper_figures' Table II and this
-  // list can never drift apart.
-  for (const tm::BackendInfo& info : tm::backendRegistry()) {
-    if (info.systemRow == nullptr) continue;
-    out.push_back({info.systemRow, info.systemDesc, policyForBackend(info.name),
-                   {}, info.name});
-  }
+  // Rows that are TM backends of their own. The backend decides the
+  // execution path; the policy only agrees with it about whether the HTM
+  // hardware may be engaged (tl2 is pure software).
+  out.push_back({"TL2-STM",
+                 "software TM baseline: TL2 global-version-clock, commit-time locking",
+                 cgl(), {}, "tl2"});
+  out.push_back({"Hybrid-TM",
+                 "best-effort HTM with a TL2 software fallback instead of the global lock",
+                 baseline(), {}, "hybrid"});
   return out;
 }
 
@@ -119,10 +114,10 @@ void applyPolicyTokens(SystemSpec& spec, const std::string& name, std::size_t pl
                                 kPolicyTokenGrammar + ")");
   };
   // The retry loop runs only where HTM is attempted; the coarse-grained
-  // lock is the CGL row's only synchronization (the elision rows' fallback
-  // lock and the backend-defined rows ignore it).
+  // lock is the cgl backend's only synchronization (the elision rows'
+  // fallback lock and the software-TM backends ignore it).
   const bool attemptsHtm = spec.policy.htmEnabled;
-  const bool takesCglLock = !spec.policy.htmEnabled && spec.backend.empty();
+  const bool takesCglLock = spec.backendName() == "cgl";
   int last = -1;  // grammar position of the previous token
   while (plus != std::string::npos) {
     const std::size_t end = name.find('+', plus + 1);

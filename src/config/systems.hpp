@@ -14,15 +14,22 @@ struct SystemSpec {
   std::string description;
   core::TmPolicy policy{};
   rt::RetryPolicy retry{};
-  /// TM backend this row runs on. Empty = pick from the policy
-  /// (tm::defaultBackendFor); a machine-name `-be=` suffix overrides both.
+  /// The TM backend of a row that is a runtime of its own (TL2-STM: "tl2",
+  /// Hybrid-TM: "hybrid"); empty on the paper's rows 1-9, whose policy picks
+  /// the runtime. The benchmark in bench/e2e tells rows 1-9 apart by this
+  /// field being empty. Ask backendName() which backend a row runs on.
   std::string backend;
+
+  /// Registry name of the TM backend this row runs on: `backend`, or for
+  /// rows 1-9 their policy's runtime ("cgl" without HTM, "lockiller" with
+  /// it). The row is the only thing that picks a run's backend.
+  std::string backendName() const;
 };
 
 /// All eleven evaluated rows: the paper's Table II in paper order
 /// (CGL, Baseline, LosaTM-SAFU, Lockiller-RAI, -RRI, -RWI, -RWL, -RWIL,
-/// LockillerTM) plus one row per backend-defined system from the backend
-/// registry (TL2-STM, Hybrid-TM).
+/// LockillerTM), then the two rows that are TM backends of their own
+/// (TL2-STM, Hybrid-TM).
 std::vector<SystemSpec> evaluatedSystems();
 
 /// The policy tokens a system name may carry after its row name, in the one

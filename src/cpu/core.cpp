@@ -9,14 +9,13 @@
 namespace lktm::cpu {
 
 Cpu::Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& barrier,
-         Program program, CpuParams params, std::function<void()> onHalt)
+         Program program, CpuParams params)
     : engine_(ctx.engine()),
       id_(id),
       l1_(l1),
       barrier_(barrier),
       prog_(std::move(program)),
       params_(params),
-      onHalt_(std::move(onHalt)),
       bd_(ctx.stats(), "core." + std::to_string(id)),
       // Cycles from critical-section begin to commit, spanning retries.
       commitLatency_(ctx.stats().histogram(
@@ -294,7 +293,6 @@ void Cpu::step() {
       halted_ = true;
       haltedAt_ = engine_.now();
       engine_.noteProgress();
-      onHalt_();
       return;
   }
   throw std::logic_error("unknown opcode");

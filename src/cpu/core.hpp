@@ -5,7 +5,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "coherence/l1_controller.hpp"
@@ -29,7 +28,7 @@ struct CpuParams {
 class Cpu final : private coh::L1Controller::CpuPort {
  public:
   Cpu(sim::SimContext& ctx, CoreId id, coh::L1Controller& l1, BarrierUnit& barrier,
-      Program program, CpuParams params, std::function<void()> onHalt = [] {});
+      Program program, CpuParams params);
   ~Cpu();
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -57,7 +56,6 @@ class Cpu final : private coh::L1Controller::CpuPort {
   BarrierUnit& barrier_;
   Program prog_;
   CpuParams params_;
-  std::function<void()> onHalt_;
 
   std::size_t pc_ = 0;
   std::array<std::uint64_t, kNumRegs> regs_{};

@@ -11,20 +11,13 @@ namespace lktm::tm {
 const std::vector<BackendInfo>& backendRegistry() {
   static const std::vector<BackendInfo> kRegistry = {
       {"lockiller",
-       "HTM lock elision per the system's Table II policy (Listings 1/2)",
-       nullptr, nullptr},
-      {"cgl", "plain coarse-grained locking, HTM never engaged", nullptr,
-       nullptr},
+       "HTM lock elision per the system's Table II policy (Listings 1/2)"},
+      {"cgl", "plain coarse-grained locking, HTM never engaged"},
       {"tl2",
-       "TL2-style software TM: versioned orecs, global commit clock, redo log",
-       "TL2-STM",
-       "software TM baseline: TL2 global-version-clock, commit-time locking"},
+       "TL2-style software TM: versioned orecs, global commit clock, redo log"},
       {"hybrid",
        "best-effort HTM falling back to the TL2 software path on "
-       "capacity/conflict aborts",
-       "Hybrid-TM",
-       "best-effort HTM with a TL2 software fallback instead of the global "
-       "lock"},
+       "capacity/conflict aborts"},
   };
   return kRegistry;
 }
@@ -37,14 +30,10 @@ std::vector<std::string> backendNames() {
 }
 
 bool isBackendName(const std::string& name) {
-  return backendInfo(name) != nullptr;
-}
-
-const BackendInfo* backendInfo(const std::string& name) {
   for (const BackendInfo& info : backendRegistry()) {
-    if (name == info.name) return &info;
+    if (name == info.name) return true;
   }
-  return nullptr;
+  return false;
 }
 
 std::string backendNameList() {

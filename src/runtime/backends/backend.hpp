@@ -168,15 +168,11 @@ std::vector<std::size_t> emitHtmAttemptRetry(cpu::ProgramBuilder& b,
                                              const HtmLoopRegs& regs,
                                              cpu::ProgramBuilder::Label retryLabel);
 
-/// One registry row. Backends that exist as their own Table II system carry
-/// the row's name/description here, so adding a backend in the registry adds
-/// its row to cfg::evaluatedSystems() *and* paper_figures' Table II at once.
+/// One registry row. Which backend a run uses is its system row's choice
+/// (cfg::SystemSpec::backendName).
 struct BackendInfo {
-  const char* name;        ///< registry key / `-be=` suffix / --backend value
-  const char* summary;     ///< one-line mechanism description
-  const char* systemRow;   ///< Table II system name, or nullptr when the
-                           ///< backend is selected by existing rows' policies
-  const char* systemDesc;  ///< Table II description for systemRow
+  const char* name;     ///< registry key, as artifacts record it
+  const char* summary;  ///< one-line mechanism description
 };
 
 /// All backends, in presentation order: lockiller, cgl, tl2, hybrid.
@@ -187,15 +183,11 @@ std::vector<std::string> backendNames();
 
 bool isBackendName(const std::string& name);
 
-/// Registry row for `name`; nullptr when unknown.
-const BackendInfo* backendInfo(const std::string& name);
-
 /// One comma-separated line of the valid names, for diagnostics.
 std::string backendNameList();
 
-/// Backend implied by a Table II policy when neither the system row nor the
-/// machine name carries an explicit override: "cgl" when HTM is disabled,
-/// "lockiller" (the policy-driven elision runtime) otherwise.
+/// Backend a Table II row 1-9 runs on, from its policy: "cgl" when HTM is
+/// disabled, "lockiller" (the policy-driven elision runtime) otherwise.
 std::string defaultBackendFor(const core::TmPolicy& policy);
 
 /// Factory. Throws std::invalid_argument listing the valid names on an

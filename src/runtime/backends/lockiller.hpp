@@ -12,8 +12,8 @@
 //                   acquiring the lock) plus the Listing 2 release that
 //                   dispatches on the extended ttest, so it transparently
 //                   supports switchingMode (STL).
-//  * "cgl"       — the CGL flavour whatever the policy, so `-be=cgl` turns
-//    any system's sections into plain coarse-grained locking.
+//  * "cgl"       — the CGL flavour whatever the policy (the CGL row's
+//    backend).
 //
 // Registers: see the table in backend.hpp.
 #pragma once

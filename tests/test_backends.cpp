@@ -1,7 +1,7 @@
 // The pluggable TM-backend layer (src/runtime/backends): registry contracts,
-// pinned digests of every emitted program, TL2 orec algebra
-// and commit/abort accounting, hybrid HTM+STM mixing, the -be= machine
-// suffix, and host-thread-count independence of the backend sweep rows.
+// the backend each system row names, pinned digests of every emitted
+// program, TL2 orec algebra and commit/abort accounting, hybrid HTM+STM
+// mixing, and host-thread-count independence of the backend sweep rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,10 +25,8 @@ namespace lktm::tm {
 namespace {
 
 cfg::RunResult runMicro(const std::string& system, unsigned threads,
-                        const std::function<std::unique_ptr<wl::Workload>()>& mk,
-                        cfg::MachineParams machine = cfg::MachineParams::typical()) {
+                        const std::function<std::unique_ptr<wl::Workload>()>& mk) {
   cfg::RunConfig rc;
-  rc.machine = machine;
   rc.system = cfg::systemByName(system);
   rc.threads = threads;
   return cfg::runSimulation(rc, mk);
@@ -48,17 +46,12 @@ TEST(BackendRegistry, NamesRowsAndLookups) {
     EXPECT_NE(backendNameList().find(n), std::string::npos) << n;
   }
   EXPECT_FALSE(isBackendName("stm"));
-  // Only the backends that add Table II rows carry a systemRow.
-  EXPECT_STREQ(backendInfo("tl2")->systemRow, "TL2-STM");
-  EXPECT_STREQ(backendInfo("hybrid")->systemRow, "Hybrid-TM");
-  EXPECT_EQ(backendInfo("lockiller")->systemRow, nullptr);
-  EXPECT_EQ(backendInfo("cgl")->systemRow, nullptr);
 }
 
 TEST(BackendRegistry, UnknownNameThrows) {
   EXPECT_THROW(makeBackend("no-such-backend", BackendConfig{}),
                std::invalid_argument);
-  EXPECT_EQ(backendInfo("no-such-backend"), nullptr);
+  EXPECT_FALSE(isBackendName("no-such-backend"));
 }
 
 TEST(BackendRegistry, DefaultFollowsPolicy) {
@@ -172,24 +165,6 @@ TEST(BackendEmission, ProgramDigestsArePinned) {
           << ": actual 0x" << std::hex << h;
     }
   }
-}
-
-TEST(LockillerBackend, MachineSuffixRunMatchesDefaultRun) {
-  // Forcing -be=lockiller on a machine must be a no-op for an HTM system:
-  // same cycles, same full stat snapshot.
-  const auto mk = [] { return wl::makeCounter(4, 2, 64); };
-  const auto a = runMicro("LockillerTM", 4, mk);
-  cfg::MachineOverrides ov;
-  ov.backend = "lockiller";
-  cfg::MachineParams forced = cfg::MachineParams::typical();
-  cfg::applyMachineOverrides(forced, ov);
-  const auto b = runMicro("LockillerTM", 4, mk, forced);
-  ASSERT_TRUE(a.ok()) << a.str();
-  ASSERT_TRUE(b.ok()) << b.str();
-  EXPECT_EQ(a.backend, "lockiller");
-  EXPECT_EQ(b.backend, "lockiller");
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_TRUE(a.stats == b.stats);
 }
 
 // ----------------------------------------------------------- TL2 orec math
@@ -358,25 +333,36 @@ TEST(Backends, RunsAreDeterministic) {
   }
 }
 
-// ------------------------------------------------------- machine suffix
-
-TEST(MachineSuffix, BackendRoundTripsThroughTheName) {
-  cfg::MachineOverrides ov;
-  ov.backend = "tl2";
-  cfg::MachineParams m = cfg::MachineParams::typical();
-  cfg::applyMachineOverrides(m, ov);
-  EXPECT_EQ(m.backend, "tl2");
-  EXPECT_NE(m.name.find("-be=tl2"), std::string::npos);
-  const cfg::MachineParams parsed = cfg::machineByName(m.name);
-  EXPECT_EQ(parsed.backend, "tl2");
-  EXPECT_EQ(parsed.name, m.name);
+TEST(Backends, EveryRowNamesItsBackend) {
+  const std::vector<cfg::SystemSpec> rows = cfg::evaluatedSystems();
+  ASSERT_EQ(rows.size(), 11u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const cfg::SystemSpec& s = rows[i];
+    const std::string backend = s.backendName();
+    EXPECT_TRUE(isBackendName(backend)) << s.name << ": " << backend;
+    sim::SimContext ctx;
+    const cfg::RunResult r =
+        cfg::runSpec({s.name, "counter", "typical", 2, cfg::kDefaultSweepSeed}, {}, ctx);
+    ASSERT_TRUE(r.ok()) << r.str();
+    EXPECT_EQ(r.backend, backend) << s.name;
+    if (i < 9) {
+      // The paper's rows run their policy's runtime: the choice the
+      // benchmark's own fallback makes for a row whose `backend` is empty.
+      EXPECT_TRUE(s.backend.empty()) << s.name;
+      EXPECT_EQ(backend, defaultBackendFor(s.policy)) << s.name;
+    } else {
+      EXPECT_EQ(backend, s.backend) << s.name;
+    }
+  }
 }
 
+// ------------------------------------------------------- machine suffix
+
 TEST(MachineSuffix, UnknownBackendNamesAreRejected) {
-  cfg::MachineOverrides ov;
-  ov.backend = "vaporware";
-  cfg::MachineParams m = cfg::MachineParams::typical();
-  EXPECT_THROW(cfg::applyMachineOverrides(m, ov), std::invalid_argument);
+  // No machine picks a backend: "-be=NAME" is no suffix, whatever the name.
+  for (const std::string& name : backendNames()) {
+    EXPECT_THROW(cfg::machineByName("typical-be=" + name), std::invalid_argument) << name;
+  }
   EXPECT_THROW(cfg::machineByName("typical-be=vaporware"), std::invalid_argument);
 }
 

@@ -666,12 +666,13 @@ TEST(Trace, ChromeJsonRoundTripPreservesNesting) {
 // closes, LIFO per lane.
 TEST(Trace, SimulationStreamIsWellFormed) {
   TraceSink sink;
+  sim::SimContext ctx;
+  ctx.setTraceSink(&sink);
   cfg::RunConfig rc;
   rc.system = cfg::systemByName("LockillerTM");
   rc.threads = 4;
-  rc.traceSink = &sink;
   const cfg::RunResult r =
-      cfg::runSimulation(rc, [] { return wl::makeCounter(4, 2, 64, 11); });
+      cfg::runSimulation(rc, [] { return wl::makeCounter(4, 2, 64, 11); }, &ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(sink.size(), 0u);
   std::string why;

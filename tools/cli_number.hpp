@@ -1,7 +1,7 @@
 // Strict numbers for command-line flags, shared by lktm-sim, lktm_sweep and
 // lktm_check. For unsigned integers the whole argument must be decimal digits
 // and the value must fit the target type, so `--seed x`, `--threads 4x` or
-// `--cores -1` is a usage error rather than a silent 0, a truncated 4 or a
+// `--threads -1` is a usage error rather than a silent 0, a truncated 4 or a
 // value wrapped to 2^32 - 1.
 #pragma once
 

@@ -7,8 +7,7 @@
 //   lktm_sweep plan --preset smoke --manifest sweep.json
 //   lktm_sweep run --manifest sweep.json --host-threads 4
 //   lktm_sweep status --manifest sweep.json
-//   lktm_sweep merge --manifest sweep.json --out merged.json
-//   lktm_sweep summarize --in merged.json --out summary.json
+//   lktm_sweep merge --manifest sweep.json --out merged.json --summary summary.json
 //
 // `run` is idempotent: completed jobs are skipped, a job interrupted
 // mid-run restarts, and the merged output is bit-identical no matter how
@@ -52,14 +51,11 @@ void usage() {
       "  merge   write the combined artifact of every completed job\n"
       "    --manifest PATH\n"
       "    --out PATH           merged lktm.stats.v1 (required)\n"
-      "    --summary PATH       also write the compact lktm.summary.v1\n"
-      "  summarize  condense a merged lktm.stats.v1 into lktm.summary.v1\n"
-      "    --in PATH            merged artifact (required)\n"
-      "    --out PATH           summary file (required)\n");
+      "    --summary PATH       also write the compact lktm.summary.v1\n");
 }
 
 /// Condense the merged lktm.stats.v1 at `inPath` into lktm.summary.v1 at
-/// `outPath`.
+/// `outPath` (merge --summary).
 bool summarize(const std::string& inPath, const std::string& outPath) {
   std::ostringstream os;
   cfg::writeSummaryArtifact(stats::json::parse(cfg::readFile(inPath)), os);
@@ -78,7 +74,6 @@ int main(int argc, char** argv) {
   std::string artifactDir;
   std::string preset = "smoke";
   std::string outPath;
-  std::string inPath;
   std::string summaryPath;
   std::uint64_t seed = cfg::kDefaultSweepSeed;
   bool quiet = false;
@@ -104,8 +99,6 @@ int main(int argc, char** argv) {
       seed = cli::unsignedArg<std::uint64_t>("lktm_sweep", "--seed", next());
     } else if (a == "--out") {
       outPath = next();
-    } else if (a == "--in") {
-      inPath = next();
     } else if (a == "--summary") {
       summaryPath = next();
     } else if (a == "--host-threads") {
@@ -127,16 +120,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (cmd == "summarize") {
-      if (inPath.empty() || outPath.empty()) {
-        std::fprintf(stderr, "error: summarize needs --in and --out\n");
-        return 2;
-      }
-      if (!summarize(inPath, outPath)) return 1;
-      if (!quiet) std::printf("summarized %s -> %s\n", inPath.c_str(), outPath.c_str());
-      return 0;
-    }
-
     if (manifestPath.empty()) {
       std::fprintf(stderr, "error: --manifest is required\n");
       return 2;

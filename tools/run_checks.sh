@@ -92,32 +92,36 @@ if [[ "$status" != 1 ]]; then
   exit 1
 fi
 
-echo "== TM backends: each registry backend runs + validates (lktm-sim --backend) =="
+echo "== TM backends: each backend's system row runs + validates =="
 run_backend_smoke() {
-  # $1 = build dir. Every registered backend must run a small workload end to
-  # end (workload invariants + coherence checker on), report itself in the
-  # run metadata, and emit a valid lktm.stats.v1 artifact; an unknown
-  # backend name must exit 2 with the valid-name list.
-  local bdir="$1" be out
-  for be in lockiller cgl tl2 hybrid; do
+  # $1 = build dir. The system row names the backend: each backend's row must
+  # run a small workload end to end (workload invariants + coherence checker
+  # on), report its own backend in the run metadata, and emit a valid
+  # lktm.stats.v1 artifact. There is no other way to pick a backend:
+  # --backend and a -be= machine suffix must both exit 2.
+  local bdir="$1" row system be out status
+  for row in CGL:cgl LockillerTM:lockiller TL2-STM:tl2 Hybrid-TM:hybrid; do
+    system="${row%%:*}"
+    be="${row##*:}"
     out="$bdir/backend_${be}_check.json"
-    "$bdir/tools/lktm-sim" --backend "$be" --system LockillerTM \
+    "$bdir/tools/lktm-sim" --system "$system" \
       --workload counter --threads 4 --stats-json "$out" \
       | grep -q "backend: $be" || {
-      echo "lktm-sim --backend $be did not report backend: $be" >&2
+      echo "lktm-sim --system $system did not report backend: $be" >&2
       return 1
     }
     "$bdir/tools/validate_stats_json" "$out"
   done
-  if "$bdir/tools/lktm-sim" --backend vaporware --workload counter \
-      --threads 2 >/dev/null 2>"$bdir/backend_reject.txt"; then
-    echo "lktm-sim accepted an unknown backend name" >&2
-    return 1
-  fi
-  grep -q "lockiller" "$bdir/backend_reject.txt" || {
-    echo "unknown-backend rejection lacks the valid-name list" >&2
-    return 1
-  }
+  for args in "--backend tl2" "--machine typical-be=tl2"; do
+    status=0
+    # shellcheck disable=SC2086  # $args is two words on purpose
+    "$bdir/tools/lktm-sim" $args --workload counter --threads 2 \
+      >/dev/null 2>"$bdir/backend_reject.txt" || status=$?
+    if [[ "$status" != 2 ]]; then
+      echo "lktm-sim $args exited $status (want 2)" >&2
+      return 1
+    fi
+  done
 }
 run_backend_smoke build
 
@@ -170,7 +174,7 @@ run_bigcore_smoke() {
   # diagnostic naming the 512-core limit.
   local bdir="$1" out
   out="$bdir/bigcore_check.json"
-  "$bdir/tools/lktm-sim" --machine typical --cores 128 --banks 8 \
+  "$bdir/tools/lktm-sim" --machine typical-c128-b8 \
     --system LockillerTM --workload counter --threads 96 \
     --stats-json "$out" >/dev/null
   "$bdir/tools/validate_stats_json" "$out"
@@ -266,7 +270,7 @@ run_dbtraffic_smoke() {
   local bdir="$1" d
   d="$bdir/dbtraffic_check"
   rm -rf "$d" && mkdir -p "$d/h1" "$d/h4"
-  "$bdir/tools/lktm-sim" --system LockillerTM --backend tl2 --workload ycsb \
+  "$bdir/tools/lktm-sim" --system TL2-STM --workload ycsb \
     --threads 4 --stats-json "$d/ycsb.json" | grep -q "latency p99" || {
     echo "lktm-sim ycsb/tl2 did not report commit-latency percentiles" >&2
     return 1

@@ -2,7 +2,7 @@
 # A lktm-sim run writes the same lktm.stats.v1 artifact as the sweep job of
 # the same cell, byte for byte once wall_seconds is zeroed: the system and
 # machine names carry every knob, and both record the same seed. Runs the
-# "ablations" preset, then lktm-sim on one policy-token cell and one
+# "ablations" preset, then lktm-sim on two policy-token cells and one
 # machine-token cell.
 #
 #   sh tools/sim_matches_sweep.sh LKTM_SIM LKTM_SWEEP WORKDIR
@@ -16,6 +16,7 @@ mkdir -p "$dir"
 "$sweep" run --manifest "$dir/sweep.json" --quiet
 zero_wall() { sed -E 's/"wall_seconds": [^,]*,/"wall_seconds": 0,/' "$1"; }
 for cell in "LockillerTM+sof yada typical 2" \
+            "CGL+lock=tts kmeans- typical 8" \
             "LockillerTM kmeans+ typical-net=ideal 32"; do
   set -- $cell
   stem="$(printf '%s' "$1/$2/$3@$4#11" | tr -c 'A-Za-z0-9.-' '_')"

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/log.hpp"
 #include "sim/trace.hpp"
 #include "stats/path.hpp"
 
@@ -35,7 +34,7 @@ DirectoryController::DirectoryController(sim::SimContext& ctx, noc::Network& net
       // Lock-mirror broadcast messages between LLC banks.
       interBankMsgs_(ctx.stats().counter("dir.interbank.msgs")),
       // Requests queued behind a busy line, sampled at enqueue.
-      waitqDepth_(ctx.stats().distribution("dir.waitq.depth")) {
+      waitqDepth_(ctx.stats().histogram("dir.waitq.depth")) {
   if (numBanks == 0 || (numBanks & (numBanks - 1)) != 0) {
     throw std::invalid_argument(
         "directory bank count must be a power of two, got " +
@@ -122,7 +121,6 @@ std::string DirectoryController::diagnostic() const {
 }
 
 void DirectoryController::onMessage(const Msg& msg) {
-  LKTM_LOG(sim::LogLevel::Trace, engine_.now(), "dir", "rx " + msg.str());
   switch (msg.type) {
     case MsgType::GetS:
     case MsgType::GetX: {

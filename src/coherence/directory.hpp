@@ -200,7 +200,7 @@ class DirectoryController final : public MsgSink {
   stats::Counter& writebacks_;
   stats::Counter& sigRejects_;
   stats::Counter& interBankMsgs_;
-  stats::Distribution& waitqDepth_;
+  stats::Histogram& waitqDepth_;
   std::vector<stats::Counter*> bankReqs_;
   InjectedBug bug_ = InjectedBug::None;
 

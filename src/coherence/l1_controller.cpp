@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/log.hpp"
 #include "sim/trace.hpp"
 #include "stats/path.hpp"
 
@@ -56,7 +55,6 @@ void L1Controller::sendToDir(Msg msg) {
   msg.from = id_;
   const noc::NodeId dst =
       static_cast<noc::NodeId>(numCores_ + static_cast<unsigned>(msg.line % numCores_));
-  LKTM_LOG(sim::LogLevel::Trace, engine_.now(), "l1", "c" + std::to_string(id_) + " tx " + msg.str());
   post(ctx_, net_, id_, dst, *dir_, std::move(msg));
 }
 
@@ -335,16 +333,19 @@ void L1Controller::txAbortInternal(AbortCause cause, const LineAddr* exceptLine)
   for (LineAddr l : toRelease) mshr_.release(l);
 
   // Discard speculatively-written lines; tell the directory so it stops
-  // considering us the owner (the LLC still holds pre-images). Only marked
-  // entries can carry tx bits; the rest would fall through to the no-op
-  // `txRead = false` branch.
+  // considering us the owner (the LLC still holds pre-images). Like gem5's
+  // HTM-extended MESI protocols, drop clean transactionally-read lines too
+  // (speculative state is discarded wholesale), so a retried attempt
+  // re-misses; dirty pre-transaction data is kept (it is not speculative).
+  // Only marked entries can carry tx bits; the rest would fall through to
+  // the no-op `txRead = false` branch.
   drainTxMarks([&](mem::CacheEntry& e) {
     if (exceptLine != nullptr && e.line == *exceptLine) return;  // caller handles
     if (e.txWrite) {
       Msg inv{.type = MsgType::TxAbortInv, .line = e.line};
       sendToDir(std::move(inv));
       e.invalidate();
-    } else if (e.txRead && params_.invalidateReadSetOnAbort && !e.dirty) {
+    } else if (e.txRead && !e.dirty) {
       e.invalidate();  // silent drop; the directory learns lazily
     } else {
       e.txRead = false;
@@ -410,8 +411,6 @@ void L1Controller::onMessage(const Msg& msg) {
     cpuParked_ = false;
     port_->wake();
   }
-  LKTM_LOG(sim::LogLevel::Trace, engine_.now(), "l1",
-           "c" + std::to_string(id_) + " rx " + msg.str());
   switch (msg.type) {
     case MsgType::DataE: return onData(msg, /*exclusive=*/true);
     case MsgType::DataS: return onData(msg, /*exclusive=*/false);

@@ -1,6 +1,5 @@
 #include "coherence/messages.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "sim/state_hash.hpp"
@@ -81,15 +80,6 @@ const char* toString(MsgType t) {
     case MsgType::BankClearAck: return "BankClearAck";
   }
   return "?";
-}
-
-std::string Msg::str() const {
-  std::ostringstream oss;
-  oss << toString(type) << " line=0x" << std::hex << line << std::dec
-      << " from=" << from << " req.core=" << req.core
-      << (req.isTx ? " tx" : "") << (req.lockMode ? " LOCK" : "")
-      << " prio=" << req.priority << (hasData ? " +data" : "");
-  return oss.str();
 }
 
 }  // namespace lktm::coh

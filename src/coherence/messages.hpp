@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/conflict_manager.hpp"
 #include "mem/cache_array.hpp"
@@ -79,8 +78,6 @@ struct Msg {
   unsigned bank = 0;         ///< Bank*: target bank (Set/Clear) or acking bank
   TxMode hlaMode = TxMode::None;       ///< HlaReq: TL or STL; BankLockSet: mode
   AbortCause rejectHint = AbortCause::None;  ///< RejectResp: who beat us
-
-  std::string str() const;
 };
 
 /// Anything that can receive coherence messages off the network.

@@ -20,12 +20,6 @@ struct ProtocolParams {
   Cycle nonTxRetryDelay = 48;
 
   unsigned mshrCapacity = 4;
-
-  /// Gem5's HTM-extended MESI protocols flush transactionally-read lines on
-  /// abort (speculative state is discarded wholesale), so a retried attempt
-  /// re-misses. Clean read lines are dropped silently; dirty pre-transaction
-  /// data is kept (it is not speculative).
-  bool invalidateReadSetOnAbort = true;
 };
 
 }  // namespace lktm::coh

@@ -102,19 +102,6 @@ void writeSnapshotJson(stats::json::Writer& w, const stats::StatSnapshot& snap) 
         w.endArray();
         break;
       }
-      case stats::StatKind::Distribution:
-        w.field("count", e.count);
-        w.field("sum", e.sum);
-        // No samples, no extrema: emitting min=0/max=0 would make an empty
-        // stat indistinguishable from a real 0-cycle sample.
-        if (e.count != 0) {
-          w.field("min", e.min);
-          w.field("max", e.max);
-        }
-        break;
-      case stats::StatKind::Formula:
-        w.field("value", e.number);
-        break;
     }
     w.endObject();
   }
@@ -291,20 +278,6 @@ stats::SnapshotEntry snapshotEntryFromJson(const Value& e) {
       }
       out.buckets.emplace_back(static_cast<unsigned>(index), n);
     }
-  } else if (kind == "distribution") {
-    out.kind = stats::StatKind::Distribution;
-    out.count = needU64(e, "count");
-    out.sum = needU64(e, "sum");
-    if (out.count != 0) {
-      out.min = needU64(e, "min");
-      out.max = needU64(e, "max");
-    } else if (e.find("min") != nullptr || e.find("max") != nullptr) {
-      // A min/max of 0 would be indistinguishable from a real 0-cycle sample.
-      malformed("extrema present on an empty distribution (count == 0)");
-    }
-  } else if (kind == "formula") {
-    out.kind = stats::StatKind::Formula;
-    out.number = needNumber(e, "value");
   } else {
     malformed("unknown kind \"" + kind + "\"");
   }

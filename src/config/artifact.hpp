@@ -16,23 +16,20 @@
 //       "stats": [ {"path": "core.0.commits.htm", "kind": "counter",
 //                   "value": N},
 //                  {"path": "noc.hops", "kind": "histogram", "count": N,
-//                   "sum": N, "buckets": [[b, n], ...]},
-//                  {"path": "dir.waitq.depth", "kind": "distribution",
-//                   "count": N, "sum": N, "min": N, "max": N},
-//                  {"path": "noc.avg_flit_hops_per_msg", "kind": "formula",
-//                   "value": f} ]
+//                   "sum": N, "buckets": [[b, n], ...]} ]
 //     } ]
 //   }
 //
+// A stat is a counter or a histogram; the reader refuses any other kind.
 // Stats are emitted in path-sorted order and all numbers are
 // locale-independent, so the same run always produces byte-identical output.
 //
 // The readers below are the schema: what they accept is a valid document,
 // and validate_stats_json is only a front end that calls them. Each schema
 // also has one writer (writeStatsJson, writeSummaryArtifact), and the tools
-// that re-write a document (sweep merge, summarize) read it with the reader
-// first, so they cannot emit what the reader rejects. A field the schema
-// gains is taught to its one reader and its one writer, nowhere else.
+// that re-write a document (lktm_sweep merge and its --summary) read it with
+// the reader first, so they cannot emit what the reader rejects. A field the
+// schema gains is taught to its one reader and its one writer, nowhere else.
 #pragma once
 
 #include <cstddef>
@@ -134,15 +131,13 @@ bool writeStatsJsonFile(const std::string& path, const RunResult& run);
 void writeSummaryArtifact(const stats::json::Value& statsDoc, std::ostream& os);
 
 /// Rebuild a RunResult from one parsed "runs" entry: the inverse of the
-/// writer as far as a dump allows (formula stats come back as plain values;
-/// that is also what snapshot merging already assumes). Throws
-/// std::runtime_error naming the offending field unless the entry is a valid
-/// lktm.stats.v1 run: every field of its type (integers plain and within
-/// u64), known status and backend, threads <= cores, banks >= 1, "ok" equal
-/// to status ok with no violations, stats unique and path-sorted with their
-/// kind's fields (no extrema on an empty distribution; histogram buckets
-/// ascending and below Histogram::kBuckets), and "derived" equal to
-/// DerivedMetrics::of the parsed run.
+/// writer. Throws std::runtime_error naming the offending field unless the
+/// entry is a valid lktm.stats.v1 run: every field of its type (integers
+/// plain and within u64), known status and backend, threads <= cores,
+/// banks >= 1, "ok" equal to status ok with no violations, stats unique and
+/// path-sorted, each a counter or a histogram with its kind's fields
+/// (histogram buckets ascending and below Histogram::kBuckets), and
+/// "derived" equal to DerivedMetrics::of the parsed run.
 RunResult runResultFromJson(const stats::json::Value& run);
 
 /// Every run of a parsed lktm.stats.v1 document (at least one). Throws

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "config/runner.hpp"
 #include "config/sweep.hpp"
 #include "stats/json.hpp"
 

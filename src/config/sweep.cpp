@@ -24,15 +24,4 @@ std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
   return h ^ (h >> 31);
 }
 
-const RunResult* findResult(const std::vector<RunResult>& results,
-                            const std::string& system, const std::string& workload,
-                            unsigned threads) {
-  for (const auto& r : results) {
-    if (r.system == system && r.workload == workload && r.threads == threads) {
-      return &r;
-    }
-  }
-  return nullptr;
-}
-
 }  // namespace lktm::cfg

@@ -1,4 +1,4 @@
-// Sweep building blocks: per-job seeds and cell lookup. Figure reproduction
+// Sweep building blocks: per-job seeds. Figure reproduction
 // runs hundreds of independent simulations (workload x system x threads x
 // machine); each is single-threaded and deterministic, so sweeps parallelize
 // perfectly across host cores. Every sweep runs as a manifest job list
@@ -13,10 +13,8 @@
 // tests/test_sweep.cpp).
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <vector>
-
-#include "config/runner.hpp"
 
 namespace lktm::cfg {
 
@@ -29,10 +27,5 @@ inline constexpr std::uint64_t kDefaultSweepSeed = 11;
 /// job's coordinates.
 std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
                          const std::string& workload, unsigned threads);
-
-/// Find the result for a (system, workload, threads) cell.
-const RunResult* findResult(const std::vector<RunResult>& results,
-                            const std::string& system, const std::string& workload,
-                            unsigned threads);
 
 }  // namespace lktm::cfg

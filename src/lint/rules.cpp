@@ -34,15 +34,8 @@ struct FileLinter {
   const std::string& relPath;
   const SourceFile& sf;
   Zone zone;
-  const LintOptions& opts;
   std::vector<Finding> findings;
   std::set<std::pair<unsigned, std::string>> emitted;  // (line, rule) dedup
-
-  bool active(const char* rule) const {
-    if (opts.rules.empty()) return true;
-    return std::find(opts.rules.begin(), opts.rules.end(), rule) !=
-           opts.rules.end();
-  }
 
   std::string excerptAt(unsigned line) const {
     if (line == 0 || line > sf.lines.size()) return {};
@@ -125,7 +118,6 @@ struct FileLinter {
   // ---------------------------------------------------------------- rules
 
   void ruleWallClock() {
-    if (!active(kRuleWallClock)) return;
     for (std::size_t i = 0; i < sf.tokens.size(); ++i) {
       const Token& t = sf.tokens[i];
       if (t.kind != Tok::Ident || t.preproc) continue;
@@ -142,7 +134,7 @@ struct FileLinter {
   }
 
   void ruleUnordered() {
-    if (!active(kRuleUnordered) || zone != Zone::Deterministic) return;
+    if (zone != Zone::Deterministic) return;
     static const std::set<std::string_view> kUnordered = {
         "unordered_map", "unordered_set", "unordered_multimap",
         "unordered_multiset"};
@@ -179,7 +171,6 @@ struct FileLinter {
   }
 
   void ruleRandomness() {
-    if (!active(kRuleRandom)) return;
     for (std::size_t i = 0; i < sf.tokens.size(); ++i) {
       const Token& t = sf.tokens[i];
       if (t.kind != Tok::Ident || t.preproc) continue;
@@ -198,7 +189,7 @@ struct FileLinter {
   }
 
   void rulePointerOrder() {
-    if (!active(kRulePtrOrder) || zone != Zone::Deterministic) return;
+    if (zone != Zone::Deterministic) return;
     static const std::set<std::string_view> kPtrWords = {"uintptr_t",
                                                          "intptr_t"};
     for (std::size_t i = 0; i < sf.tokens.size(); ++i) {
@@ -220,9 +211,7 @@ struct FileLinter {
   }
 
   void ruleStatPath() {
-    if (!active(kRuleStatPath)) return;
-    static const std::set<std::string_view> kRegisterFns = {
-        "counter", "histogram", "distribution", "formula"};
+    static const std::set<std::string_view> kRegisterFns = {"counter", "histogram"};
     for (std::size_t i = 0; i + 2 < sf.tokens.size(); ++i) {
       if (!isPunct(i, ".") && !isPunct(i, "->")) continue;
       const Token& fn = tk(i + 1);
@@ -244,7 +233,6 @@ struct FileLinter {
   }
 
   void ruleSuppressionHygiene() {
-    if (!active(kRuleSuppression)) return;
     for (const Suppression& s : sf.suppressions) {
       bool valid = !s.rules.empty() && !s.reason.empty();
       for (const std::string& r : s.rules) valid = valid && isRule(r);
@@ -319,10 +307,9 @@ bool isRule(const std::string& name) {
 }
 
 std::vector<Finding> lintSource(const std::string& relPath,
-                                const std::string& src,
-                                const LintOptions& opts) {
+                                const std::string& src) {
   const SourceFile sf = lexFile(src);
-  FileLinter linter{relPath, sf, zoneForPath(relPath), opts, {}, {}};
+  FileLinter linter{relPath, sf, zoneForPath(relPath), {}, {}};
   return linter.run();
 }
 

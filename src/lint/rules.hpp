@@ -59,16 +59,10 @@ struct Finding {
 const std::vector<std::string>& allRules();
 bool isRule(const std::string& name);
 
-struct LintOptions {
-  /// Restrict to these rule ids; empty means every rule.
-  std::vector<std::string> rules;
-};
-
 /// Lint one file's contents. `relPath` picks the zone and is recorded in the
 /// findings verbatim. Findings come back sorted by (line, rule).
 std::vector<Finding> lintSource(const std::string& relPath,
-                                const std::string& src,
-                                const LintOptions& opts = {});
+                                const std::string& src);
 
 /// An aggregated lint run over many files.
 struct LintRun {

@@ -1,8 +1,6 @@
 #include "lint/selftest.hpp"
 
-#include <ostream>
-
-#include "lint/rules.hpp"
+#include <utility>
 
 namespace lktm::lint {
 
@@ -202,7 +200,7 @@ void reg(SimContext& ctx, unsigned id) {
   ctx.stats().counter("noc.messages");
   ctx.stats().counter(statPath("core", id, "l1.hits"));
   ctx.stats().counter(stats::statPath("core", id, "l1.misses"));
-  ctx.stats().formula("noc.avg", [] { return 0.0; });
+  ctx.stats().histogram("noc.hops");
 }
 )lint"));
   cases.push_back(neg("stat-path-literal/split-literal", "stat-path-literal",
@@ -261,33 +259,6 @@ int x = 0;
 const std::vector<SelfTestCase>& selfTestCases() {
   static const std::vector<SelfTestCase> kCases = buildCases();
   return kCases;
-}
-
-bool runSelfTest(std::ostream& os) {
-  bool allOk = true;
-  for (const SelfTestCase& c : selfTestCases()) {
-    const std::vector<Finding> findings = lintSource(c.relPath, c.source);
-    std::size_t hits = 0;
-    std::size_t unsuppressed = 0;
-    for (const Finding& f : findings) {
-      if (f.rule != c.rule) continue;
-      ++hits;
-      unsuppressed += f.suppressed ? 0 : 1;
-    }
-    bool ok = false;
-    if (!c.expectFinding) {
-      ok = hits == 0;
-    } else if (c.expectSuppressed) {
-      ok = hits > 0 && unsuppressed == 0;
-    } else {
-      ok = unsuppressed > 0;
-    }
-    os << (ok ? "PASS" : "FAIL") << "  " << c.name << "\n";
-    allOk = allOk && ok;
-  }
-  os << (allOk ? "self-test: all fixtures behaved" : "self-test: FAILURES above")
-     << "\n";
-  return allOk;
 }
 
 }  // namespace lktm::lint

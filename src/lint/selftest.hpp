@@ -3,11 +3,11 @@
 // violation the linter MUST flag) and one negative twin (clean code that MUST
 // NOT be flagged — typically the same construct hidden in a string, comment
 // or raw literal, or moved to a zone where the rule does not apply). The
-// `--self-test` CLI flag runs them all; CI fails if any plant goes uncaught
-// or any clean fixture trips. tests/test_lint.cpp reuses the same table.
+// LintRules.SelfTestFixturesBehave test (tests/test_lint.cpp) runs them all
+// in every ctest preset; it fails if any plant goes uncaught or any clean
+// fixture trips.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,9 +23,5 @@ struct SelfTestCase {
 };
 
 const std::vector<SelfTestCase>& selfTestCases();
-
-/// Run every fixture, reporting per-case PASS/FAIL to `os`.
-/// Returns true iff all pass.
-bool runSelfTest(std::ostream& os);
 
 }  // namespace lktm::lint

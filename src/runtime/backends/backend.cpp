@@ -77,7 +77,7 @@ std::vector<std::size_t> emitHtmAttemptRetry(cpu::ProgramBuilder& b,
     }
   }
   giveUp.push_back(b.beq(regs.retries, cpu::kZeroReg));
-  b.compute(static_cast<std::int64_t>(retry.backoff));
+  b.compute(static_cast<std::int64_t>(kRetryBackoff));
   b.jmp(retryLabel);
   return giveUp;
 }
@@ -87,7 +87,7 @@ std::unique_ptr<Backend> makeBackend(const std::string& name,
   if (name == "lockiller" || name == "cgl") {
     return std::make_unique<LockillerBackend>(cfg, name == "cgl");
   }
-  if (name == "tl2") return std::make_unique<Tl2Backend>(cfg);
+  if (name == "tl2") return std::make_unique<Tl2Backend>();
   if (name == "hybrid") return std::make_unique<HybridBackend>(cfg);
   throw std::invalid_argument("unknown TM backend '" + name +
                               "' (valid: " + backendNameList() + ")");

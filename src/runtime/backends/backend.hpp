@@ -74,6 +74,8 @@ inline constexpr Addr kStmScratchBase = 0x4000'0000;
 /// the cap the doubling stops at, in cycles.
 inline constexpr Cycle kSpinBackoffStart = 24;
 inline constexpr Cycle kSpinBackoffCap = 512;
+/// Pause between speculative attempts, and the base of the TL2 backoff.
+inline constexpr Cycle kRetryBackoff = 40;
 
 /// Everything a backend needs to emit programs for one run.
 struct BackendConfig {

@@ -8,7 +8,7 @@ using lktm::cpu::ProgramBuilder;
 namespace lktm::tm {
 
 HybridBackend::HybridBackend(const BackendConfig& cfg)
-    : retry_(cfg.retry), stm_(cfg.retry) {
+    : retry_(cfg.retry) {
   if (!cfg.policy.htmEnabled) {
     throw std::invalid_argument(
         "hybrid backend: the system's policy disables HTM (htmEnabled=false); "

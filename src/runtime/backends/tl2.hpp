@@ -98,8 +98,6 @@ inline constexpr unsigned kRegRnd = 20;
 /// being built (it carries per-transaction emission state).
 class Tl2Emitter {
  public:
-  explicit Tl2Emitter(const rt::RetryPolicy& retry) : retry_(retry) {}
-
   void setThread(unsigned tid) { tid_ = tid; }
 
   /// Seed kRegRnd with a per-thread splitmix64 constant. Must run once at
@@ -132,7 +130,6 @@ class Tl2Emitter {
     std::int64_t code;  ///< kBusy or kValidation
   };
 
-  rt::RetryPolicy retry_;
   unsigned tid_ = 0;
   bool inBody_ = false;
 
@@ -149,7 +146,7 @@ class Tl2Emitter {
   Addr savedVerAddr(unsigned j) const {
     return threadScratchBase(tid_) + kSavedVerOffset + 8 * static_cast<Addr>(j);
   }
-  Cycle backoffBase() const { return retry_.backoff + 17 * tid_; }
+  Cycle backoffBase() const { return kRetryBackoff + 17 * tid_; }
   Cycle backoffCap() const {
     return kSpinBackoffCap > backoffBase() ? kSpinBackoffCap : backoffBase();
   }
@@ -159,9 +156,6 @@ class Tl2Emitter {
 /// Tl2Emitter; the HTM hardware is never engaged.
 class Tl2Backend final : public Backend {
  public:
-  explicit Tl2Backend(const BackendConfig& cfg)
-      : emitter_(cfg.retry) {}
-
   const char* name() const override { return "tl2"; }
   bool usesStmScratch() const override { return true; }
 

@@ -18,7 +18,6 @@ struct RetryPolicy {
   LockImpl cglLock = LockImpl::Mcs;
   unsigned maxRetries = 8;    ///< attempts before taking the fallback path;
                               ///< at least 1 wherever HTM is attempted
-  Cycle backoff = 40;         ///< pause between speculative attempts
 
   /// Overflow/fault aborts are persistent: retrying speculation cannot help,
   /// so go straight to the fallback path (standard best-effort practice).

@@ -16,7 +16,6 @@ const char* toString(TraceCat c) {
     case TraceCat::Wakeup: return "wakeup";
     case TraceCat::LockMode: return "lock_mode";
     case TraceCat::Directory: return "directory";
-    case TraceCat::kCount: break;
   }
   return "?";
 }

@@ -1,8 +1,7 @@
 // Event tracing for the instrumentation spine, compiled into every build and
-// filtered at run time: instrumentation sites call the inline trace*()
-// helpers below, which record only when a sink is attached and its category
-// mask wants the event. With no sink attached each site costs one pointer
-// test.
+// switched at run time: instrumentation sites call the inline trace*()
+// helpers below, which record every event whenever a sink is attached. With
+// no sink attached each site costs one pointer test.
 //
 // The sink collects Chrome trace_event records ('B'/'E' duration pairs per
 // core lane, 'i' instants) and serializes them as Chrome JSON, so a run dump
@@ -21,21 +20,16 @@
 
 namespace lktm::sim {
 
+/// An event's category: the Chrome event's "cat" field.
 enum class TraceCat : std::uint8_t {
   Txn = 0,    ///< transaction begin/commit/abort (with cause)
   Reject,     ///< recovery-mechanism reject edges (send/receive)
   Wakeup,     ///< wait-for-wakeup edges
   LockMode,   ///< TL/STL HTMLock-mode enter/exit
   Directory,  ///< directory request lifecycle / state transitions
-  kCount,
 };
 
 const char* toString(TraceCat c);
-
-constexpr std::uint32_t traceBit(TraceCat c) {
-  return std::uint32_t{1} << static_cast<unsigned>(c);
-}
-inline constexpr std::uint32_t kTraceAll = 0xffffffffu;
 
 /// One optional argument on an event. Keys must be static-lifetime strings.
 struct TraceArg {
@@ -57,12 +51,6 @@ inline constexpr std::int32_t kDirectoryLane = 1000;
 
 class TraceSink {
  public:
-  explicit TraceSink(std::uint32_t mask = kTraceAll) : mask_(mask) {}
-
-  bool wants(TraceCat c) const { return (mask_ & traceBit(c)) != 0; }
-  void setMask(std::uint32_t mask) { mask_ = mask; }
-  std::uint32_t mask() const { return mask_; }
-
   void record(const TraceEvent& e) { events_.push_back(e); }
   void clear() { events_.clear(); }
   const std::vector<TraceEvent>& events() const { return events_; }
@@ -81,7 +69,6 @@ class TraceSink {
                                 std::string* why = nullptr);
 
  private:
-  std::uint32_t mask_;
   std::vector<TraceEvent> events_;
 };
 
@@ -89,7 +76,7 @@ class TraceSink {
 
 inline void traceEmit(SimContext& ctx, TraceCat cat, char ph, const char* name,
                       std::int32_t tid, TraceArg a0 = {}, TraceArg a1 = {}) {
-  if (TraceSink* t = ctx.traceSink(); t != nullptr && t->wants(cat)) {
+  if (TraceSink* t = ctx.traceSink(); t != nullptr) {
     t->record(TraceEvent{name, cat, ph, ctx.now(), tid, a0, a1});
   }
 }

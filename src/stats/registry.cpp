@@ -10,8 +10,6 @@ const char* toString(StatKind k) {
   switch (k) {
     case StatKind::Counter: return "counter";
     case StatKind::Histogram: return "histogram";
-    case StatKind::Distribution: return "distribution";
-    case StatKind::Formula: return "formula";
   }
   return "?";
 }
@@ -162,26 +160,11 @@ Histogram& StatRegistry::histogram(std::string path) {
   return histograms_.back();
 }
 
-Distribution& StatRegistry::distribution(std::string path) {
-  Entry& e = registerPath(std::move(path), StatKind::Distribution);
-  e.index = distributions_.size();
-  distributions_.emplace_back();
-  return distributions_.back();
-}
-
-void StatRegistry::formula(std::string path, FormulaFn fn) {
-  Entry& e = registerPath(std::move(path), StatKind::Formula);
-  e.index = formulas_.size();
-  formulas_.push_back(std::move(fn));
-}
-
 void StatRegistry::clear() {
   entries_.clear();
   byPath_.clear();
   counters_.clear();
   histograms_.clear();
-  distributions_.clear();
-  formulas_.clear();
 }
 
 StatSnapshot StatRegistry::snapshot() const {
@@ -210,17 +193,6 @@ StatSnapshot StatRegistry::snapshot() const {
         }
         break;
       }
-      case StatKind::Distribution: {
-        const Distribution& d = distributions_[e.index];
-        s.count = d.count();
-        s.sum = d.sum();
-        s.min = d.min();
-        s.max = d.max();
-        break;
-      }
-      case StatKind::Formula:
-        s.number = formulas_[e.index]();
-        break;
     }
     snap.add(std::move(s));
   }

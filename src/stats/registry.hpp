@@ -11,8 +11,9 @@
 //                   (values < 16 are exact; above that the relative error of
 //                   a bucket's bound is at most 1/16), with a saturating sum
 //                   and an `overflowed` flag
-//  * Distribution — count/sum/min/max summary
-//  * Formula      — a double computed from other stats at snapshot time
+//
+// A ratio of two stats (say flit hops per message) is not a stat of its own:
+// readers divide the two counters, which every artifact carries.
 //
 // Lifecycle: SimContext::beginRun() clears the registry; the components of
 // the next run re-register from scratch, so no value can leak between sweep
@@ -25,7 +26,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -92,28 +92,7 @@ class Histogram {
   bool overflowed_ = false;
 };
 
-class Distribution {
- public:
-  void record(std::uint64_t v) {
-    ++count_;
-    sum_ += v;
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
-  std::uint64_t count() const { return count_; }
-  std::uint64_t sum() const { return sum_; }
-  /// 0 when empty (min/max are meaningless without samples).
-  std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  std::uint64_t max() const { return count_ == 0 ? 0 : max_; }
-
- private:
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t max_ = 0;
-};
-
-enum class StatKind : std::uint8_t { Counter, Histogram, Distribution, Formula };
+enum class StatKind : std::uint8_t { Counter, Histogram };
 
 const char* toString(StatKind k);
 
@@ -123,10 +102,9 @@ struct SnapshotEntry {
   std::string path;
   StatKind kind = StatKind::Counter;
   std::uint64_t value = 0;                                  ///< Counter
-  std::uint64_t count = 0, sum = 0, min = 0, max = 0;       ///< Histogram/Distribution
+  std::uint64_t count = 0, sum = 0;                         ///< Histogram
   std::vector<std::pair<unsigned, std::uint64_t>> buckets;  ///< Histogram (sparse, sorted)
   bool overflowed = false;                                  ///< Histogram sum saturated
-  double number = 0.0;                                      ///< Formula
 
   bool operator==(const SnapshotEntry&) const = default;
 };
@@ -138,7 +116,7 @@ struct SnapshotEntry {
 std::uint64_t histogramPercentile(const SnapshotEntry& e, unsigned permille);
 
 /// A path-sorted, self-contained dump of a registry. Safe to keep after the
-/// registry (or the components whose formulas it evaluated) are gone.
+/// registry (or the components that registered its stats) are gone.
 class StatSnapshot {
  public:
   void add(SnapshotEntry e);  ///< keeps entries sorted by path; collisions throw
@@ -170,8 +148,6 @@ class StatSnapshot {
 
 class StatRegistry {
  public:
-  using FormulaFn = std::function<double()>;
-
   StatRegistry() = default;
   StatRegistry(const StatRegistry&) = delete;
   StatRegistry& operator=(const StatRegistry&) = delete;
@@ -180,8 +156,6 @@ class StatRegistry {
   /// Registering an already-taken path throws std::logic_error.
   Counter& counter(std::string path);
   Histogram& histogram(std::string path);
-  Distribution& distribution(std::string path);
-  void formula(std::string path, FormulaFn fn);
 
   std::size_t size() const { return entries_.size(); }
 
@@ -189,7 +163,7 @@ class StatRegistry {
   /// re-register from scratch).
   void clear();
 
-  /// Evaluate every stat (including formulas) into a path-sorted snapshot.
+  /// Copy every stat into a path-sorted snapshot.
   StatSnapshot snapshot() const;
 
  private:
@@ -205,8 +179,6 @@ class StatRegistry {
   std::unordered_map<std::string, std::size_t> byPath_;
   std::deque<Counter> counters_;
   std::deque<Histogram> histograms_;
-  std::deque<Distribution> distributions_;
-  std::deque<FormulaFn> formulas_;
 };
 
 }  // namespace lktm::stats

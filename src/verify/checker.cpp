@@ -170,19 +170,17 @@ CheckResult ModelChecker::run() {
       if (!out.deadlockDiagnostic.empty()) {
         result.deadlockDiagnostic = out.deadlockDiagnostic;
       }
-      for (Violation& v : out.violations) result.violations.push_back(std::move(v));
-      if (opt_.stopAtFirstViolation) {
-        Counterexample cex;
-        cex.configName = cfg_.name;
-        cex.bug = cfg_.bug;
-        cex.invariant = result.violations.front().invariant;
-        cex.detail = result.violations.front().detail;
-        cex.schedule = oracle.choices();
-        cex.trace = std::move(out.trace);
-        cex.traceJson = std::move(out.traceJson);
-        result.cex = std::move(cex);
-        return result;
-      }
+      result.violations = std::move(out.violations);
+      Counterexample cex;
+      cex.configName = cfg_.name;
+      cex.bug = cfg_.bug;
+      cex.invariant = result.violations.front().invariant;
+      cex.detail = result.violations.front().detail;
+      cex.schedule = oracle.choices();
+      cex.trace = std::move(out.trace);
+      cex.traceJson = std::move(out.traceJson);
+      result.cex = std::move(cex);
+      return result;
     }
     if (result.pathsExplored >= opt_.maxPaths) {
       result.truncated = true;

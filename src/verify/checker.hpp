@@ -58,7 +58,6 @@ struct CheckOptions {
   std::uint64_t maxEventsPerPath = 100'000;  ///< depth bound per schedule
   std::uint64_t maxPaths = UINT64_MAX;
   std::uint64_t maxStates = UINT64_MAX;
-  bool stopAtFirstViolation = true;
 };
 
 /// A reproducible violating schedule, dumpable to / parseable from a file in
@@ -95,7 +94,8 @@ class ModelChecker {
  public:
   explicit ModelChecker(ModelConfig cfg, CheckOptions opt = {});
 
-  /// Explore every schedule (up to the configured bounds).
+  /// Explore every schedule (up to the configured bounds). Stops at the
+  /// first violating schedule, which becomes the counterexample.
   CheckResult run();
 
   /// Re-run one forced schedule (e.g. a parsed counterexample) and report

@@ -51,7 +51,6 @@ class CpuHarness {
       const mem::CacheEntry* e = sys_.l1(static_cast<CoreId>(i)).cache().find(line);
       if (e != nullptr && e->dirty) return e->data[wordOf(a)];
     }
-    if (sys_.dir().llcHas(line)) return sys_.dir().llcData(line)[wordOf(a)];
     return sys_.memory().readWord(a);
   }
 

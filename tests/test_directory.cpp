@@ -3,11 +3,15 @@
 // in which order), independent of the real L1 implementation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "coherence/directory.hpp"
 #include "noc/ideal.hpp"
 #include "sim/engine.hpp"
+#include "stats/registry.hpp"
 
 namespace lktm::test {
 namespace {
@@ -81,6 +85,14 @@ TEST(Directory, SecondRequestQueuesBehindBusyLine) {
   h.drain();
   h.l1s[0].expect(MsgType::DataE);
   EXPECT_TRUE(h.l1s[1].inbox.empty()) << "second request must wait";
+  // The queued request is one depth-1 sample of the wait-queue histogram.
+  const stats::StatSnapshot snap = h.ctx.stats().snapshot();
+  const stats::SnapshotEntry* depth = snap.find("dir.waitq.depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(depth->kind, stats::StatKind::Histogram);
+  EXPECT_EQ(depth->count, 1u);
+  EXPECT_EQ(depth->sum, 1u);
+  EXPECT_EQ(depth->buckets, (std::vector<std::pair<unsigned, std::uint64_t>>{{1u, 1u}}));
   h.sendToDir(h.req(MsgType::Unblock, 5, 0));
   h.drain();
   // Now the queued GetS is processed: owner 0 gets a FwdGetS.

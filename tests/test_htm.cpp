@@ -354,7 +354,6 @@ struct ExpectedEntry {
 /// Apply the full-scan commit (abort = false) or abort rules to a copy of
 /// every valid entry; returns the TxAbortInv lines in scan order.
 std::vector<LineAddr> fullScanReference(const mem::CacheArray& c, bool abort,
-                                        bool invalidateReadSet,
                                         std::vector<ExpectedEntry>& out) {
   std::vector<LineAddr> invs;
   c.forEachValid([&](const mem::CacheEntry& e) {
@@ -364,7 +363,7 @@ std::vector<LineAddr> fullScanReference(const mem::CacheArray& c, bool abort,
     } else if (x.txWrite) {
       invs.push_back(x.line);
       x.invalidate();
-    } else if (x.txRead && invalidateReadSet && !x.dirty) {
+    } else if (x.txRead && !x.dirty) {
       x.invalidate();
     } else {
       x.txRead = false;
@@ -393,10 +392,9 @@ constexpr LineAddr kBase = 0x4000;  // set 0 of the 4-set L1 below
 /// A 4-set, 2-way L1 whose transaction fills every way. Then two marked
 /// entries change behind the controller's back: one way is refilled with a
 /// non-transactional line (a stale mark), the other is left invalid.
-TestSystemOptions smallL1(bool invalidateReadSet) {
+TestSystemOptions smallL1() {
   TestSystemOptions opt;
   opt.l1 = mem::CacheGeometry{4 * 2 * kLineBytes, 2};
-  opt.protocol.invalidateReadSetOnAbort = invalidateReadSet;
   return opt;
 }
 
@@ -425,32 +423,29 @@ void markEveryWayThenEvictTwo(TestSystem& sys) {
 }
 
 TEST(TxMarks, AbortMatchesFullScanWithStaleMark) {
-  for (const bool invalidateReadSet : {true, false}) {
-    SCOPED_TRACE(invalidateReadSet ? "invalidate read set" : "keep read set");
-    TxAbortInvTap tap;
-    TestSystem sys(smallL1(invalidateReadSet));
-    markEveryWayThenEvictTwo(sys);
-    std::vector<ExpectedEntry> expected;
-    const std::vector<LineAddr> invs =
-        fullScanReference(sys.l1(0).cache(), /*abort=*/true, invalidateReadSet, expected);
-    // One speculatively written line per set, sent in set order.
-    ASSERT_EQ(invs, (std::vector<LineAddr>{kBase + 4, kBase + 5, kBase + 2, kBase + 7}));
-    sys.ctx().setVerifyTap(&tap);
-    sys.l1(0).txAbort(AbortCause::Explicit);
-    sys.ctx().setVerifyTap(nullptr);
-    EXPECT_EQ(tap.lines, invs);
-    expectEntries(expected);
-    ASSERT_NE(sys.l1(0).cache().find(kBase + 10), nullptr);  // the stale mark's line
-    EXPECT_FALSE(sys.l1(0).cache().find(kBase + 10)->transactional());
-  }
+  TxAbortInvTap tap;
+  TestSystem sys(smallL1());
+  markEveryWayThenEvictTwo(sys);
+  std::vector<ExpectedEntry> expected;
+  const std::vector<LineAddr> invs =
+      fullScanReference(sys.l1(0).cache(), /*abort=*/true, expected);
+  // One speculatively written line per set, sent in set order.
+  ASSERT_EQ(invs, (std::vector<LineAddr>{kBase + 4, kBase + 5, kBase + 2, kBase + 7}));
+  sys.ctx().setVerifyTap(&tap);
+  sys.l1(0).txAbort(AbortCause::Explicit);
+  sys.ctx().setVerifyTap(nullptr);
+  EXPECT_EQ(tap.lines, invs);
+  expectEntries(expected);
+  ASSERT_NE(sys.l1(0).cache().find(kBase + 10), nullptr);  // the stale mark's line
+  EXPECT_FALSE(sys.l1(0).cache().find(kBase + 10)->transactional());
 }
 
 TEST(TxMarks, CommitMatchesFullScanWithStaleMark) {
   TxAbortInvTap tap;
-  TestSystem sys(smallL1(true));
+  TestSystem sys(smallL1());
   markEveryWayThenEvictTwo(sys);
   std::vector<ExpectedEntry> expected;
-  fullScanReference(sys.l1(0).cache(), /*abort=*/false, true, expected);
+  fullScanReference(sys.l1(0).cache(), /*abort=*/false, expected);
   sys.ctx().setVerifyTap(&tap);
   bool done = false;
   sys.l1(0).txCommit([&] { done = true; });

@@ -141,15 +141,13 @@ TEST(Integration, SweepCapturesExceptionsAsFailures) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].ok());
   EXPECT_NE(results[0].diagnostic.find("boom"), std::string::npos);
-  // The failed cell is still locatable by its sweep coordinates (the old
-  // exception path dropped workload/threads, so findResult could never see
-  // failed jobs).
-  const RunResult* r = findResult(results, "SysX", "wlY", 4);
-  ASSERT_NE(r, nullptr);
-  // A crash is a Failed run, not a Hang — the old code folded every failure
-  // into the hang flag.
-  EXPECT_EQ(r->status, RunStatus::Failed);
-  EXPECT_FALSE(r->hang());
+  // The failed cell keeps its sweep coordinates.
+  EXPECT_EQ(results[0].system, "SysX");
+  EXPECT_EQ(results[0].workload, "wlY");
+  EXPECT_EQ(results[0].threads, 4u);
+  // A crash is a Failed run, not a Hang.
+  EXPECT_EQ(results[0].status, RunStatus::Failed);
+  EXPECT_FALSE(results[0].hang());
 }
 
 TEST(Integration, SweepHandlesEmptyJobList) {
@@ -159,18 +157,6 @@ TEST(Integration, SweepHandlesEmptyJobList) {
   std::vector<RunResult> results;
   runManifest(m, "", opts, {}, &results);
   EXPECT_TRUE(results.empty());
-}
-
-TEST(Integration, FindResultLocatesCells) {
-  std::vector<RunResult> rs(2);
-  rs[0].system = "A";
-  rs[0].workload = "w";
-  rs[0].threads = 2;
-  rs[1].system = "B";
-  rs[1].workload = "w";
-  rs[1].threads = 4;
-  EXPECT_EQ(findResult(rs, "B", "w", 4), &rs[1]);
-  EXPECT_EQ(findResult(rs, "B", "w", 8), nullptr);
 }
 
 TEST(Integration, BreakdownAccountsForAllCycles) {

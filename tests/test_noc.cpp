@@ -105,13 +105,11 @@ TEST(Mesh, CountsFlitHops) {
   EXPECT_EQ(snap.value("noc.messages"), 1u);
   EXPECT_EQ(snap.value("noc.data_messages"), 1u);
   EXPECT_EQ(snap.value("noc.flit_hops"), kDataFlits * 3u);  // (2 hops + injection) * 5 flits
-  // The hop histogram saw exactly one 2-hop message, and the formula stat
-  // derives flit-hops per message from the same counters.
+  // The hop histogram saw exactly one 2-hop message.
   const stats::SnapshotEntry* h = snap.find("noc.hops");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 1u);
   EXPECT_EQ(h->sum, 2u);
-  EXPECT_DOUBLE_EQ(snap.find("noc.avg_flit_hops_per_msg")->number, kDataFlits * 3.0);
 }
 
 TEST(Ideal, FixedLatency) {

@@ -183,28 +183,19 @@ TEST(SchemaReader, StatsArtifactRejectsEachCorruption) {
          member(member(run0(doc), "stats").array->at(0), "kind") = literal("\"gauge\"");
        },
        "unknown kind"},
+      {"histogram relabelled distribution",
+       [](Value& doc) {
+         member(statAt(run0(doc), "dir.waitq.depth"), "kind") = literal("\"distribution\"");
+       },
+       "unknown kind"},
+      {"counter relabelled formula",
+       [](Value& doc) {
+         member(statAt(run0(doc), "noc.messages"), "kind") = literal("\"formula\"");
+       },
+       "unknown kind"},
       {"empty runs", [](Value& doc) { member(doc, "runs").array->clear(); }, "\"runs\""},
   };
   expectEachRejected(base, table, [](const Value& doc) { cfg::statsRunsFromJson(doc); });
-}
-
-TEST(SchemaReader, StatsArtifactRejectsExtremaOnEmptyDistribution) {
-  // A registered-but-never-recorded distribution carries no min/max.
-  stats::StatRegistry reg;
-  reg.distribution("dir.waitq.depth");
-  cfg::RunResult r;
-  r.backend = "lockiller";
-  r.stats = reg.snapshot();
-  std::ostringstream os;
-  cfg::writeStatsJson(os, r);
-  expectEachRejected(os.str(),
-                     {{"min on an empty distribution",
-                       [](Value& doc) {
-                         member(run0(doc), "stats").array->at(0).object->emplace(
-                             "min", literal("0"));
-                       },
-                       "empty distribution"}},
-                     [](const Value& doc) { cfg::statsRunsFromJson(doc); });
 }
 
 TEST(SchemaReader, SmokeManifestRejectsEachCorruption) {

@@ -5,34 +5,30 @@
 // `// lktm-lint: allow(<rule>) -- <reason>` with a mandatory reason.
 //
 //   lktm_lint [options] [path ...]        lint files / directories (recursed)
-//     --rules a,b     restrict to these rule ids
 //     --root DIR      repo root for zone classification (default: cwd)
 //     --quiet         suppress per-finding output (summary only)
 //     --list-rules    print the rule catalog and exit
-//     --self-test     run the built-in seeded-violation fixtures (every rule
-//                     must catch its plant and stay quiet on its clean twin,
-//                     mirroring lktm_check --inject-bug) and exit
 //
-// Exit codes: 0 = clean (no unsuppressed findings / self-test passed),
-//             1 = unsuppressed findings (or self-test failure),
+// The rules' seeded-violation fixtures (src/lint/selftest.hpp) run as the
+// LintRules tests of tests/test_lint.cpp.
+//
+// Exit codes: 0 = clean (no unsuppressed findings),
+//             1 = unsuppressed findings,
 //             2 = usage or I/O error.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "lint/rules.hpp"
-#include "lint/selftest.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using lktm::lint::Finding;
-using lktm::lint::LintOptions;
 using lktm::lint::LintRun;
 
 bool hasLintableExtension(const fs::path& p) {
@@ -52,8 +48,7 @@ std::string relativeTo(const fs::path& root, const fs::path& p) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: lktm_lint [--rules a,b] [--root DIR] "
-               "[--quiet] [--list-rules] [--self-test] [path ...]\n");
+               "usage: lktm_lint [--root DIR] [--quiet] [--list-rules] [path ...]\n");
   return 2;
 }
 
@@ -61,7 +56,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::vector<std::string> paths;
-  LintOptions opts;
   std::string root = ".";
   bool quiet = false;
 
@@ -79,28 +73,6 @@ int main(int argc, char** argv) {
         std::printf("%s\n", r.c_str());
       }
       return 0;
-    }
-    if (arg == "--self-test") {
-      return lktm::lint::runSelfTest(std::cout) ? 0 : 1;
-    }
-    if (arg == "--rules") {
-      std::string rule;
-      for (const char c : std::string(next()) + ",") {
-        if (c == ',') {
-          if (!rule.empty()) opts.rules.push_back(rule);
-          rule.clear();
-        } else {
-          rule += c;
-        }
-      }
-      for (const std::string& r : opts.rules) {
-        if (!lktm::lint::isRule(r)) {
-          std::fprintf(stderr, "lktm_lint: unknown rule \"%s\" (--list-rules)\n",
-                       r.c_str());
-          return 2;
-        }
-      }
-      continue;
     }
     if (arg == "--root") {
       root = next();
@@ -147,7 +119,7 @@ int main(int argc, char** argv) {
     std::ostringstream ss;
     ss << in.rdbuf();
     ++run.filesScanned;
-    for (Finding& f : lktm::lint::lintSource(rel, ss.str(), opts)) {
+    for (Finding& f : lktm::lint::lintSource(rel, ss.str())) {
       run.findings.push_back(std::move(f));
     }
   }

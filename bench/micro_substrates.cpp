@@ -17,6 +17,7 @@
 #include "sim/context.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "workloads/micro.hpp"
 
@@ -327,7 +328,7 @@ void BM_FullSimulationStamp(benchmark::State& state) {
     rc.threads = 8;
     rc.runCoherenceChecker = false;
     const auto r =
-        cfg::runSimulation(rc, [] { return wl::makeStamp("vacation+"); });
+        cfg::runSimulation(rc, [] { return cfg::makeJobWorkload("vacation+", 11); });
     benchmark::DoNotOptimize(r.cycles);
     if (!r.ok()) state.SkipWithError("simulation failed");
   }

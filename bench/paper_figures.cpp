@@ -19,7 +19,6 @@
 #include "config/orchestrator.hpp"
 #include "config/systems.hpp"
 #include "stats/report.hpp"
-#include "workloads/db_traffic.hpp"
 #include "workloads/workload.hpp"
 
 namespace {

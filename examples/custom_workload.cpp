@@ -4,6 +4,16 @@
 // ProgramBuilder assembler and the pluggable tm::Backend interface. The body
 // lambda handed to emitTransaction must be pure emission: dual-path backends
 // (hybrid) invoke it once per execution path.
+//
+// The built-in workloads live in one table, wl::workloadTable() (name ->
+// factory from a seed), which cfg::makeJobWorkload, the sweeps and
+// `lktm-sim --workload` look names up in. They all derive from
+// wl::TxStreamWorkload, the one thread-program skeleton: a fixed total of
+// transactions split statically across threads, each thread's share drawn
+// from its own seeded stream, with only the per-transaction emitter left to
+// the workload. This example implements wl::Workload directly instead, since
+// its producers and consumers run a fixed count each rather than a share of
+// a total, and hands its factory straight to cfg::runSimulation.
 #include <cstdio>
 #include <sstream>
 

@@ -414,7 +414,6 @@ void L1Controller::onMessage(const Msg& msg) {
   switch (msg.type) {
     case MsgType::DataE: return onData(msg, /*exclusive=*/true);
     case MsgType::DataS: return onData(msg, /*exclusive=*/false);
-    case MsgType::UpgradeAck: return onUpgradeAck(msg);
     case MsgType::RejectResp: return onRejectResp(msg);
     case MsgType::PutAck:
       wb_.erase(msg.line);
@@ -455,29 +454,6 @@ void L1Controller::onData(const Msg& msg, bool exclusive) {
   if (squashed) return;
   assert(op_.active && lineOf(op_.addr) == msg.line);
   completeOnLine(*way);
-}
-
-// INVARIANT: the directory never sends UpgradeAck anymore — silent clean-line
-// drops make data-less upgrade grants unsound, so GetX always answers with
-// DataE (see DirectoryController::handleGetX). This handler is kept only so a
-// future protocol variant that re-enables data-less upgrades has the L1 side
-// ready; re-enabling it requires explicit PutS messages (no silent S drops).
-void L1Controller::onUpgradeAck(const Msg& msg) {
-  mem::MshrEntry* m = mshr_.find(msg.line);
-  if (m == nullptr) throw std::logic_error("upgrade ack without MSHR");
-  const bool squashed = m->squashed;
-  mshr_.release(msg.line);
-
-  mem::CacheEntry* e = cache_.find(msg.line);
-  assert(e != nullptr && "UpgradeAck implies the S copy survived");
-  e->state = mem::MesiState::E;
-
-  Msg unb{.type = MsgType::Unblock, .line = msg.line};
-  sendToDir(std::move(unb));
-
-  if (squashed) return;
-  assert(op_.active && lineOf(op_.addr) == msg.line);
-  completeOnLine(*e);
 }
 
 void L1Controller::onRejectResp(const Msg& msg) {

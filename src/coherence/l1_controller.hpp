@@ -208,7 +208,6 @@ class L1Controller final : public MsgSink {
 
   // responses
   void onData(const Msg& msg, bool exclusive);
-  void onUpgradeAck(const Msg& msg);
   void onRejectResp(const Msg& msg);
   void scheduleHeldRetry(LineAddr line, Cycle delay);
   void onWakeup(const Msg& msg);

@@ -60,7 +60,6 @@ const char* toString(MsgType t) {
     case MsgType::Unblock: return "Unblock";
     case MsgType::DataE: return "DataE";
     case MsgType::DataS: return "DataS";
-    case MsgType::UpgradeAck: return "UpgradeAck";
     case MsgType::RejectResp: return "RejectResp";
     case MsgType::PutAck: return "PutAck";
     case MsgType::Inv: return "Inv";

@@ -33,7 +33,6 @@ enum class MsgType : std::uint8_t {
   // --- directory -> L1 ---
   DataE,       ///< data grant, exclusive
   DataS,       ///< data grant, shared
-  UpgradeAck,  ///< exclusivity grant without data (requester had an S copy)
   RejectResp,  ///< request revoked (recovery mechanism / LLC signatures)
   PutAck,      ///< eviction acknowledged; writeback buffer entry may retire
   Inv,         ///< invalidate your S copy (carries requester info)

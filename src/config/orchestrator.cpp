@@ -8,13 +8,12 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "config/artifact.hpp"
 #include "config/systems.hpp"
 #include "stats/json.hpp"
-#include "workloads/db_traffic.hpp"
-#include "workloads/micro.hpp"
 #include "workloads/workload.hpp"
 
 namespace lktm::cfg {
@@ -269,11 +268,15 @@ bool SweepManifest::save(const std::string& path) const {
 
 std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
                                               std::uint64_t seed) {
-  if (name == "counter") return wl::makeCounter(4, 2, 256, seed);
-  if (name == "bank") return wl::makeBank(64, 480, seed);
-  if (name == "linkedlist") return wl::makeLinkedList(128, 6, 240, seed);
-  if (wl::isDbWorkloadName(name)) return wl::makeDbWorkload(name, seed);
-  return wl::makeStamp(name, seed);
+  for (const wl::WorkloadRow& row : wl::workloadTable()) {
+    if (row.name == name) return row.make(seed);
+  }
+  std::string valid;
+  for (const wl::WorkloadRow& row : wl::workloadTable()) {
+    valid += valid.empty() ? "" : " ";
+    valid += row.name;
+  }
+  throw std::invalid_argument("unknown workload '" + name + "' (valid: " + valid + ")");
 }
 
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
@@ -284,10 +287,8 @@ RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
   cfg.system = systemByName(spec.system);
   cfg.threads = spec.threads;
   cfg.rngSeed = jobRunSeed(spec.seed, spec.system, spec.workload, spec.threads);
-  RunResult r = runSimulation(
+  return runSimulation(
       cfg, [&] { return makeJobWorkload(spec.workload, spec.seed); }, &ctx);
-  r.workload = spec.workload;
-  return r;
 }
 
 namespace detail {
@@ -561,7 +562,9 @@ SweepManifest presetManifest(const std::string& name, const std::string& artifac
     m.artifactDir = artifactDir;
     auto add = [&](const std::string& system, const std::string& workload,
                    const std::string& machine, unsigned threads) {
-      m.jobs.push_back(JobRecord{JobSpec{system, workload, machine, threads, seed}});
+      JobRecord j;
+      j.spec = JobSpec{system, workload, machine, threads, seed};
+      m.jobs.push_back(std::move(j));
     };
     const unsigned defaultRetries = rt::RetryPolicy{}.maxRetries;
     for (const unsigned retries : {1u, 4u, 8u, 16u}) {

@@ -57,8 +57,9 @@ struct JobSpec {
   std::string workload;
   std::string machine = "typical";
   unsigned threads = 0;
-  /// Workload-generation seed; the run's RNG-stream seed is derived from it
-  /// and the other coordinates via jobRunSeed().
+  /// Workload-generation seed: every simulated draw comes from the
+  /// generator's per-thread streams seeded from it. jobRunSeed() derives the
+  /// run's recorded seed from it and the other coordinates.
   std::uint64_t seed = kDefaultSweepSeed;
 
   /// Stable human-readable identity, unique within a manifest:
@@ -133,8 +134,8 @@ using JobRunner =
 RunResult runSpec(const JobSpec& spec, const OrchestratorOptions& opts,
                   sim::SimContext& ctx);
 
-/// Workload factory shared with lktm_sim: STAMP analogs by name, plus the
-/// micro workloads "counter" / "bank" / "linkedlist".
+/// The one lookup of a job workload by name, over wl::workloadTable();
+/// throws std::invalid_argument naming the valid names on an unknown one.
 std::unique_ptr<wl::Workload> makeJobWorkload(const std::string& name,
                                               std::uint64_t seed);
 

@@ -121,9 +121,10 @@ struct RunConfig {
   MachineParams machine = MachineParams::typical();
   SystemSpec system;
   unsigned threads = 2;
-  /// Seed for the context RNG stream (SimContext::beginRun). Always set
-  /// explicitly by the sweep orchestrator from the job manifest so a job's
-  /// randomness can never depend on which worker's context runs it.
+  /// Seed the context RNG is reset to (SimContext::beginRun), recorded as
+  /// RunResult::seed; the sweep sets it to jobRunSeed() of the job. Nothing
+  /// draws from that RNG: every simulated draw comes from the workload
+  /// generator's per-thread streams, seeded by the workload factory's seed.
   std::uint64_t rngSeed = sim::SimContext::kDefaultSeed;
   bool runCoherenceChecker = true;
   bool verifyWorkload = true;

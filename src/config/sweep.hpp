@@ -22,9 +22,10 @@ namespace lktm::cfg {
 /// lktm_sim --seed default).
 inline constexpr std::uint64_t kDefaultSweepSeed = 11;
 
-/// Per-job RNG-stream seed, derived from the job's manifest identity (never
-/// from worker/context state): splitmix64 over the base seed mixed with the
-/// job's coordinates.
+/// Per-job run seed (RunResult::seed, and the seed the context RNG is reset
+/// to; nothing draws from that RNG), derived from the job's manifest
+/// identity (never from worker/context state): splitmix64 over the base seed
+/// mixed with the job's coordinates.
 std::uint64_t jobRunSeed(std::uint64_t baseSeed, const std::string& system,
                          const std::string& workload, unsigned threads);
 

@@ -61,27 +61,27 @@ std::string SystemSpec::backendName() const {
 std::vector<SystemSpec> evaluatedSystems() {
   std::vector<SystemSpec> out;
   out.push_back({"CGL", "Coarse-grained locking with the same granularity of transactions",
-                 cgl(), {}});
-  out.push_back({"Baseline", "Best-Effort HTM with requester-win", baseline(), {}});
+                 cgl(), {}, ""});
+  out.push_back({"Baseline", "Best-Effort HTM with requester-win", baseline(), {}, ""});
   out.push_back({"LosaTM-SAFU",
                  "LosaTM without False Sharing and Capacity Overflow OPT",
-                 losaSafu(), {}});
+                 losaSafu(), {}, ""});
   out.push_back({"Lockiller-RAI", "Baseline + Recovery + SelfAbort + InstsBasedPriority",
-                 recovery(RejectAction::SelfAbort, PriorityKind::InstsBased), {}});
+                 recovery(RejectAction::SelfAbort, PriorityKind::InstsBased), {}, ""});
   out.push_back({"Lockiller-RRI",
                  "Baseline + Recovery + SelfRetryLater + InstsBasedPriority",
-                 recovery(RejectAction::RetryLater, PriorityKind::InstsBased), {}});
+                 recovery(RejectAction::RetryLater, PriorityKind::InstsBased), {}, ""});
   out.push_back({"Lockiller-RWI", "Baseline + Recovery + WaitWakeup + InstsBasedPriority",
-                 recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased), {}});
+                 recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased), {}, ""});
   out.push_back({"Lockiller-RWL", "Baseline + Recovery + WaitWakeup + HTMLock",
-                 withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::None)), {}});
+                 withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::None)), {}, ""});
   out.push_back({"Lockiller-RWIL", "Lockiller-RWI + HTMLock",
                  withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased)),
-                 {}});
+                 {}, ""});
   out.push_back(
       {"LockillerTM", "Lockiller-RWI + HTMLock + SwitchingMode",
        withSwitching(withHtmLock(recovery(RejectAction::WaitWakeup, PriorityKind::InstsBased))),
-       {}});
+       {}, ""});
   // Rows that are TM backends of their own. The backend decides the
   // execution path; the policy only agrees with it about whether the HTM
   // hardware may be engaged (tl2 is pure software).

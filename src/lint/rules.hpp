@@ -15,7 +15,9 @@
 //                            the deterministic zone — use FlatLineTable /
 //                            FlatLineSet or sorted extraction
 //   no-unseeded-randomness   rand()/srand()/std::random_device anywhere;
-//                            all randomness derives from jobRunSeed
+//                            every simulated draw comes from a workload
+//                            generator's per-thread sim::Rng stream, seeded
+//                            from the job's workload seed (JobSpec::seed)
 //   no-pointer-order         hashing/ordering on pointer values in protocol
 //                            state (std::hash<T*>, std::less<T*>,
 //                            reinterpret_cast to [u]intptr_t) — deterministic

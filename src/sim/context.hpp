@@ -1,11 +1,14 @@
 // Per-run simulation context: one object that owns everything a single
-// deterministic simulation needs — the engine (event queue + watchdog), a
-// seeded RNG, and the typed object pools that back the message/packet hot
-// paths. Components take a SimContext& instead of a bare Engine& so a sweep
-// worker can build hundreds of systems against one context: beginRun()
-// resets logical state (clock, seq numbers, diagnostics, RNG stream) while
-// every pool and event-node slab keeps its memory, making steady-state
-// simulation allocation-free. SimContexts share nothing; one per host thread.
+// deterministic simulation needs — the engine (event queue + watchdog), an
+// RNG, and the typed object pools that back the message/packet hot paths.
+// Components take a SimContext& instead of a bare Engine& so a sweep worker
+// can build hundreds of systems against one context: beginRun() resets
+// logical state (clock, seq numbers, diagnostics, RNG) while every pool and
+// event-node slab keeps its memory, making steady-state simulation
+// allocation-free. SimContexts share nothing; one per host thread.
+//
+// Nothing draws from the context RNG: every simulated draw comes from the
+// workload generator's per-thread streams, seeded from the workload seed.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +63,9 @@ class SimContext {
   Rng& rng() { return rng_; }
 
   /// Prepare for a fresh simulation run: reset the clock, event sequence
-  /// numbers, watchdog state, diagnostics, and RNG stream. Pools and event
-  /// slabs keep their memory so reuse across runs is allocation-free.
+  /// numbers, watchdog state, diagnostics, and reseed the (undrawn) RNG.
+  /// Pools and event slabs keep their memory so reuse across runs is
+  /// allocation-free.
   void beginRun(Cycle watchdogWindow, std::uint64_t rngSeed = kDefaultSeed);
 
   /// The typed object pool for T, created on first use and owned by the

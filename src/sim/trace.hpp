@@ -43,7 +43,7 @@ struct TraceEvent {
   char ph = 'i';  ///< 'B' begin, 'E' end, 'i' instant
   Cycle ts = 0;
   std::int32_t tid = 0;  ///< core id; directory events use kDirectoryLane
-  TraceArg a0, a1;
+  TraceArg a0{}, a1{};
 };
 
 /// The lane ('tid') directory events render on, below the core lanes.

@@ -1,6 +1,5 @@
 #include "workloads/db_traffic.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,27 +14,27 @@ constexpr unsigned kRegAddr2 = 3;
 constexpr unsigned kRegVal2 = 4;
 constexpr Addr kWordBytes = sizeof(std::uint64_t);
 
-// Every generator keeps transaction synthesis in one deterministic replayable
-// pass (forEachTx), shared verbatim between buildProgram and verify: the
-// verifier recomputes the expected conservation totals by replaying the same
-// seeded per-thread streams instead of trusting state accumulated during
-// emission, so building a program twice can never skew the invariant.
+// ycsb and tpcc draw each transaction in one function (drawOps) shared
+// verbatim between emitTx and verify: the verifier recomputes the expected
+// conservation totals by replaying the same streams (forEachShareTx) instead
+// of trusting state accumulated during emission, so building a program twice
+// can never skew the invariant.
 
 // -------------------------------------------------------------------- ycsb
 
-class YcsbWorkload final : public Workload {
+class YcsbWorkload final : public TxStreamWorkload {
  public:
   YcsbWorkload(std::string name, unsigned rows, double theta, unsigned readPct,
                unsigned scanPct, unsigned opsPerTx, unsigned scanLen,
                unsigned totalTxs, std::uint64_t seed)
-      : name_(std::move(name)),
+      : TxStreamWorkload(seed, 0xDB01),
+        name_(std::move(name)),
         rows_(rows),
         readPct_(readPct),
         scanPct_(scanPct),
         opsPerTx_(opsPerTx),
         scanLen_(scanLen),
         totalTxs_(totalTxs),
-        seed_(seed),
         zipf_(rows, theta) {
     if (rows_ == 0) throw std::invalid_argument("ycsb: need at least one row");
   }
@@ -45,38 +44,16 @@ class YcsbWorkload final : public Workload {
   void init(mem::MainMemory&, unsigned) override {
     // One cache line per row. Rows start at 0 (sparse memory reads absent
     // lines as zero), so even huge stores cost nothing to lay out.
-    base_ = space_.allocLines(rows_);
-  }
-
-  cpu::Program buildProgram(unsigned tid, unsigned nthreads,
-                            tm::Backend& backend) override {
-    cpu::ProgramBuilder b;
-    backend.emitProgramStart(b, tid, nthreads);
-    b.mark(TimeCat::NonTran);
-    b.compute(static_cast<std::int64_t>(30 + 11 * tid));
-    forEachTx(tid, nthreads, [&](const std::vector<Op>& ops) {
-      backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
-        for (const Op& op : ops) {
-          const Addr addr = base_ + static_cast<Addr>(op.key) * kLineBytes;
-          if (op.write) {
-            backend.emitUpdate(pb, addr, kRegAddr, kRegVal, 1);
-          } else {
-            backend.emitRead(pb, addr, kRegAddr, kRegVal);
-          }
-        }
-      });
-      b.compute(25);
-    });
-    b.barrier();
-    b.halt();
-    return b.build();
+    base_ = space().allocLines(rows_);
   }
 
   std::vector<std::string> verify(const WordReader& read,
                                   unsigned nthreads) const override {
     std::uint64_t expected = 0;
+    std::vector<Op> ops;
     for (unsigned tid = 0; tid < nthreads; ++tid) {
-      forEachTx(tid, nthreads, [&](const std::vector<Op>& ops) {
+      forEachShareTx(tid, nthreads, [&](sim::Rng& rng, unsigned) {
+        drawOps(rng, ops);
         for (const Op& op : ops) {
           if (op.write) ++expected;
         }
@@ -93,7 +70,24 @@ class YcsbWorkload final : public Workload {
     return {oss.str()};
   }
 
-  Addr footprintEnd() const override { return space_.used(); }
+ protected:
+  unsigned totalTransactions(unsigned) const override { return totalTxs_; }
+
+  void emitTx(cpu::ProgramBuilder& b, sim::Rng& rng, unsigned, unsigned, unsigned,
+              tm::Backend& backend) override {
+    drawOps(rng, ops_);
+    backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
+      for (const Op& op : ops_) {
+        const Addr addr = base_ + static_cast<Addr>(op.key) * kLineBytes;
+        if (op.write) {
+          backend.emitUpdate(pb, addr, kRegAddr, kRegVal, 1);
+        } else {
+          backend.emitRead(pb, addr, kRegAddr, kRegVal);
+        }
+      }
+    });
+    b.compute(25);
+  }
 
  private:
   struct Op {
@@ -101,26 +95,18 @@ class YcsbWorkload final : public Workload {
     unsigned key = 0;
   };
 
-  template <typename Fn>
-  void forEachTx(unsigned tid, unsigned nthreads, const Fn& fn) const {
-    sim::Rng rng(seed_ ^ (0xDB01ull * (tid + 1)));
-    const unsigned lo = totalTxs_ * tid / nthreads;
-    const unsigned hi = totalTxs_ * (tid + 1) / nthreads;
-    std::vector<Op> ops;
-    for (unsigned t = lo; t < hi; ++t) {
-      ops.clear();
-      if (scanPct_ != 0 && rng.percent(scanPct_)) {
-        const auto start = static_cast<unsigned>(zipf_.sample(rng));
-        for (unsigned j = 0; j < scanLen_; ++j) {
-          ops.push_back({false, (start + j) % rows_});
-        }
-      } else {
-        for (unsigned i = 0; i < opsPerTx_; ++i) {
-          const auto key = static_cast<unsigned>(zipf_.sample(rng));
-          ops.push_back({!rng.percent(readPct_), key});
-        }
+  void drawOps(sim::Rng& rng, std::vector<Op>& ops) const {
+    ops.clear();
+    if (scanPct_ != 0 && rng.percent(scanPct_)) {
+      const auto start = static_cast<unsigned>(zipf_.sample(rng));
+      for (unsigned j = 0; j < scanLen_; ++j) {
+        ops.push_back({false, (start + j) % rows_});
       }
-      fn(ops);
+    } else {
+      for (unsigned i = 0; i < opsPerTx_; ++i) {
+        const auto key = static_cast<unsigned>(zipf_.sample(rng));
+        ops.push_back({!rng.percent(readPct_), key});
+      }
     }
   }
 
@@ -131,24 +117,23 @@ class YcsbWorkload final : public Workload {
   unsigned opsPerTx_;
   unsigned scanLen_;
   unsigned totalTxs_;
-  std::uint64_t seed_;
   Zipfian zipf_;
-  AddressSpace space_;
   Addr base_ = 0;
+  std::vector<Op> ops_;  // emitTx's scratch
 };
 
 // -------------------------------------------------------------------- tpcc
 
-class TpccLiteWorkload final : public Workload {
+class TpccLiteWorkload final : public TxStreamWorkload {
  public:
   TpccLiteWorkload(unsigned warehouses, unsigned districts, unsigned customers,
                    unsigned items, unsigned totalTxs, std::uint64_t seed)
-      : warehouses_(warehouses),
+      : TxStreamWorkload(seed, 0xDB02),
+        warehouses_(warehouses),
         districts_(districts),
         customers_(customers),
         items_(items),
         totalTxs_(totalTxs),
-        seed_(seed),
         custZipf_(customers, 0.99),
         itemZipf_(items, 0.99) {
     if (warehouses_ == 0 || districts_ == 0 || customers_ == 0 || items_ == 0) {
@@ -159,10 +144,10 @@ class TpccLiteWorkload final : public Workload {
   std::string name() const override { return "tpcc"; }
 
   void init(mem::MainMemory& memory, unsigned) override {
-    whBase_ = space_.allocLines(warehouses_);
-    distBase_ = space_.allocLines(warehouses_ * districts_);
-    custBase_ = space_.allocLines(warehouses_ * districts_ * customers_);
-    itemBase_ = space_.allocLines(items_);
+    whBase_ = space().allocLines(warehouses_);
+    distBase_ = space().allocLines(warehouses_ * districts_);
+    custBase_ = space().allocLines(warehouses_ * districts_ * customers_);
+    itemBase_ = space().allocLines(items_);
     for (unsigned c = 0; c < warehouses_ * districts_ * customers_; ++c) {
       memory.writeWord(custBase_ + static_cast<Addr>(c) * kLineBytes, kInitBalance);
     }
@@ -171,36 +156,15 @@ class TpccLiteWorkload final : public Workload {
     }
   }
 
-  cpu::Program buildProgram(unsigned tid, unsigned nthreads,
-                            tm::Backend& backend) override {
-    cpu::ProgramBuilder b;
-    backend.emitProgramStart(b, tid, nthreads);
-    b.mark(TimeCat::NonTran);
-    b.compute(static_cast<std::int64_t>(30 + 11 * tid));
-    forEachTx(tid, nthreads, [&](const std::vector<RowOp>& ops) {
-      backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
-        for (const RowOp& op : ops) {
-          if (op.read) {
-            backend.emitRead(pb, op.addr, kRegAddr, kRegVal);
-          } else {
-            backend.emitUpdate(pb, op.addr, kRegAddr, kRegVal, op.delta);
-          }
-        }
-      });
-      b.compute(20);
-    });
-    b.barrier();
-    b.halt();
-    return b.build();
-  }
-
   std::vector<std::string> verify(const WordReader& read,
                                   unsigned nthreads) const override {
     // Replay the generation streams to recover the expected conservation
     // totals, then check every ledger the two transaction types touch.
     std::uint64_t amountTotal = 0, newOrders = 0, orderLines = 0;
+    std::vector<RowOp> ops;
     for (unsigned tid = 0; tid < nthreads; ++tid) {
-      forEachTx(tid, nthreads, [&](const std::vector<RowOp>& ops) {
+      forEachShareTx(tid, nthreads, [&](sim::Rng& rng, unsigned) {
+        drawOps(rng, ops);
         if (ops.front().read) {  // new-order starts with the customer read
           ++newOrders;
           orderLines += ops.size() - 2;  // minus customer read + next_o_id
@@ -242,7 +206,23 @@ class TpccLiteWorkload final : public Workload {
     return out;
   }
 
-  Addr footprintEnd() const override { return space_.used(); }
+ protected:
+  unsigned totalTransactions(unsigned) const override { return totalTxs_; }
+
+  void emitTx(cpu::ProgramBuilder& b, sim::Rng& rng, unsigned, unsigned, unsigned,
+              tm::Backend& backend) override {
+    drawOps(rng, ops_);
+    backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
+      for (const RowOp& op : ops_) {
+        if (op.read) {
+          backend.emitRead(pb, op.addr, kRegAddr, kRegVal);
+        } else {
+          backend.emitUpdate(pb, op.addr, kRegAddr, kRegVal, op.delta);
+        }
+      }
+    });
+    b.compute(20);
+  }
 
  private:
   struct RowOp {
@@ -263,35 +243,27 @@ class TpccLiteWorkload final : public Workload {
     return itemBase_ + static_cast<Addr>(i) * kLineBytes;
   }
 
-  template <typename Fn>
-  void forEachTx(unsigned tid, unsigned nthreads, const Fn& fn) const {
-    sim::Rng rng(seed_ ^ (0xDB02ull * (tid + 1)));
-    const unsigned lo = totalTxs_ * tid / nthreads;
-    const unsigned hi = totalTxs_ * (tid + 1) / nthreads;
-    std::vector<RowOp> ops;
-    for (unsigned t = lo; t < hi; ++t) {
-      ops.clear();
-      const auto w = static_cast<unsigned>(rng.below(warehouses_));
-      const auto d = static_cast<unsigned>(rng.below(districts_));
-      const auto c = static_cast<unsigned>(custZipf_.sample(rng));
-      if (rng.percent(43)) {
-        // Payment: one amount flows through every ledger at once.
-        const auto amount = static_cast<std::int64_t>(rng.range(1, 100));
-        ops.push_back({whAddr(w), false, amount});
-        ops.push_back({distAddr(w, d), false, amount});
-        ops.push_back({custAddr(w, d, c), false, -amount});
-        ops.push_back({custAddr(w, d, c) + kWordBytes, false, amount});
-      } else {
-        // New-order: read the customer, take an order id, draw down stock.
-        ops.push_back({custAddr(w, d, c), true, 0});
-        ops.push_back({distAddr(w, d) + kWordBytes, false, 1});
-        const auto olCnt = static_cast<unsigned>(rng.range(3, 8));
-        for (unsigned ol = 0; ol < olCnt; ++ol) {
-          ops.push_back({itemAddr(static_cast<unsigned>(itemZipf_.sample(rng))),
-                         false, -1});
-        }
+  void drawOps(sim::Rng& rng, std::vector<RowOp>& ops) const {
+    ops.clear();
+    const auto w = static_cast<unsigned>(rng.below(warehouses_));
+    const auto d = static_cast<unsigned>(rng.below(districts_));
+    const auto c = static_cast<unsigned>(custZipf_.sample(rng));
+    if (rng.percent(43)) {
+      // Payment: one amount flows through every ledger at once.
+      const auto amount = static_cast<std::int64_t>(rng.range(1, 100));
+      ops.push_back({whAddr(w), false, amount});
+      ops.push_back({distAddr(w, d), false, amount});
+      ops.push_back({custAddr(w, d, c), false, -amount});
+      ops.push_back({custAddr(w, d, c) + kWordBytes, false, amount});
+    } else {
+      // New-order: read the customer, take an order id, draw down stock.
+      ops.push_back({custAddr(w, d, c), true, 0});
+      ops.push_back({distAddr(w, d) + kWordBytes, false, 1});
+      const auto olCnt = static_cast<unsigned>(rng.range(3, 8));
+      for (unsigned ol = 0; ol < olCnt; ++ol) {
+        ops.push_back({itemAddr(static_cast<unsigned>(itemZipf_.sample(rng))),
+                       false, -1});
       }
-      fn(ops);
     }
   }
 
@@ -302,53 +274,32 @@ class TpccLiteWorkload final : public Workload {
   unsigned customers_;
   unsigned items_;
   unsigned totalTxs_;
-  std::uint64_t seed_;
   Zipfian custZipf_;
   Zipfian itemZipf_;
-  AddressSpace space_;
   Addr whBase_ = 0, distBase_ = 0, custBase_ = 0, itemBase_ = 0;
+  std::vector<RowOp> ops_;  // emitTx's scratch
 };
 
 // --------------------------------------------------------------------- sps
 
-class SpsWorkload final : public Workload {
+class SpsWorkload final : public TxStreamWorkload {
  public:
   SpsWorkload(bool partDisjoint, unsigned cells, unsigned totalTxs,
               std::uint64_t seed)
-      : partDisjoint_(partDisjoint), cells_(cells), totalTxs_(totalTxs), seed_(seed) {
+      : TxStreamWorkload(seed, 0xDB03),
+        partDisjoint_(partDisjoint),
+        cells_(cells),
+        totalTxs_(totalTxs) {
     if (cells_ < 2) throw std::invalid_argument("sps: need at least two cells");
   }
 
   std::string name() const override { return partDisjoint_ ? "sps-part" : "sps"; }
 
   void init(mem::MainMemory& memory, unsigned) override {
-    base_ = space_.allocLines(cells_);
+    base_ = space().allocLines(cells_);
     for (unsigned i = 0; i < cells_; ++i) {
       memory.writeWord(cellAddr(i), i + 1);  // distinct non-zero values
     }
-  }
-
-  cpu::Program buildProgram(unsigned tid, unsigned nthreads,
-                            tm::Backend& backend) override {
-    cpu::ProgramBuilder b;
-    backend.emitProgramStart(b, tid, nthreads);
-    b.mark(TimeCat::NonTran);
-    b.compute(static_cast<std::int64_t>(30 + 11 * tid));
-    forEachTx(tid, nthreads, [&](unsigned a, unsigned c) {
-      const Addr addrA = cellAddr(a);
-      const Addr addrB = cellAddr(c);
-      backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
-        // Atomic swap: any torn interleaving breaks the value multiset.
-        backend.emitRead(pb, addrA, kRegAddr, kRegVal);
-        backend.emitRead(pb, addrB, kRegAddr2, kRegVal2);
-        backend.emitWrite(pb, addrA, kRegAddr, kRegVal2);
-        backend.emitWrite(pb, addrB, kRegAddr2, kRegVal);
-      });
-      b.compute(15);
-    });
-    b.barrier();
-    b.halt();
-    return b.build();
   }
 
   std::vector<std::string> verify(const WordReader& read, unsigned) const override {
@@ -371,15 +322,11 @@ class SpsWorkload final : public Workload {
     return {oss.str()};
   }
 
-  Addr footprintEnd() const override { return space_.used(); }
+ protected:
+  unsigned totalTransactions(unsigned) const override { return totalTxs_; }
 
- private:
-  Addr cellAddr(unsigned i) const {
-    return base_ + static_cast<Addr>(i) * kLineBytes;
-  }
-
-  template <typename Fn>
-  void forEachTx(unsigned tid, unsigned nthreads, const Fn& fn) const {
+  void emitTx(cpu::ProgramBuilder& b, sim::Rng& rng, unsigned tid,
+              unsigned nthreads, unsigned, tm::Backend& backend) override {
     const unsigned sliceLo = partDisjoint_ ? cells_ * tid / nthreads : 0;
     const unsigned sliceHi = partDisjoint_ ? cells_ * (tid + 1) / nthreads : cells_;
     const unsigned span = sliceHi - sliceLo;
@@ -389,22 +336,29 @@ class SpsWorkload final : public Workload {
           std::to_string(cells_) + " cells / " + std::to_string(nthreads) +
           " threads); grow the array or drop threads");
     }
-    sim::Rng rng(seed_ ^ (0xDB03ull * (tid + 1)));
-    const unsigned lo = totalTxs_ * tid / nthreads;
-    const unsigned hi = totalTxs_ * (tid + 1) / nthreads;
-    for (unsigned t = lo; t < hi; ++t) {
-      const auto a = sliceLo + static_cast<unsigned>(rng.below(span));
-      auto c = sliceLo + static_cast<unsigned>(rng.below(span));
-      if (c == a) c = sliceLo + (c - sliceLo + 1) % span;
-      fn(a, c);
-    }
+    const auto a = sliceLo + static_cast<unsigned>(rng.below(span));
+    auto c = sliceLo + static_cast<unsigned>(rng.below(span));
+    if (c == a) c = sliceLo + (c - sliceLo + 1) % span;
+    const Addr addrA = cellAddr(a);
+    const Addr addrB = cellAddr(c);
+    backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
+      // Atomic swap: any torn interleaving breaks the value multiset.
+      backend.emitRead(pb, addrA, kRegAddr, kRegVal);
+      backend.emitRead(pb, addrB, kRegAddr2, kRegVal2);
+      backend.emitWrite(pb, addrA, kRegAddr, kRegVal2);
+      backend.emitWrite(pb, addrB, kRegAddr2, kRegVal);
+    });
+    b.compute(15);
+  }
+
+ private:
+  Addr cellAddr(unsigned i) const {
+    return base_ + static_cast<Addr>(i) * kLineBytes;
   }
 
   bool partDisjoint_;
   unsigned cells_;
   unsigned totalTxs_;
-  std::uint64_t seed_;
-  AddressSpace space_;
   Addr base_ = 0;
 };
 
@@ -428,33 +382,6 @@ std::unique_ptr<Workload> makeTpccLite(unsigned warehouses, unsigned districts,
 std::unique_ptr<Workload> makeSps(bool partDisjoint, unsigned cells,
                                   unsigned totalTxs, std::uint64_t seed) {
   return std::make_unique<SpsWorkload>(partDisjoint, cells, totalTxs, seed);
-}
-
-const std::vector<std::string>& dbWorkloadNames() {
-  static const std::vector<std::string> names = {
-      "ycsb", "ycsb-lo", "ycsb-w", "ycsb-scan", "tpcc", "sps", "sps-part"};
-  return names;
-}
-
-std::unique_ptr<Workload> makeDbWorkload(const std::string& name,
-                                         std::uint64_t seed) {
-  // Canonical parameterizations: small enough for smoke sweeps, skewed
-  // enough that the theta/mix knobs visibly move the latency tail.
-  if (name == "ycsb") return makeYcsb(name, 1024, 0.99, 95, 0, 4, 0, 384, seed);
-  if (name == "ycsb-lo") return makeYcsb(name, 1024, 0.5, 95, 0, 4, 0, 384, seed);
-  if (name == "ycsb-w") return makeYcsb(name, 1024, 0.99, 50, 0, 4, 0, 384, seed);
-  if (name == "ycsb-scan") {
-    return makeYcsb(name, 1024, 0.99, 95, 30, 4, 16, 256, seed);
-  }
-  if (name == "tpcc") return makeTpccLite(4, 2, 64, 128, 256, seed);
-  if (name == "sps") return makeSps(false, 128, 512, seed);
-  if (name == "sps-part") return makeSps(true, 128, 512, seed);
-  throw std::invalid_argument("unknown database workload '" + name + "'");
-}
-
-bool isDbWorkloadName(const std::string& name) {
-  const auto& names = dbWorkloadNames();
-  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 }  // namespace lktm::wl

@@ -4,13 +4,13 @@
 // registry (static addresses only, so tl2/hybrid run them too) and carries a
 // closed-form conservation invariant for verify(). Together with the
 // per-core commit-latency histograms these are the substrate for the
-// tail-latency (p50/p99/p999) view of LockillerTM's lower-bound claim.
+// tail-latency (p50/p99/p999) view of LockillerTM's lower-bound claim. The
+// canonical parameterizations the sweeps run are rows of wl::workloadTable().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "workloads/workload.hpp"
 
@@ -22,31 +22,19 @@ namespace lktm::wl {
 std::unique_ptr<Workload> makeYcsb(std::string name, unsigned rows, double theta,
                                    unsigned readPct, unsigned scanPct,
                                    unsigned opsPerTx, unsigned scanLen,
-                                   unsigned totalTxs, std::uint64_t seed = 31);
+                                   unsigned totalTxs, std::uint64_t seed);
 
 /// TPC-C-lite: new-order and payment transactions over warehouse / district /
 /// customer / item-stock rows, customers and items drawn Zipfian-skewed.
 std::unique_ptr<Workload> makeTpccLite(unsigned warehouses, unsigned districts,
                                        unsigned customers, unsigned items,
-                                       unsigned totalTxs, std::uint64_t seed = 32);
+                                       unsigned totalTxs, std::uint64_t seed);
 
 /// SPS integer-swap stressor: each transaction atomically swaps two cells.
 /// `partDisjoint` splits the array into per-thread slices (conflict-free by
 /// construction); otherwise every thread swaps over the whole array
 /// (all-conflicting). The value multiset is conserved iff swaps are atomic.
 std::unique_ptr<Workload> makeSps(bool partDisjoint, unsigned cells,
-                                  unsigned totalTxs, std::uint64_t seed = 33);
-
-/// Registry names of the database-traffic family, in sweep order:
-/// ycsb, ycsb-lo, ycsb-w, ycsb-scan, tpcc, sps, sps-part.
-const std::vector<std::string>& dbWorkloadNames();
-
-/// Factory by registry name with the canonical parameterization (the one the
-/// sweeps and lktm-sim run); throws std::invalid_argument on unknown names.
-std::unique_ptr<Workload> makeDbWorkload(const std::string& name,
-                                         std::uint64_t seed);
-
-/// True when `name` belongs to the database-traffic family.
-bool isDbWorkloadName(const std::string& name);
+                                  unsigned totalTxs, std::uint64_t seed);
 
 }  // namespace lktm::wl

@@ -21,11 +21,7 @@ class CounterWorkload final : public StampWorkloadBase {
         cellsPerTx_(cellsPerTx),
         totalTxs_(totalTxs) {}
 
-  std::string name() const override {
-    std::ostringstream oss;
-    oss << "counter[" << numCells_ << "x" << cellsPerTx_ << "]";
-    return oss.str();
-  }
+  std::string name() const override { return "counter"; }
 
  protected:
   void setup(mem::MainMemory&, unsigned) override {
@@ -54,46 +50,18 @@ class CounterWorkload final : public StampWorkloadBase {
 
 // --------------------------------------------------------------------- bank
 
-class BankWorkload final : public Workload {
+class BankWorkload final : public TxStreamWorkload {
  public:
   BankWorkload(unsigned accounts, unsigned totalTxs, std::uint64_t seed)
-      : accounts_(accounts), totalTxs_(totalTxs), seed_(seed) {}
+      : TxStreamWorkload(seed, 0xBA4C), accounts_(accounts), totalTxs_(totalTxs) {}
 
   std::string name() const override { return "bank"; }
 
   void init(mem::MainMemory& memory, unsigned) override {
-    base_ = space_.allocLines(accounts_);
+    base_ = space().allocLines(accounts_);
     for (unsigned a = 0; a < accounts_; ++a) {
       memory.writeWord(base_ + a * kLineBytes, kInitialBalance);
     }
-  }
-
-  cpu::Program buildProgram(unsigned tid, unsigned nthreads,
-                            tm::Backend& backend) override {
-    cpu::ProgramBuilder b;
-    backend.emitProgramStart(b, tid, nthreads);
-    b.mark(TimeCat::NonTran);
-    b.compute(static_cast<std::int64_t>(30 + 11 * tid));
-    sim::Rng rng(seed_ ^ (0xBA4Cull * (tid + 1)));
-    const unsigned lo = totalTxs_ * tid / nthreads;
-    const unsigned hi = totalTxs_ * (tid + 1) / nthreads;
-    for (unsigned t = lo; t < hi; ++t) {
-      const std::uint64_t from = rng.below(accounts_);
-      std::uint64_t to = rng.below(accounts_);
-      if (to == from) to = (to + 1) % accounts_;
-      const Addr fromAddr = base_ + from * kLineBytes;
-      const Addr toAddr = base_ + to * kLineBytes;
-      backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
-        // balance[from] -= 1; balance[to] += 1 (atomically)
-        backend.emitUpdate(pb, fromAddr, kRegAddr, kRegVal, -1);
-        pb.compute(8);
-        backend.emitUpdate(pb, toAddr, kRegAddr, kRegVal, 1);
-      });
-      b.compute(25);
-    }
-    b.barrier();
-    b.halt();
-    return b.build();
   }
 
   std::vector<std::string> verify(const WordReader& read, unsigned) const override {
@@ -108,66 +76,50 @@ class BankWorkload final : public Workload {
     return {oss.str()};
   }
 
-  Addr footprintEnd() const override { return space_.used(); }
+ protected:
+  unsigned totalTransactions(unsigned) const override { return totalTxs_; }
+
+  void emitTx(cpu::ProgramBuilder& b, sim::Rng& rng, unsigned, unsigned, unsigned,
+              tm::Backend& backend) override {
+    const std::uint64_t from = rng.below(accounts_);
+    std::uint64_t to = rng.below(accounts_);
+    if (to == from) to = (to + 1) % accounts_;
+    const Addr fromAddr = base_ + from * kLineBytes;
+    const Addr toAddr = base_ + to * kLineBytes;
+    backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
+      // balance[from] -= 1; balance[to] += 1 (atomically)
+      backend.emitUpdate(pb, fromAddr, kRegAddr, kRegVal, -1);
+      pb.compute(8);
+      backend.emitUpdate(pb, toAddr, kRegAddr, kRegVal, 1);
+    });
+    b.compute(25);
+  }
 
  private:
   static constexpr std::uint64_t kInitialBalance = 1000;
   unsigned accounts_;
   unsigned totalTxs_;
-  std::uint64_t seed_;
-  AddressSpace space_;
   Addr base_ = 0;
 };
 
 // -------------------------------------------------------------- linked list
 
-class LinkedListWorkload final : public Workload {
+class LinkedListWorkload final : public TxStreamWorkload {
  public:
   LinkedListWorkload(unsigned nodes, unsigned hops, unsigned totalTxs,
                      std::uint64_t seed)
-      : nodes_(nodes), hops_(hops), totalTxs_(totalTxs), seed_(seed) {}
+      : TxStreamWorkload(seed, 0x115D), nodes_(nodes), hops_(hops), totalTxs_(totalTxs) {}
 
   std::string name() const override { return "linkedlist"; }
 
   void init(mem::MainMemory& memory, unsigned) override {
-    head_ = space_.allocLines(nodes_);
+    head_ = space().allocLines(nodes_);
     // Circular singly-linked list: word0 = next pointer, word1 = payload.
     for (unsigned i = 0; i < nodes_; ++i) {
       const Addr node = head_ + i * kLineBytes;
       const Addr next = head_ + ((i + 1) % nodes_) * kLineBytes;
       memory.writeWord(node, next);
     }
-  }
-
-  cpu::Program buildProgram(unsigned tid, unsigned nthreads,
-                            tm::Backend& backend) override {
-    cpu::ProgramBuilder b;
-    backend.emitProgramStart(b, tid, nthreads);
-    b.mark(TimeCat::NonTran);
-    b.compute(static_cast<std::int64_t>(20 + 9 * tid));
-    sim::Rng rng(seed_ ^ (0x115Dull * (tid + 1)));
-    const unsigned lo = totalTxs_ * tid / nthreads;
-    const unsigned hi = totalTxs_ * (tid + 1) / nthreads;
-    for (unsigned t = lo; t < hi; ++t) {
-      const std::uint64_t start = rng.below(nodes_);
-      const Addr startAddr = head_ + start * kLineBytes;
-      backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
-        pb.li(kRegPtr, static_cast<std::int64_t>(startAddr));
-        // Pointer-chase `hops_` links: addresses are data-dependent, coming
-        // from simulated memory through the coherence protocol. Backends
-        // without dynamic-address support reject this workload up front.
-        for (unsigned h = 0; h < hops_; ++h) {
-          backend.emitReadDyn(pb, kRegPtr, kRegPtr, 0);
-        }
-        backend.emitReadDyn(pb, kRegTmp, kRegPtr, 8);
-        pb.addi(kRegTmp, kRegTmp, 1);
-        backend.emitWriteDyn(pb, kRegPtr, kRegTmp, 8);
-      });
-      b.compute(20);
-    }
-    b.barrier();
-    b.halt();
-    return b.build();
   }
 
   std::vector<std::string> verify(const WordReader& read, unsigned) const override {
@@ -179,14 +131,32 @@ class LinkedListWorkload final : public Workload {
     return {oss.str()};
   }
 
-  Addr footprintEnd() const override { return space_.used(); }
+ protected:
+  unsigned totalTransactions(unsigned) const override { return totalTxs_; }
+  Cycle startupCompute(unsigned tid) const override { return 20 + 9 * tid; }
+
+  void emitTx(cpu::ProgramBuilder& b, sim::Rng& rng, unsigned, unsigned, unsigned,
+              tm::Backend& backend) override {
+    const Addr startAddr = head_ + rng.below(nodes_) * kLineBytes;
+    backend.emitTransaction(b, [&](cpu::ProgramBuilder& pb) {
+      pb.li(kRegPtr, static_cast<std::int64_t>(startAddr));
+      // Pointer-chase `hops_` links: addresses are data-dependent, coming
+      // from simulated memory through the coherence protocol. Backends
+      // without dynamic-address support reject this workload up front.
+      for (unsigned h = 0; h < hops_; ++h) {
+        backend.emitReadDyn(pb, kRegPtr, kRegPtr, 0);
+      }
+      backend.emitReadDyn(pb, kRegTmp, kRegPtr, 8);
+      pb.addi(kRegTmp, kRegTmp, 1);
+      backend.emitWriteDyn(pb, kRegPtr, kRegTmp, 8);
+    });
+    b.compute(20);
+  }
 
  private:
   unsigned nodes_;
   unsigned hops_;
   unsigned totalTxs_;
-  std::uint64_t seed_;
-  AddressSpace space_;
   Addr head_ = 0;
 };
 

@@ -17,8 +17,8 @@ class GenomeWorkload final : public StampWorkloadBase {
 
  protected:
   void setup(mem::MainMemory&, unsigned) override {
-    buckets_ = space_allocLines(kBuckets);
-    segments_ = space_allocLines(kSegments);
+    buckets_ = space().allocLines(kBuckets);
+    segments_ = space().allocLines(kSegments);
   }
 
   unsigned totalTransactions(unsigned) const override { return 320; }
@@ -53,7 +53,6 @@ class GenomeWorkload final : public StampWorkloadBase {
   Addr buckets_ = 0;
   Addr segments_ = 0;
 
-  Addr space_allocLines(std::uint64_t n) { return space().allocLines(n); }
   static Addr lineAddr(Addr base, std::uint64_t idx) { return base + idx * kLineBytes; }
 };
 

@@ -3,6 +3,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "workloads/db_traffic.hpp"
+#include "workloads/micro.hpp"
+
 namespace lktm::wl {
 
 namespace {
@@ -18,36 +21,35 @@ void StampWorkloadBase::init(mem::MainMemory& memory, unsigned nthreads) {
   initialized_ = true;
   privCounters_.clear();
   for (unsigned t = 0; t < nthreads; ++t) {
-    privCounters_.push_back(space_.allocLines(1));
+    privCounters_.push_back(space().allocLines(1));
   }
   setup(memory, nthreads);
 }
 
-cpu::Program StampWorkloadBase::buildProgram(unsigned tid, unsigned nthreads,
-                                             tm::Backend& backend) {
-  if (!initialized_) throw std::logic_error("init() must run before buildProgram()");
+cpu::Program TxStreamWorkload::buildProgram(unsigned tid, unsigned nthreads,
+                                            tm::Backend& backend) {
   cpu::ProgramBuilder b;
   backend.emitProgramStart(b, tid, nthreads);
-  b.li(kRegTid, static_cast<std::int64_t>(tid + 1));
+  emitPrologue(b, tid);
   b.mark(TimeCat::NonTran);
   b.compute(static_cast<std::int64_t>(startupCompute(tid)));
-
-  const unsigned total = totalTransactions(nthreads);
-  // Fixed total work, statically partitioned like STAMP's thread loops.
-  const unsigned lo = total * tid / nthreads;
-  const unsigned hi = total * (tid + 1) / nthreads;
-  sim::Rng rng = makeRng(0x5157ull * (tid + 1));
-  for (unsigned t = lo; t < hi; ++t) {
-    const TxDesc d = genTx(rng, tid, nthreads, t);
-    emitTx(b, d, tid, backend);
-  }
+  forEachShareTx(tid, nthreads, [&](sim::Rng& rng, unsigned t) {
+    emitTx(b, rng, tid, nthreads, t, backend);
+  });
   b.barrier();
   b.halt();
   return b.build();
 }
 
-void StampWorkloadBase::emitTx(cpu::ProgramBuilder& b, const TxDesc& d,
-                               unsigned tid, tm::Backend& backend) {
+void StampWorkloadBase::emitPrologue(cpu::ProgramBuilder& b, unsigned tid) {
+  if (!initialized_) throw std::logic_error("init() must run before buildProgram()");
+  b.li(kRegTid, static_cast<std::int64_t>(tid + 1));
+}
+
+void StampWorkloadBase::emitTx(cpu::ProgramBuilder& b, sim::Rng& rng,
+                               unsigned tid, unsigned nthreads, unsigned txIndex,
+                               tm::Backend& backend) {
+  const TxDesc d = genTx(rng, tid, nthreads, txIndex);
   // Account the increments up front: the body lambda below must be pure
   // emission, because dual-path backends invoke it more than once.
   unsigned increments = 0;
@@ -114,22 +116,68 @@ std::vector<std::string> StampWorkloadBase::verify(const WordReader& read,
   return out;
 }
 
-std::vector<std::string> stampNames() {
-  return {"genome",  "intruder", "kmeans+",   "kmeans-",   "labyrinth",
-          "ssca2",   "vacation+", "vacation-", "yada"};
+// The STAMP analogs' factories, one per stamp_*.cpp; only the table names them.
+std::unique_ptr<Workload> makeGenome(std::uint64_t seed);
+std::unique_ptr<Workload> makeIntruder(std::uint64_t seed);
+std::unique_ptr<Workload> makeKmeans(bool highContention, std::uint64_t seed);
+std::unique_ptr<Workload> makeLabyrinth(std::uint64_t seed);
+std::unique_ptr<Workload> makeSsca2(std::uint64_t seed);
+std::unique_ptr<Workload> makeVacation(bool highContention, std::uint64_t seed);
+std::unique_ptr<Workload> makeYada(std::uint64_t seed);
+
+namespace {
+
+using Family = WorkloadRow::Family;
+
+// Canonical parameterizations of the database and micro rows: small enough
+// for smoke sweeps, skewed enough that the theta/mix knobs visibly move the
+// latency tail.
+constexpr WorkloadRow kTable[] = {
+    {"genome", Family::Stamp, makeGenome},
+    {"intruder", Family::Stamp, makeIntruder},
+    {"kmeans+", Family::Stamp, [](std::uint64_t s) { return makeKmeans(true, s); }},
+    {"kmeans-", Family::Stamp, [](std::uint64_t s) { return makeKmeans(false, s); }},
+    {"labyrinth", Family::Stamp, makeLabyrinth},
+    {"ssca2", Family::Stamp, makeSsca2},
+    {"vacation+", Family::Stamp, [](std::uint64_t s) { return makeVacation(true, s); }},
+    {"vacation-", Family::Stamp, [](std::uint64_t s) { return makeVacation(false, s); }},
+    {"yada", Family::Stamp, makeYada},
+    {"ycsb", Family::Db,
+     [](std::uint64_t s) { return makeYcsb("ycsb", 1024, 0.99, 95, 0, 4, 0, 384, s); }},
+    {"ycsb-lo", Family::Db,
+     [](std::uint64_t s) { return makeYcsb("ycsb-lo", 1024, 0.5, 95, 0, 4, 0, 384, s); }},
+    {"ycsb-w", Family::Db,
+     [](std::uint64_t s) { return makeYcsb("ycsb-w", 1024, 0.99, 50, 0, 4, 0, 384, s); }},
+    {"ycsb-scan", Family::Db,
+     [](std::uint64_t s) {
+       return makeYcsb("ycsb-scan", 1024, 0.99, 95, 30, 4, 16, 256, s);
+     }},
+    {"tpcc", Family::Db, [](std::uint64_t s) { return makeTpccLite(4, 2, 64, 128, 256, s); }},
+    {"sps", Family::Db, [](std::uint64_t s) { return makeSps(false, 128, 512, s); }},
+    {"sps-part", Family::Db, [](std::uint64_t s) { return makeSps(true, 128, 512, s); }},
+    {"counter", Family::Micro, [](std::uint64_t s) { return makeCounter(4, 2, 256, s); }},
+    {"bank", Family::Micro, [](std::uint64_t s) { return makeBank(64, 480, s); }},
+    {"linkedlist", Family::Micro,
+     [](std::uint64_t s) { return makeLinkedList(128, 6, 240, s); }},
+};
+
+std::vector<std::string> namesOf(Family family) {
+  std::vector<std::string> out;
+  for (const WorkloadRow& row : kTable) {
+    if (row.family == family) out.emplace_back(row.name);
+  }
+  return out;
 }
 
-std::unique_ptr<Workload> makeStamp(const std::string& name, std::uint64_t seed) {
-  if (name == "genome") return makeGenome(seed);
-  if (name == "intruder") return makeIntruder(seed);
-  if (name == "kmeans+") return makeKmeans(true, seed);
-  if (name == "kmeans-") return makeKmeans(false, seed);
-  if (name == "labyrinth") return makeLabyrinth(seed);
-  if (name == "ssca2") return makeSsca2(seed);
-  if (name == "vacation+") return makeVacation(true, seed);
-  if (name == "vacation-") return makeVacation(false, seed);
-  if (name == "yada") return makeYada(seed);
-  throw std::invalid_argument("unknown STAMP workload: " + name);
+}  // namespace
+
+std::span<const WorkloadRow> workloadTable() { return kTable; }
+
+std::vector<std::string> stampNames() { return namesOf(Family::Stamp); }
+
+const std::vector<std::string>& dbWorkloadNames() {
+  static const std::vector<std::string> names = namesOf(Family::Db);
+  return names;
 }
 
 }  // namespace lktm::wl

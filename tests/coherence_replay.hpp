@@ -11,6 +11,7 @@
 #include <string>
 
 #include "coherence/directory.hpp"
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/systems.hpp"
 #include "noc/ideal.hpp"
@@ -226,7 +227,7 @@ inline std::string fullSimFingerprint() {
     rc.threads = c.threads;
     const auto r = cfg::runSimulation(rc, [&]() {
       if (std::string(c.workload) == "counter") return wl::makeCounter(8, 2, 128);
-      return wl::makeStamp(c.workload);
+      return cfg::makeJobWorkload(c.workload, 11);
     });
     std::ostringstream line;
     line << c.system << "/" << c.workload << "/t" << c.threads

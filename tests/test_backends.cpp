@@ -17,7 +17,6 @@
 #include "config/systems.hpp"
 #include "runtime/backends/backend.hpp"
 #include "runtime/backends/tl2.hpp"
-#include "workloads/db_traffic.hpp"
 #include "workloads/micro.hpp"
 #include "workloads/workload.hpp"
 
@@ -97,10 +96,10 @@ using WorkloadFactory = std::function<std::unique_ptr<wl::Workload>()>;
 std::vector<WorkloadFactory> digestWorkloads(bool pointerChasing) {
   std::vector<WorkloadFactory> out;
   for (const std::string& n : wl::stampNames()) {
-    out.emplace_back([n] { return wl::makeStamp(n); });
+    out.emplace_back([n] { return cfg::makeJobWorkload(n, 11); });
   }
   for (const std::string& n : wl::dbWorkloadNames()) {
-    out.emplace_back([n] { return wl::makeDbWorkload(n, 11); });
+    out.emplace_back([n] { return cfg::makeJobWorkload(n, 11); });
   }
   out.emplace_back([] { return wl::makeCounter(4, 2, 64); });
   out.emplace_back([] { return wl::makeBank(16, 64); });

@@ -81,20 +81,18 @@ TEST(DbTraffic, RegistryCoversTheFamily) {
   const auto& names = dbWorkloadNames();
   EXPECT_EQ(names.size(), 7u);
   for (const auto& n : names) {
-    EXPECT_TRUE(isDbWorkloadName(n)) << n;
-    auto w = makeDbWorkload(n, 11);
+    auto w = cfg::makeJobWorkload(n, 11);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->name(), n);
   }
-  EXPECT_FALSE(isDbWorkloadName("vacation+"));
-  EXPECT_THROW(makeDbWorkload("ycsb-xl", 11), std::invalid_argument);
+  EXPECT_THROW(cfg::makeJobWorkload("ycsb-xl", 11), std::invalid_argument);
 }
 
 TEST(DbTraffic, GenerationIsDeterministic) {
   for (const char* name : {"ycsb", "tpcc", "sps-part"}) {
     mem::MainMemory m1, m2;
-    auto a = makeDbWorkload(name, 42);
-    auto b = makeDbWorkload(name, 42);
+    auto a = cfg::makeJobWorkload(name, 42);
+    auto b = cfg::makeJobWorkload(name, 42);
     a->init(m1, 4);
     b->init(m2, 4);
     tm::BackendConfig bc;
@@ -121,7 +119,7 @@ cfg::RunResult runDb(const std::string& system, const std::string& workload,
   rc.system = cfg::systemByName(system);
   rc.threads = threads;
   return cfg::runSimulation(
-      rc, [&] { return makeDbWorkload(workload, 11); });
+      rc, [&] { return cfg::makeJobWorkload(workload, 11); });
 }
 
 // Every family member must pass its conservation invariant on every backend,

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/systems.hpp"
 #include "workloads/workload.hpp"
@@ -18,7 +19,7 @@ RunResult run(const std::string& system, const std::string& workload,
   rc.machine = machine;
   rc.system = systemByName(system);
   rc.threads = threads;
-  auto r = runSimulation(rc, [&] { return wl::makeStamp(workload); });
+  auto r = runSimulation(rc, [&] { return makeJobWorkload(workload, 11); });
   EXPECT_TRUE(r.ok()) << r.str();
   return r;
 }

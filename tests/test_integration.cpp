@@ -18,7 +18,7 @@ RunResult run(const std::string& system, const std::string& workload,
   rc.machine = machine;
   rc.system = systemByName(system);
   rc.threads = threads;
-  return runSimulation(rc, [&] { return wl::makeStamp(workload); });
+  return runSimulation(rc, [&] { return makeJobWorkload(workload, 11); });
 }
 
 // Cross product property test: "it completes and nothing is ever lost".

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "coherence/messages.hpp"
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/systems.hpp"
 #include "noc/ideal.hpp"
@@ -489,7 +490,7 @@ TEST(KernelContext, ReusedContextMatchesFreshRun) {
     rc.system = cfg::systemByName("LockillerTM");
     rc.threads = 8;
     rc.runCoherenceChecker = false;
-    return cfg::runSimulation(rc, [] { return wl::makeStamp("intruder"); }, ctx);
+    return cfg::runSimulation(rc, [] { return cfg::makeJobWorkload("intruder", 11); }, ctx);
   };
   const auto fresh = simulate(nullptr);
   sim::SimContext ctx;

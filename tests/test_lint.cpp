@@ -90,7 +90,9 @@ TEST(LintLexer, LineContinuationSplicesPreprocessorDirective) {
       EXPECT_TRUE(t.preproc);
       EXPECT_EQ(t.line, 2u);
     }
-    if (t.text == "code") EXPECT_FALSE(t.preproc);
+    if (t.text == "code") {
+      EXPECT_FALSE(t.preproc);
+    }
   }
   EXPECT_TRUE(sawOffset);
 }

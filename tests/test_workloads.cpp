@@ -2,6 +2,9 @@
 // end-to-end invariant verification through the full simulator.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "config/orchestrator.hpp"
 #include "config/runner.hpp"
 #include "config/systems.hpp"
 #include "workloads/micro.hpp"
@@ -35,21 +38,61 @@ TEST(AddressSpace, AllocLinesAdvances) {
   EXPECT_EQ(b - a, 4 * kLineBytes);
 }
 
+/// A job workload by table key, as sweeps and lktm-sim build it.
+std::unique_ptr<Workload> make(const std::string& name, std::uint64_t seed) {
+  return cfg::makeJobWorkload(name, seed);
+}
+
+// ------------------------------------------------------------ the table
+
+TEST(WorkloadTable, EveryRowBuildsUnderItsOwnName) {
+  std::set<std::string_view> keys;
+  for (const WorkloadRow& row : workloadTable()) {
+    EXPECT_TRUE(keys.insert(row.name).second) << "duplicate key " << row.name;
+    auto w = make(std::string(row.name), 11);
+    ASSERT_NE(w, nullptr) << row.name;
+    EXPECT_EQ(w->name(), row.name);
+  }
+  EXPECT_EQ(keys.size(), 19u);
+}
+
+TEST(WorkloadTable, FamilyViewsKeepThePaperOrder) {
+  EXPECT_EQ(stampNames(),
+            (std::vector<std::string>{"genome", "intruder", "kmeans+", "kmeans-",
+                                      "labyrinth", "ssca2", "vacation+", "vacation-",
+                                      "yada"}));
+  EXPECT_EQ(dbWorkloadNames(),
+            (std::vector<std::string>{"ycsb", "ycsb-lo", "ycsb-w", "ycsb-scan", "tpcc",
+                                      "sps", "sps-part"}));
+}
+
+TEST(WorkloadTable, UnknownNameListsTheValidOnes) {
+  try {
+    make("bogus", 11);
+    FAIL() << "an unknown workload must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("bogus"), std::string::npos) << what;
+    EXPECT_NE(what.find("genome"), std::string::npos) << what;
+    EXPECT_NE(what.find("linkedlist"), std::string::npos) << what;
+  }
+}
+
 TEST(Stamp, RegistryCoversAllNineWorkloads) {
   const auto names = stampNames();
   EXPECT_EQ(names.size(), 9u);
   for (const auto& n : names) {
-    auto w = makeStamp(n);
+    auto w = make(n, 11);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->name(), n);
   }
-  EXPECT_THROW(makeStamp("bayes"), std::invalid_argument);  // excluded by paper
+  EXPECT_THROW(make("bayes", 11), std::invalid_argument);  // excluded by paper
 }
 
 TEST(Stamp, ProgramsAreBuildableForEveryThreadCount) {
   mem::MainMemory mem;
   for (const auto& n : stampNames()) {
-    auto w = makeStamp(n);
+    auto w = make(n, 11);
     w->init(mem, 32);
     tm::BackendConfig bc;
     bc.policy.htmLock = true;
@@ -68,15 +111,15 @@ TEST(Stamp, ProgramsAreBuildableForEveryThreadCount) {
 
 TEST(Stamp, InitTwiceThrows) {
   mem::MainMemory mem;
-  auto w = makeGenome();
+  auto w = make("genome", 1);
   w->init(mem, 2);
   EXPECT_THROW(w->init(mem, 2), std::logic_error);
 }
 
 TEST(Stamp, GenerationIsDeterministic) {
   mem::MainMemory m1, m2;
-  auto a = makeVacation(true, 42);
-  auto b = makeVacation(true, 42);
+  auto a = make("vacation+", 42);
+  auto b = make("vacation+", 42);
   a->init(m1, 4);
   b->init(m2, 4);
   auto ba = makeElisionBackend();
@@ -94,8 +137,8 @@ TEST(Stamp, GenerationIsDeterministic) {
 
 TEST(Stamp, DifferentSeedsDiffer) {
   mem::MainMemory m1, m2;
-  auto a = makeVacation(true, 1);
-  auto b = makeVacation(true, 2);
+  auto a = make("vacation+", 1);
+  auto b = make("vacation+", 2);
   a->init(m1, 2);
   b->init(m2, 2);
   auto backend = makeElisionBackend();
@@ -112,7 +155,7 @@ TEST(Stamp, WorkIsPartitionedNotReplicated) {
   // Total expected increments must not depend on the thread count.
   auto total = [](unsigned threads) {
     mem::MainMemory mem;
-    auto w = makeSsca2(7);
+    auto w = make("ssca2", 7);
     auto* base = dynamic_cast<StampWorkloadBase*>(w.get());
     w->init(mem, threads);
     auto backend = makeElisionBackend();
@@ -126,7 +169,7 @@ struct LabyrinthProfile : ::testing::Test {};
 
 TEST(Stamp, LabyrinthHasLargeSets) {
   mem::MainMemory mem;
-  auto w = makeLabyrinth(3);
+  auto w = make("labyrinth", 3);
   w->init(mem, 2);
   auto backend = makeElisionBackend();
   const auto p = w->buildProgram(0, 2, *backend);
@@ -136,7 +179,7 @@ TEST(Stamp, LabyrinthHasLargeSets) {
 
 TEST(Stamp, YadaRaisesExceptions) {
   mem::MainMemory mem;
-  auto w = makeYada(3);
+  auto w = make("yada", 3);
   w->init(mem, 2);
   auto backend = makeElisionBackend();
   const auto p = w->buildProgram(0, 2, *backend);
@@ -149,7 +192,7 @@ TEST(Stamp, KmeansContentionKnob) {
   // kmeans+ concentrates its updates on far fewer lines than kmeans-.
   auto distinctCells = [](bool high) {
     mem::MainMemory mem;
-    auto w = makeKmeans(high, 5);
+    auto w = make(high ? "kmeans+" : "kmeans-", 5);
     w->init(mem, 2);
     auto backend = makeElisionBackend();
     w->buildProgram(0, 1, *backend);

@@ -29,7 +29,6 @@
 #include "sim/core_mask.hpp"
 #include "sim/trace.hpp"
 #include "stats/report.hpp"
-#include "workloads/db_traffic.hpp"
 #include "workloads/workload.hpp"
 
 namespace {
@@ -81,10 +80,13 @@ int main(int argc, char** argv) {
         std::printf("  %-16s %-10s %s\n", s.name.c_str(), s.backendName().c_str(),
                     s.description.c_str());
       }
-      std::printf("workloads:\n ");
-      for (const auto& w : wl::stampNames()) std::printf(" %s", w.c_str());
-      std::printf(" counter bank linkedlist\n ");
-      for (const auto& w : wl::dbWorkloadNames()) std::printf(" %s", w.c_str());
+      // One line per family: STAMP (Fig 7), database (Table III), micro.
+      std::printf("workloads:");
+      const auto table = wl::workloadTable();
+      for (std::size_t i = 0; i < table.size(); ++i) {
+        const bool newFamily = i == 0 || table[i].family != table[i - 1].family;
+        std::printf("%s %s", newFamily ? "\n " : "", std::string(table[i].name).c_str());
+      }
       std::printf(
           "\n"
           "system policy tokens, in this order, each at most once:\n"

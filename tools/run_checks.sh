@@ -46,7 +46,7 @@ done
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== configure + build: default (RelWithDebInfo, assertions on) =="
+echo "== configure + build: default (RelWithDebInfo, assertions on, warnings are errors) =="
 cmake --preset default >/dev/null
 cmake --build build -j "$JOBS"
 

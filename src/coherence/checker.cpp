@@ -1,12 +1,13 @@
 #include "coherence/checker.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
 namespace lktm::coh {
 
 namespace {
+
 struct Copy {
   CoreId core;
   mem::MesiState state;
@@ -14,14 +15,54 @@ struct Copy {
   bool txBits;
   mem::LineData data;
 };
+
+/// Every valid L1 copy, per line, in core order.
+std::map<LineAddr, std::vector<Copy>> gatherCopies(
+    const std::vector<const L1Controller*>& l1s) {
+  std::map<LineAddr, std::vector<Copy>> copies;
+  for (std::size_t i = 0; i < l1s.size(); ++i) {
+    l1s[i]->cache().forEachValid([&](const mem::CacheEntry& e) {
+      copies[e.line].push_back(Copy{static_cast<CoreId>(i), e.state, e.dirty,
+                                    e.transactional(), e.data});
+    });
+  }
+  return copies;
+}
+
+bool isExclusive(const Copy& c) {
+  return c.state == mem::MesiState::E || c.state == mem::MesiState::M;
+}
+
+std::string lineMessage(LineAddr line, const std::string& what) {
+  std::ostringstream oss;
+  oss << "line 0x" << std::hex << line << std::dec << ": " << what;
+  return oss.str();
+}
+
+/// SWMR: an E/M copy coexists with no other valid copy.
+void swmrRule(LineAddr line, const std::vector<Copy>& cs, std::vector<std::string>& out) {
+  if (cs.size() == 1 || std::none_of(cs.begin(), cs.end(), isExclusive)) return;
+  std::string holders;
+  for (const Copy& c : cs) {
+    holders += " c" + std::to_string(c.core) + "=" + mem::toString(c.state);
+  }
+  out.push_back(lineMessage(line, "SWMR violated: an E/M copy coexists with " +
+                                      std::to_string(cs.size() - 1) +
+                                      " other(s):" + holders));
+}
+
 }  // namespace
+
+std::vector<std::string> CoherenceChecker::checkSwmr() const {
+  std::vector<std::string> out;
+  for (const auto& [line, cs] : gatherCopies(l1s_)) swmrRule(line, cs, out);
+  return out;
+}
 
 std::vector<std::string> CoherenceChecker::check() const {
   std::vector<std::string> out;
   auto fail = [&](LineAddr line, const std::string& what) {
-    std::ostringstream oss;
-    oss << "line 0x" << std::hex << line << std::dec << ": " << what;
-    out.push_back(oss.str());
+    out.push_back(lineMessage(line, what));
   };
 
   if (dir_->busyLines() != 0) {
@@ -29,37 +70,29 @@ std::vector<std::string> CoherenceChecker::check() const {
                   " busy lines");
   }
 
-  std::map<LineAddr, std::vector<Copy>> copies;
   for (std::size_t i = 0; i < l1s_.size(); ++i) {
     const L1Controller* l1 = l1s_[i];
-    const CoreId core = static_cast<CoreId>(i);
-    l1->cache().forEachValid([&](const mem::CacheEntry& e) {
-      copies[e.line].push_back(
-          Copy{core, e.state, e.dirty, e.transactional(), e.data});
-    });
-    if (l1->mode() == TxMode::None) {
-      const auto txLines = l1->cache().countIf(
-          [](const mem::CacheEntry& e) { return e.transactional(); });
-      if (txLines != 0) {
-        out.push_back("core " + std::to_string(core) + " has " +
-                      std::to_string(txLines) + " tx-marked lines outside a tx");
-      }
+    if (l1->mode() != TxMode::None) continue;
+    const auto txLines = l1->cache().countIf(
+        [](const mem::CacheEntry& e) { return e.transactional(); });
+    if (txLines != 0) {
+      out.push_back("core " + std::to_string(i) + " has " + std::to_string(txLines) +
+                    " tx-marked lines outside a tx");
     }
   }
 
-  for (const auto& [line, cs] : copies) {
+  for (const auto& [line, cs] : gatherCopies(l1s_)) {
+    swmrRule(line, cs, out);
     unsigned exclusive = 0;
     unsigned dirtyCount = 0;
     CoreId owner = kNoCore;
     for (const Copy& c : cs) {
-      if (c.state == mem::MesiState::E || c.state == mem::MesiState::M) {
+      if (isExclusive(c)) {
         ++exclusive;
         owner = c.core;
       }
       if (c.dirty) ++dirtyCount;
     }
-    if (exclusive > 1) fail(line, "multiple E/M copies (SWMR violated)");
-    if (exclusive == 1 && cs.size() > 1) fail(line, "E/M copy coexists with sharers");
     if (dirtyCount > 1) fail(line, "multiple dirty copies");
 
     const auto snap = dir_->snapshot(line);
@@ -83,15 +116,6 @@ std::vector<std::string> CoherenceChecker::check() const {
     }
   }
   return out;
-}
-
-void CoherenceChecker::expectClean() const {
-  const auto violations = check();
-  if (violations.empty()) return;
-  std::ostringstream oss;
-  oss << violations.size() << " coherence violations:";
-  for (const auto& v : violations) oss << "\n  " << v;
-  throw std::logic_error(oss.str());
 }
 
 }  // namespace lktm::coh

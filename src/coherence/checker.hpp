@@ -1,7 +1,11 @@
-// Whole-system coherence invariant checker, run at quiescent points in tests
-// (barriers, end of simulation). Verifies SWMR and value coherence across all
-// L1s plus directory bookkeeping consistency, tolerating the protocol's
-// intentional laziness (silent clean-line drops leave stale directory hints).
+// The one coherence rule set. Every whole-system coherence check runs it: the
+// runner at the end of every run (MemorySystem::check), the test bed's
+// expectCoherent, and the protocol model checker — its SWMR rule after every
+// explored event, the full check() at every drained leaf. The rules: SWMR,
+// value coherence of clean copies against the LLC, at most one dirty copy,
+// directory owner/sharer agreement, no tx bits outside a transaction, and no
+// busy directory line; the protocol's intentional laziness (silent clean-line
+// drops leave stale directory hints) is tolerated.
 #pragma once
 
 #include <string>
@@ -21,8 +25,10 @@ class CoherenceChecker {
   /// Preconditions: protocol quiescent (no in-flight messages, no busy lines).
   std::vector<std::string> check() const;
 
-  /// Convenience: throws std::logic_error listing all violations.
-  void expectClean() const;
+  /// The SWMR rule alone, which holds in every state, quiescent or not: an
+  /// E/M copy of a line coexists with no other valid copy. Each violation
+  /// lists the line's holders.
+  std::vector<std::string> checkSwmr() const;
 
  private:
   std::vector<const L1Controller*> l1s_;

@@ -200,7 +200,6 @@ class L1Controller final : public MsgSink {
   void lookupAndHandle();
   void completeOnLine(mem::CacheEntry& e);
   bool reserveVictim(LineAddr line);
-  void evictClean(mem::CacheEntry& v);
   void evictForSpace(mem::CacheEntry& v);
   void evictTxLine(mem::CacheEntry& v);
   void issueRequest(LineAddr line, bool wantsExclusive);

@@ -6,13 +6,9 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "coherence/checker.hpp"
-#include "coherence/directory.hpp"
-#include "coherence/l1_controller.hpp"
+#include "coherence/memory_system.hpp"
 #include "cpu/barrier.hpp"
 #include "cpu/core.hpp"
-#include "noc/ideal.hpp"
-#include "noc/mesh.hpp"
 #include "runtime/backends/backend.hpp"
 #include "sim/engine.hpp"
 #include "stats/tx_stats.hpp"
@@ -133,31 +129,29 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   sim::SimContext& simCtx = *ctx;
   simCtx.beginRun(cfg.machine.watchdogWindow, cfg.rngSeed);
   sim::Engine& engine = simCtx.engine();
-  mem::MainMemory memory;
-  memory.attachStats(simCtx.stats());
-  std::unique_ptr<noc::Network> netPtr;
-  if (cfg.machine.idealNetwork) {
-    netPtr = std::make_unique<noc::IdealNetwork>(simCtx, cfg.machine.idealNetworkLatency);
-  } else {
-    netPtr = std::make_unique<noc::MeshNetwork>(simCtx, cfg.machine.mesh);
-  }
-  noc::Network& net = *netPtr;
-
-  coh::DirectoryController dir(simCtx, net, memory, cfg.machine.protocol,
-                               cfg.machine.numCores, cfg.machine.numBanks,
-                               core::HtmLockUnitParams{cfg.machine.signatureBits, 4});
-
   const unsigned n = cfg.threads;
+  coh::MemorySystem sys(simCtx, {.cores = n,
+                                 .nodes = cfg.machine.numCores,
+                                 .banks = cfg.machine.numBanks,
+                                 .l1 = cfg.machine.l1,
+                                 .protocol = cfg.machine.protocol,
+                                 .policy = cfg.system.policy,
+                                 .sig = {cfg.machine.signatureBits, 4},
+                                 .mesh = cfg.machine.mesh,
+                                 .idealNetwork = cfg.machine.idealNetwork,
+                                 .idealNetworkLatency = cfg.machine.idealNetworkLatency,
+                                 .lockLine = lineOf(wl::kFallbackLockAddr)});
+
   std::unique_ptr<wl::Workload> workload = makeWorkload();
   res.workload = workload->name();
-  workload->init(memory, n);
+  workload->init(sys.memory(), n);
 
   std::unique_ptr<tm::Backend> backend = tm::makeBackend(
       cfg.system.backendName(),
       tm::BackendConfig{cfg.system.policy, cfg.system.retry, wl::kFallbackLockAddr});
   res.backend = backend->name();
-  // The footprint guard precedes the LLC warm-up, so a rejected workload
-  // never reaches the rest of the set-up.
+  // The footprint guard precedes the LLC warm-up and the program emission,
+  // so a rejected workload never reaches the rest of the set-up.
   if (backend->usesStmScratch() && workload->footprintEnd() > tm::kStmScratchBase) {
     throw std::invalid_argument(
         "backend '" + res.backend + "': workload '" + res.workload +
@@ -166,22 +160,8 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   }
 
   if (cfg.warmLlc) {
-    dir.preloadLlc(lineOf(wl::kFallbackLockAddr), lineOf(workload->footprintEnd()) + 1);
+    sys.dir().preloadLlc(lineOf(wl::kFallbackLockAddr), lineOf(workload->footprintEnd()) + 1);
   }
-
-  std::vector<std::unique_ptr<coh::L1Controller>> l1s;
-  l1s.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    l1s.push_back(std::make_unique<coh::L1Controller>(
-        simCtx, net, static_cast<CoreId>(i), cfg.machine.l1, cfg.machine.protocol,
-        cfg.system.policy, cfg.machine.numCores));
-    l1s.back()->connectDirectory(&dir);
-    l1s.back()->setLockLine(lineOf(wl::kFallbackLockAddr));
-    dir.connectL1(static_cast<CoreId>(i), l1s.back().get());
-  }
-  std::vector<coh::MsgSink*> peers;
-  for (auto& l1 : l1s) peers.push_back(l1.get());
-  for (auto& l1 : l1s) l1->connectPeers(peers);
 
   cpu::BarrierUnit barrier(simCtx, n);
   cpu::CpuParams cpuParams = cfg.machine.cpu;
@@ -192,11 +172,11 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   cpus.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     cpus.push_back(std::make_unique<cpu::Cpu>(
-        simCtx, static_cast<CoreId>(i), *l1s[i], barrier,
+        simCtx, static_cast<CoreId>(i), sys.l1(static_cast<CoreId>(i)), barrier,
         workload->buildProgram(i, n, *backend), cpuParams));
     engine.addDiagnostic([c = cpus.back().get()] { return c->diagnostic(); });
   }
-  engine.addDiagnostic([&dir] { return dir.diagnostic(); });
+  engine.addDiagnostic([&sys] { return sys.dir().diagnostic(); });
 
   for (auto& c : cpus) c->start();
 
@@ -230,23 +210,11 @@ RunResult runSimulation(const RunConfig& cfg, const WorkloadFactory& makeWorkloa
   res.stats = simCtx.stats().snapshot();
 
   if (res.status == RunStatus::Ok && cfg.runCoherenceChecker) {
-    std::vector<const coh::L1Controller*> cl1s;
-    for (auto& l1 : l1s) cl1s.push_back(l1.get());
-    coh::CoherenceChecker checker(cl1s, &dir);
-    for (auto& v : checker.check()) res.violations.push_back("coherence: " + v);
+    for (auto& v : sys.check()) res.violations.push_back("coherence: " + v);
   }
 
   if (res.status == RunStatus::Ok && cfg.verifyWorkload) {
-    // Coherent word reader: freshest dirty L1 copy > main memory, which
-    // holds the LLC's data.
-    wl::WordReader read = [&](Addr addr) -> std::uint64_t {
-      const LineAddr line = lineOf(addr);
-      for (auto& l1 : l1s) {
-        const mem::CacheEntry* e = l1->cache().find(line);
-        if (e != nullptr && e->dirty) return e->data[wordOf(addr)];
-      }
-      return memory.readWord(addr);
-    };
+    const wl::WordReader read = [&sys](Addr addr) { return sys.readWord(addr); };
     for (auto& v : workload->verify(read, n)) res.violations.push_back(v);
   }
   return res;

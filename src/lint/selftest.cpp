@@ -97,7 +97,7 @@ void walk(std::unordered_map<int, int> table) {
 }
 )lint"));
   cases.push_back(pos("no-unordered-iteration/iterator-walk",
-                      "no-unordered-iteration", "src/verify/state_canon.cpp",
+                      "no-unordered-iteration", "src/verify/harness.cpp",
                       R"lint(
 std::unordered_set<unsigned long> seen;
 void dump() {

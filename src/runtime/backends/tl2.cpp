@@ -97,9 +97,7 @@ void Tl2Emitter::emitStmTransaction(ProgramBuilder& b,
   b.li(kRegHeld, 0);
   b.li(kRegT1, static_cast<std::int64_t>(kClockAddr));
   b.load(kRegRv, kRegT1);  // rv = global clock
-  inBody_ = true;
   body(b);
-  inBody_ = false;
 
   // ---- commit ----
   if (!writeOrder_.empty()) {

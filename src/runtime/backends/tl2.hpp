@@ -119,8 +119,6 @@ class Tl2Emitter {
   void update(cpu::ProgramBuilder& b, Addr addr, unsigned valReg,
               std::int64_t delta);
 
-  bool inBody() const { return inBody_; }
-
  private:
   // Abort-cause selector values (kRegCode) — routed to Note codes.
   static constexpr std::int64_t kBusy = 2;
@@ -131,7 +129,6 @@ class Tl2Emitter {
   };
 
   unsigned tid_ = 0;
-  bool inBody_ = false;
 
   // Per-transaction emission state (reset by emitStmTransaction).
   std::map<Addr, unsigned> writeSlots_;        ///< address -> redo-log slot

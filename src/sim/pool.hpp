@@ -42,7 +42,6 @@ class Pool {
 
   std::size_t slabs() const { return slabs_.size(); }
   std::size_t capacity() const { return slabs_.size() * kSlabObjects; }
-  std::size_t available() const { return free_.size(); }
 
  private:
   void grow() {

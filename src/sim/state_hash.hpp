@@ -1,9 +1,10 @@
 // Order-sensitive 64-bit state hasher for the protocol model checker's
 // canonical fingerprints. Components fold their state into it word by word
-// via hashState() hooks; verify::StateCanon combines the per-component
-// digests. The mix is splitmix64 applied per word, which avalanches every
-// input bit across the accumulator — adjacent protocol states (one flipped
-// MSHR flag, one different sharer) land in unrelated fingerprints.
+// via hashState() hooks; verify::ModelHarness::fingerprint combines the
+// per-component digests. The mix is splitmix64 applied per word, which
+// avalanches every input bit across the accumulator — adjacent protocol
+// states (one flipped MSHR flag, one different sharer) land in unrelated
+// fingerprints.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,9 @@
 //
 // Invariants are checked after every executed event (state-level), at every
 // reject send (event-level, via the MsgRegistry hook), and when the queue
-// drains (leaf-level quiescence: a drained queue with unfinished programs or
-// un-quiesced protocol state is a deadlock, reported with diagnostics).
+// drains (leaf-level: the full coherence rule set, then quiescence — a
+// drained queue with unfinished programs or un-quiesced protocol state is a
+// deadlock, reported with diagnostics).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "verify/harness.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -58,7 +59,6 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
   if (name == "2c1l") {
     // Two cores increment the same line: the canonical conflict kernel.
     cfg.cores = 2;
-    cfg.lines = {1};
     cfg.programs = {incrementTxn(1, 10), incrementTxn(1, 20)};
     return cfg;
   }
@@ -67,7 +67,6 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
     // shape that would deadlock if rejects could form a cycle. The priority
     // total order (III-A) must break it on every interleaving.
     cfg.cores = 2;
-    cfg.lines = {1, 2};
     cfg.programs = {
         {{OpKind::TxBegin}, {OpKind::Store, 1, 11}, {OpKind::Store, 2, 12},
          {OpKind::Commit}},
@@ -79,14 +78,12 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
   if (name == "3c1l") {
     // Three cores on one line: wakeups race responder aborts and commits.
     cfg.cores = 3;
-    cfg.lines = {1};
     cfg.programs = {incrementTxn(1, 10), incrementTxn(1, 20), incrementTxn(1, 30)};
     return cfg;
   }
   if (name == "3c2l") {
     // Mixed readers and writers over two lines (the CI soak config).
     cfg.cores = 3;
-    cfg.lines = {1, 2};
     cfg.programs = {
         {{OpKind::TxBegin}, {OpKind::Store, 1, 11}, {OpKind::Store, 2, 12},
          {OpKind::Commit}},
@@ -136,7 +133,6 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
     // read sequence. Every interleaving must keep SWMR and coherence over
     // the mixed write-write/write-read sharing this traffic produces.
     cfg.cores = 2;
-    cfg.lines = {1, 2, 3};
     cfg.programs = {
         {{OpKind::Store, 2, 3}, {OpKind::Store, 3, 42}, {OpKind::Store, 1, 1},
          {OpKind::Store, 2, 4}},
@@ -153,7 +149,6 @@ std::optional<ModelConfig> namedConfig(const std::string& name) {
     cfg.cores = 2;
     cfg.l1 = mem::CacheGeometry{2 * kLineBytes, 1};
     cfg.policy.htmLock = true;
-    cfg.lines = {1, 2, 3};
     cfg.programs = {
         {{OpKind::HlBegin}, {OpKind::Store, 1, 11}, {OpKind::Store, 2, 12},
          {OpKind::Store, 3, 13}, {OpKind::HlEnd}},
@@ -172,28 +167,26 @@ std::vector<std::string> configNames() {
 
 ModelHarness::ModelHarness(const ModelConfig& cfg)
     : cfg_(cfg),
-      net_(ctx_, /*latency=*/1),
-      dir_(ctx_, net_, memory_, cfg.protocol, cfg.cores, cfg.banks),
+      sys_(ctx_, {.cores = cfg.cores,
+                  .nodes = cfg.cores,
+                  .banks = cfg.banks,
+                  .l1 = cfg.l1,
+                  .protocol = cfg.protocol,
+                  .policy = cfg.policy,
+                  .idealNetwork = true,
+                  .idealNetworkLatency = 1}),
       drivers_(cfg.cores) {
   if (cfg_.programs.size() != cfg_.cores) {
     throw std::invalid_argument("ModelConfig: one program per core required");
   }
   ctx_.setVerifyTap(&registry_);
-  dir_.injectBug(cfg_.bug);
+  sys_.dir().injectBug(cfg_.bug);
   for (unsigned i = 0; i < cfg_.cores; ++i) {
-    l1s_.push_back(std::make_unique<coh::L1Controller>(
-        ctx_, net_, static_cast<CoreId>(i), cfg_.l1, cfg_.protocol, cfg_.policy,
-        cfg_.cores));
-    l1s_.back()->connectDirectory(&dir_);
-    dir_.connectL1(static_cast<CoreId>(i), l1s_.back().get());
     Driver& d = drivers_[i];
     d.harness = this;
     d.id = static_cast<CoreId>(i);
-    l1s_.back()->setCpuPort(d);
+    sys_.l1(d.id).setCpuPort(d);
   }
-  std::vector<coh::MsgSink*> peers;
-  for (auto& l1 : l1s_) peers.push_back(l1.get());
-  for (auto& l1 : l1s_) l1->connectPeers(peers);
 }
 
 ModelHarness::~ModelHarness() { ctx_.setVerifyTap(nullptr); }
@@ -213,7 +206,7 @@ void ModelHarness::start() {
 void ModelHarness::step(CoreId c) {
   Driver& d = drivers_[static_cast<std::size_t>(c)];
   const auto& prog = cfg_.programs[static_cast<std::size_t>(c)];
-  coh::L1Controller& l1c = *l1s_[static_cast<std::size_t>(c)];
+  coh::L1Controller& l1c = sys_.l1(c);
   while (true) {
     if (d.pc >= prog.size()) {
       d.done = true;
@@ -269,34 +262,36 @@ void ModelHarness::onAbort(CoreId c) {
 
 SystemView ModelHarness::view() const {
   SystemView v;
-  v.dir = &dir_;
-  for (const auto& l1 : l1s_) v.l1s.push_back(l1.get());
+  v.dir = &sys_.dir();
+  v.l1s = sys_.l1s();
   v.msgs = &registry_;
-  v.lines = cfg_.lines;
   v.priorityOf = [this](CoreId c) { return drivers_[static_cast<std::size_t>(c)].insts; };
   return v;
 }
 
-SystemRefs ModelHarness::refs() const {
-  SystemRefs r;
-  r.engine = &ctx_.engine();
-  r.dir = &dir_;
-  for (const auto& l1 : l1s_) r.l1s.push_back(l1.get());
-  r.msgs = &registry_;
-  return r;
-}
-
 std::uint64_t ModelHarness::fingerprint() const {
   sim::StateHasher h;
-  hashSystem(h, refs());
+  h.section(0x01);
+  for (unsigned c = 0; c < sys_.cores(); ++c) sys_.l1(static_cast<CoreId>(c)).hashState(h);
+  sys_.dir().hashState(h);
+
+  // Pending events as a sorted multiset of (when - now) deltas. The delta
+  // multiset (not absolute cycles) is what decides relative firing order.
+  h.section(0x02);
+  std::vector<Cycle> deltas;
+  const Cycle now = ctx_.engine().now();
+  ctx_.engine().queue().forEachPending(
+      [&](Cycle when, std::uint64_t /*seq*/) { deltas.push_back(when - now); });
+  std::sort(deltas.begin(), deltas.end());
+  for (Cycle d : deltas) h.put(d);
+  registry_.hashState(h);
+
   h.section(0x50);
   for (const Driver& d : drivers_) {
     h.put(d.pc);
     h.put(d.attemptStart);
     h.put(d.insts);
     h.putBool(d.done);
-    // gen and aborts are monotonic attempt counters: excluded, or no two
-    // paths with different abort histories could ever converge.
   }
   return h.digest();
 }
@@ -306,12 +301,6 @@ bool ModelHarness::allDone() const {
     if (!d.done) return false;
   }
   return true;
-}
-
-unsigned ModelHarness::totalAborts() const {
-  unsigned n = 0;
-  for (const Driver& d : drivers_) n += d.aborts;
-  return n;
 }
 
 std::string ModelHarness::programStatus() const {
@@ -324,7 +313,8 @@ std::string ModelHarness::programStatus() const {
     if (d.pc < prog.size()) {
       oss << " (" << toString(prog[d.pc].kind) << " line=" << prog[d.pc].line << ")";
     }
-    oss << " after " << d.aborts << " abort(s); " << l1s_[c]->diagnostic() << "\n";
+    oss << " after " << d.aborts << " abort(s); "
+        << sys_.l1(static_cast<CoreId>(c)).diagnostic() << "\n";
   }
   return oss.str();
 }

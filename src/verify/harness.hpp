@@ -1,7 +1,7 @@
 // Self-contained small-configuration system for the protocol model checker:
 // 2-4 cores, an ideal 1-cycle network, a handful of cache lines, and a
 // scripted transactional program per core driven directly at the L1 CPU port
-// (the tests/testbed.hpp pattern, minus GTest). Each DFS path builds a fresh
+// of a coh::MemorySystem (as the test bed does). Each DFS path builds a fresh
 // harness, replays a schedule prefix through the ScheduleOracle, and reads
 // canonical fingerprints + invariant views off it.
 //
@@ -12,19 +12,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "coherence/directory.hpp"
-#include "coherence/l1_controller.hpp"
-#include "mem/main_memory.hpp"
-#include "noc/ideal.hpp"
+#include "coherence/memory_system.hpp"
 #include "sim/context.hpp"
 #include "verify/invariants.hpp"
 #include "verify/msg_registry.hpp"
-#include "verify/state_canon.hpp"
 
 namespace lktm::verify {
 
@@ -46,7 +41,6 @@ struct ModelConfig {
   coh::ProtocolParams protocol;
   core::TmPolicy policy;
   std::vector<std::vector<ProgOp>> programs;  ///< one script per core
-  std::vector<LineAddr> lines;                ///< the config's line universe
   coh::DirectoryController::InjectedBug bug =
       coh::DirectoryController::InjectedBug::None;
 };
@@ -75,20 +69,22 @@ class ModelHarness {
   sim::SimContext& ctx() { return ctx_; }
   sim::Engine& engine() { return ctx_.engine(); }
   MsgRegistry& registry() { return registry_; }
-  coh::DirectoryController& dir() { return dir_; }
-  coh::L1Controller& l1(CoreId c) { return *l1s_.at(static_cast<std::size_t>(c)); }
+  coh::DirectoryController& dir() { return sys_.dir(); }
+  coh::L1Controller& l1(CoreId c) { return sys_.l1(c); }
   const ModelConfig& config() const { return cfg_; }
 
   SystemView view() const;
-  SystemRefs refs() const;
 
-  /// Canonical fingerprint of system + driver state (program counters and
-  /// per-attempt progress; generation counters and abort totals are excluded
-  /// as monotonic).
+  /// Canonical fingerprint of the whole state, for visited-state pruning
+  /// (DESIGN.md §10): every component's hashState(), the pending events as
+  /// sorted (when - now) deltas, the in-flight messages, and each driver's
+  /// program counter and per-attempt progress. Monotonic counters (absolute
+  /// cycles, sequence numbers, retries, aborts, generations, statistics) are
+  /// excluded, or paths with different histories could never converge. A
+  /// collision can prune a reachable state; it never fabricates a violation.
   std::uint64_t fingerprint() const;
 
   bool allDone() const;
-  unsigned totalAborts() const;
   /// One line per unfinished program, for deadlock diagnostics.
   std::string programStatus() const;
 
@@ -115,10 +111,7 @@ class ModelHarness {
 
   ModelConfig cfg_;
   sim::SimContext ctx_;
-  mem::MainMemory memory_;
-  noc::IdealNetwork net_;
-  coh::DirectoryController dir_;
-  std::vector<std::unique_ptr<coh::L1Controller>> l1s_;
+  coh::MemorySystem sys_;
   MsgRegistry registry_;
   std::vector<Driver> drivers_;
 };

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "coherence/checker.hpp"
 #include "core/priority.hpp"
 
 namespace lktm::verify {
@@ -12,27 +13,6 @@ std::string describeLine(LineAddr line) {
   std::ostringstream oss;
   oss << "line " << line;
   return oss.str();
-}
-
-void checkSwmr(const SystemView& v, std::vector<Violation>& out) {
-  for (LineAddr line : v.lines) {
-    unsigned validCopies = 0;
-    unsigned exclusiveCopies = 0;
-    std::ostringstream holders;
-    for (std::size_t c = 0; c < v.l1s.size(); ++c) {
-      const mem::CacheEntry* e = v.l1s[c]->cache().find(line);
-      if (e == nullptr) continue;
-      ++validCopies;
-      const bool excl = e->state == mem::MesiState::E || e->state == mem::MesiState::M;
-      if (excl) ++exclusiveCopies;
-      holders << " c" << c << "=" << mem::toString(e->state);
-    }
-    if (exclusiveCopies > 1 || (exclusiveCopies == 1 && validCopies > 1)) {
-      out.push_back(Violation{
-          "swmr", describeLine(line) + " has an exclusive copy coexisting with " +
-                      std::to_string(validCopies - 1) + " other(s):" + holders.str()});
-    }
-  }
 }
 
 void checkLockHighest(const SystemView& v, std::vector<Violation>& out) {
@@ -116,7 +96,9 @@ void checkNoLostWakeup(const SystemView& v, std::vector<Violation>& out) {
 
 std::vector<Violation> InvariantPack::checkState(const SystemView& v) {
   std::vector<Violation> out;
-  checkSwmr(v, out);
+  for (std::string& s : coh::CoherenceChecker(v.l1s, v.dir).checkSwmr()) {
+    out.push_back(Violation{"swmr", std::move(s)});
+  }
   checkLockHighest(v, out);
   checkNoLostWakeup(v, out);
   return out;
@@ -161,9 +143,8 @@ std::optional<Violation> InvariantPack::checkReject(const SystemView& v,
 
 std::vector<Violation> InvariantPack::checkQuiescent(const SystemView& v) {
   std::vector<Violation> out;
-  if (v.dir->busyLines() != 0) {
-    out.push_back(Violation{"quiescence", std::to_string(v.dir->busyLines()) +
-                                              " directory line(s) still busy at drain"});
+  for (std::string& s : coh::CoherenceChecker(v.l1s, v.dir).check()) {
+    out.push_back(Violation{"coherence", std::move(s)});
   }
   if (v.dir->interBankAcksPending() != 0) {
     out.push_back(Violation{"quiescence",

@@ -1,8 +1,11 @@
 // The safety and liveness invariants the model checker evaluates at every
-// explored state (and, for the reject-priority rule, at every reject send):
+// explored state (and, for the reject-priority rule, at every reject send).
+// The coherence rules are not restated here: they are coh::CoherenceChecker's,
+// the same rule set the runner applies at the end of every run.
 //
-//  * SWMR            — at most one L1 holds a line in M/E, and an M/E copy
-//                      never coexists with any other valid copy;
+//  * SWMR            — CoherenceChecker::checkSwmr, at every state: an M/E
+//                      copy of a line never coexists with any other valid
+//                      copy;
 //  * lock-highest    — at most one core is in lock (TL/STL) mode; while the
 //                      LLC arbiter has a holder, no other core is in lock
 //                      mode; a lock transaction's requests are never held
@@ -15,11 +18,14 @@
 //                      priority key currently beats the requester's carried
 //                      snapshot (checked at send time, when the blocker is
 //                      guaranteed live);
-//  * quiescence      — when the event queue drains, the protocol must be
-//                      fully at rest: no busy directory lines, no MSHR
-//                      entries, no writebacks in limbo, no parked external
-//                      requests, nothing in flight. A drained queue that is
-//                      not quiescent is a deadlock.
+//  * coherence       — CoherenceChecker::check, the full rule set (SWMR,
+//                      value coherence, directory agreement, no busy
+//                      directory line), when the event queue drains;
+//  * quiescence      — also at drain, the rest of the protocol must be at
+//                      rest: no MSHR entries, no writebacks in limbo, no
+//                      outstanding inter-bank acks, no open transaction,
+//                      nothing in flight. A drained queue that is not
+//                      quiescent is a deadlock.
 #pragma once
 
 #include <functional>
@@ -35,7 +41,7 @@ namespace lktm::verify {
 
 struct Violation {
   std::string invariant;  ///< "swmr", "lock-highest", "no-lost-wakeup",
-                          ///< "reject-priority", "quiescence"
+                          ///< "reject-priority", "coherence", "quiescence"
   std::string detail;
 };
 
@@ -46,7 +52,6 @@ struct SystemView {
   const coh::DirectoryController* dir = nullptr;
   std::vector<const coh::L1Controller*> l1s;
   const MsgRegistry* msgs = nullptr;
-  std::vector<LineAddr> lines;  ///< the config's line universe
   /// Current priority value of a core (the harness owns the counters the
   /// L1's priorityValue callback reads).
   std::function<std::uint64_t(CoreId)> priorityOf = [](CoreId) { return std::uint64_t{0}; };
@@ -62,7 +67,8 @@ class InvariantPack {
   static std::optional<Violation> checkReject(const SystemView& v, const coh::Msg& msg,
                                               CoreId responder);
 
-  /// Leaf-level check once the event queue has drained.
+  /// Leaf-level check once the event queue has drained: the full coherence
+  /// rule set, then quiescence.
   static std::vector<Violation> checkQuiescent(const SystemView& v);
 };
 

@@ -35,7 +35,6 @@ class MsgRegistry final : public coh::MsgTap {
   void setSendHook(Hook hook) { sendHook_ = std::move(hook); }
   void setDeliverHook(Hook hook) { deliverHook_ = std::move(hook); }
 
-  const std::vector<InFlight>& inFlight() const { return inFlight_; }
   bool empty() const { return inFlight_.empty(); }
   std::size_t size() const { return inFlight_.size(); }
   void clear() { inFlight_.clear(); }

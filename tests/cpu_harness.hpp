@@ -45,14 +45,7 @@ class CpuHarness {
   cpu::BarrierUnit& barrier() { return barrier_; }
 
   /// Coherent read of the final memory image.
-  std::uint64_t read(Addr a) {
-    const LineAddr line = lineOf(a);
-    for (std::size_t i = 0; i < cpus_.size(); ++i) {
-      const mem::CacheEntry* e = sys_.l1(static_cast<CoreId>(i)).cache().find(line);
-      if (e != nullptr && e->dirty) return e->data[wordOf(a)];
-    }
-    return sys_.memory().readWord(a);
-  }
+  std::uint64_t read(Addr a) { return sys_.memSystem().readWord(a); }
 
  private:
   TestSystemOptions opt_;

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "trace_decode.hpp"
 #include "verify/checker.hpp"
@@ -104,7 +105,8 @@ TEST(Invariants, SwmrCatchesExclusiveSharedOverlap) {
   const auto violations = InvariantPack::checkState(h.view());
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_EQ(violations[0].invariant, "swmr");
-  EXPECT_NE(violations[0].detail.find("line 1"), std::string::npos);
+  EXPECT_NE(violations[0].detail.find("line 0x1:"), std::string::npos);
+  EXPECT_NE(violations[0].detail.find("c0=S c1=M"), std::string::npos);
 }
 
 TEST(Invariants, SwmrAllowsManySharers) {
@@ -177,6 +179,27 @@ TEST(Invariants, QuiescenceCatchesLeftoverMshrEntry) {
   EXPECT_NE(violations[0].detail.find("c1"), std::string::npos);
 }
 
+TEST(Invariants, QuiescenceRunsTheFullCoherenceRuleSet) {
+  // At a drained leaf the full coherence rule set runs: a clean copy that
+  // disagrees with the LLC breaks no per-state invariant, but the leaf
+  // reports it.
+  ModelHarness h(mustConfig("2c1l"));
+  h.dir().preloadLlc(1, 2);
+  mem::CacheArray& cache = h.l1(0).cacheMut();
+  mem::CacheEntry* way = cache.invalidWay(1);
+  ASSERT_NE(way, nullptr);
+  mem::LineData stale{};
+  stale[0] = 7;
+  cache.install(*way, 1, mem::MesiState::S, stale);
+  EXPECT_TRUE(InvariantPack::checkState(h.view()).empty());
+  bool found = false;
+  for (const Violation& v : InvariantPack::checkQuiescent(h.view())) {
+    EXPECT_EQ(v.invariant, "coherence") << v.detail;
+    found |= v.detail.find("disagrees with the LLC") != std::string::npos;
+  }
+  EXPECT_TRUE(found);
+}
+
 // ----------------------------------------------------------------- Checker
 
 TEST(Checker, Exhaustive2c1lIsClean) {
@@ -214,6 +237,42 @@ TEST(Checker, TlOverflowConfigIsClean) {
   EXPECT_TRUE(r.clean()) << (r.violations.empty() ? "" : r.violations[0].detail)
                          << r.deadlockDiagnostic;
   EXPECT_TRUE(r.exhaustive());
+}
+
+TEST(Checker, EveryNamedConfigKeepsItsPathsAndStates) {
+  // Every named config is clean and exhaustive, with the full coherence rule
+  // set at its leaves, and explores exactly its pinned paths and states: a
+  // change to the protocol's interleavings or to the fingerprint shows here.
+  struct Row {
+    const char* name;
+    std::uint64_t paths;
+    std::uint64_t states;
+  };
+  const Row rows[] = {
+      {"2c1l", 12, 54},          {"2c2l-cycle", 39, 73},    {"3c1l", 112, 371},
+      {"3c2l", 128, 196},        {"tl-overflow", 13, 42},   {"stm-commit", 38, 81},
+      {"2c2l-cycle-2b", 39, 73}, {"3c2l-2b", 128, 196},     {"tl-overflow-2b", 14, 47},
+  };
+  std::vector<std::string> names;
+  for (const Row& row : rows) {
+    names.emplace_back(row.name);
+    const CheckResult r = ModelChecker(mustConfig(row.name)).run();
+    EXPECT_TRUE(r.clean()) << row.name << ": "
+                           << (r.violations.empty() ? "" : r.violations[0].detail)
+                           << r.deadlockDiagnostic;
+    EXPECT_TRUE(r.exhaustive()) << row.name;
+    EXPECT_EQ(r.pathsExplored, row.paths) << row.name;
+    EXPECT_EQ(r.statesVisited, row.states) << row.name;
+  }
+  EXPECT_EQ(names, configNames());
+}
+
+TEST(Checker, InjectedSwmrBugIsFoundAcrossBanks) {
+  ModelConfig cfg = mustConfig("3c2l-2b");
+  cfg.bug = coh::DirectoryController::InjectedBug::SwmrSkipInvalidation;
+  const CheckResult r = ModelChecker(cfg).run();
+  ASSERT_FALSE(r.clean());
+  EXPECT_EQ(r.violations[0].invariant, "swmr");
 }
 
 TEST(Checker, InjectedSwmrBugIsFound) {
@@ -296,7 +355,6 @@ TEST(Checker, NamedConfigsAllResolve) {
     const auto cfg = namedConfig(name);
     ASSERT_TRUE(cfg.has_value()) << name;
     EXPECT_EQ(cfg->programs.size(), cfg->cores) << name;
-    EXPECT_FALSE(cfg->lines.empty()) << name;
   }
   EXPECT_FALSE(namedConfig("no-such-config").has_value());
 }

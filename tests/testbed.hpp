@@ -1,4 +1,4 @@
-// Shared test scaffolding: a hand-wired mini system (L1s + directory + mesh)
+// Shared test scaffolding: a coh::MemorySystem (L1s + directory + mesh)
 // driven directly at the L1 CPU port, without full CPUs. Lets protocol and
 // HTM tests issue single operations and observe every intermediate state.
 #pragma once
@@ -8,50 +8,31 @@
 #include <memory>
 #include <vector>
 
-#include "coherence/checker.hpp"
-#include "coherence/directory.hpp"
-#include "coherence/l1_controller.hpp"
-#include "noc/mesh.hpp"
+#include "coherence/memory_system.hpp"
 #include "sim/context.hpp"
 #include "sim/engine.hpp"
 
 namespace lktm::test {
 
-struct TestSystemOptions {
-  unsigned cores = 2;
-  unsigned tiles = 32;   // network striping / mesh size
-  unsigned banks = 1;    // LLC directory bank count (power of two)
-  mem::CacheGeometry l1{32 * 1024, 4};
-  coh::ProtocolParams protocol{};
-  core::TmPolicy policy{};
-  core::HtmLockUnitParams sig{};
-};
+/// The Table I memory system with two running cores unless a test says
+/// otherwise.
+using TestSystemOptions = coh::MemorySystemParams;
 
 class TestSystem {
  public:
   explicit TestSystem(TestSystemOptions opt = {})
-      : opt_(opt),
-        net_(ctx_, noc::MeshParams{}),
-        dir_(ctx_, net_, memory_, opt.protocol, opt.tiles, opt.banks, opt.sig) {
-    ports_.resize(opt.cores);
+      : ports_(opt.cores), sys_(ctx_, opt) {
     for (unsigned i = 0; i < opt.cores; ++i) {
-      l1s_.push_back(std::make_unique<coh::L1Controller>(
-          ctx_, net_, static_cast<CoreId>(i), opt.l1, opt.protocol, opt.policy,
-          opt.tiles));
-      l1s_.back()->connectDirectory(&dir_);
-      dir_.connectL1(static_cast<CoreId>(i), l1s_.back().get());
-      l1s_.back()->setCpuPort(ports_[i]);
+      sys_.l1(static_cast<CoreId>(i)).setCpuPort(ports_[i]);
     }
-    std::vector<coh::MsgSink*> peers;
-    for (auto& l1 : l1s_) peers.push_back(l1.get());
-    for (auto& l1 : l1s_) l1->connectPeers(peers);
   }
 
   sim::SimContext& ctx() { return ctx_; }
   sim::Engine& engine() { return ctx_.engine(); }
-  mem::MainMemory& memory() { return memory_; }
-  coh::DirectoryController& dir() { return dir_; }
-  coh::L1Controller& l1(CoreId c) { return *l1s_.at(static_cast<std::size_t>(c)); }
+  coh::MemorySystem& memSystem() { return sys_; }
+  mem::MainMemory& memory() { return sys_.memory(); }
+  coh::DirectoryController& dir() { return sys_.dir(); }
+  coh::L1Controller& l1(CoreId c) { return sys_.l1(c); }
   std::vector<AbortCause>& aborts(CoreId c) { return ports_.at(static_cast<std::size_t>(c)).aborts; }
   unsigned switchedCount(CoreId c) const { return ports_.at(static_cast<std::size_t>(c)).switched; }
   void setPriority(CoreId c, std::uint64_t v) { ports_.at(static_cast<std::size_t>(c)).prio = v; }
@@ -139,10 +120,7 @@ class TestSystem {
 
   void expectCoherent() {
     drain();  // quiesce in-flight unblocks/writebacks before checking
-    std::vector<const coh::L1Controller*> cl1s;
-    for (auto& l1 : l1s_) cl1s.push_back(l1.get());
-    coh::CoherenceChecker checker(cl1s, &dir_);
-    const auto v = checker.check();
+    const auto v = sys_.check();
     EXPECT_TRUE(v.empty()) << v.size() << " violations, first: " << (v.empty() ? "" : v[0]);
   }
 
@@ -159,13 +137,9 @@ class TestSystem {
     void onSwitchedToStl() override { ++switched; }
   };
 
-  TestSystemOptions opt_;
   sim::SimContext ctx_;
-  mem::MainMemory memory_;
-  noc::MeshNetwork net_;
-  coh::DirectoryController dir_;
   std::vector<RecordingPort> ports_;
-  std::vector<std::unique_ptr<coh::L1Controller>> l1s_;
+  coh::MemorySystem sys_;
 };
 
 /// Recovery-enabled policy shorthand.

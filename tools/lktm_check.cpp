@@ -184,8 +184,8 @@ int main(int argc, char** argv) {
   }
   cfg->bug = *bug;
 
-  std::printf("checking %s (%u cores, %zu lines, bug=%s)\n", cfg->name.c_str(),
-              cfg->cores, cfg->lines.size(), lktm::verify::toString(cfg->bug));
+  std::printf("checking %s (%u cores, %u bank(s), bug=%s)\n", cfg->name.c_str(),
+              cfg->cores, cfg->banks, lktm::verify::toString(cfg->bug));
   lktm::verify::ModelChecker checker(*cfg, opt);
   const auto result = checker.run();
   printResult(result);

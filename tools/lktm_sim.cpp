@@ -15,6 +15,7 @@
 // runner (cfg::runSpec), so its artifact is the sweep job's artifact.
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -152,6 +153,12 @@ int main(int argc, char** argv) {
   cfg::RunResult r;
   try {
     r = cfg::runSpec(spec, {}, ctx);
+  } catch (const std::invalid_argument& e) {
+    // A cell that cannot run at its shape (a backend that refuses the
+    // workload's transactions, a slice too thin for the thread count) is
+    // refused while it is set up, before it runs or writes anything.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -2,23 +2,22 @@
 # One-command pre-merge check: build the default and sanitize presets, run the
 # full test suite under both (tier-1 plus the fuzz and coherence-replay
 # determinism tests under ASan+UBSan; the suite includes the model-checker
-# tests labelled verify, the exhaustive stm-commit check and the lktm_lint
-# fixtures and clean-tree gate, so no stage below reruns them), run
-# clang-tidy over src/ when the tool is installed, validate a --stats-json
-# artifact against the lktm.stats.v1 schema (and require a hand-edited p99 to
-# be rejected), smoke the 128-core banked
-# directory path and verify that a 513-core machine is rejected with the
-# 512-core limit, run the bounded 2-bank model-checker configs (clean + the
-# swmr-skip-inv plant must still be caught), smoke the lktm_sweep orchestrator
+# tests labelled verify — every named config, 2-bank ones included, clean
+# with its pinned paths and states, and the swmr-skip-inv plant caught — the
+# lktm_lint fixtures and clean-tree gate, and the product pin labelled
+# product — paper_figures stdout, every paper table and figure and the
+# design-choice ablations, cmp-equal to bench/product/paper_figures.txt — so
+# no stage below reruns them), run clang-tidy over src/ when the tool is
+# installed, validate a --stats-json artifact against the lktm.stats.v1
+# schema (and require a hand-edited p99 to be rejected), smoke the 128-core
+# banked directory path and verify that a 513-core machine is rejected with
+# the 512-core limit, smoke the lktm_sweep orchestrator
 # (interrupt + resume must merge bit-identical to an uninterrupted run,
 # `status` must report the interrupted run's progress, and merge must exit 1
 # and write nothing for a corrupted per-job p99 or an all-timeout sweep,
 # under the default and sanitize builds), run the end-to-end benchmark's smoke mode
 # (bench/e2e/run.sh --smoke: its fingerprint gate pins the simulated results
-# of all four benchmark workloads), rerun paper_figures (every paper table
-# and figure and the design-choice ablations, from one run of the `figures`
-# preset) and cmp its stdout against the committed pin in bench/product/ (the
-# simulated results are the product), smoke the database-traffic family (ycsb
+# of all four benchmark workloads), smoke the database-traffic family (ycsb
 # on the TL2 backend must emit validating commit-latency percentiles; the
 # table3-dbtraffic grid must merge bit-identically across 1 and 4 host
 # threads — default and sanitize builds), enforce the bench/ artifact size
@@ -127,29 +126,6 @@ echo "== end-to-end benchmark: smoke cells + fingerprint gate (bench/e2e) =="
 # BENCHMARK.json declares.
 bash bench/e2e/run.sh --smoke
 
-echo "== product pin: paper_figures stdout vs bench/product/ =="
-# Every bench/ binary except the micro_substrates microbenchmarks prints
-# simulated results; today that is paper_figures alone: every paper table and
-# figure, then the design-choice ablations (it exits nonzero if any cell
-# fails). Each must print exactly its committed bench/product/<binary>.txt,
-# and every pin must have its binary. A change that moves a result
-# regenerates the pin (EXPERIMENTS.md, "Regeneration").
-d="build/product_check"
-rm -rf "$d" && mkdir -p "$d"
-for b in $(find build/bench -maxdepth 1 -type f -executable \
-             ! -name micro_substrates -printf '%f\n' | sort); do
-  [[ -f "bench/product/$b.txt" ]] || {
-    echo "bench binary $b has no pinned output bench/product/$b.txt" >&2
-    exit 1
-  }
-  "build/bench/$b" > "$d/$b.txt"
-  cmp "$d/$b.txt" "bench/product/$b.txt"
-done
-for f in bench/product/*.txt; do
-  [[ -f "$d/$(basename "$f")" ]] || { echo "$f has no bench binary" >&2; exit 1; }
-done
-echo "  ($(ls "$d" | wc -l) bench outputs match bench/product/)"
-
 echo "== large-core smoke: 128-core banked directory + 513-core rejection =="
 run_bigcore_smoke() {
   # $1 = build dir. The 128-core banked machine must run end to end with the
@@ -175,23 +151,6 @@ run_bigcore_smoke() {
   echo "  (513-core machine rejected with the 512-core limit)"
 }
 run_bigcore_smoke build
-
-echo "== model checker: banked directory (2-bank configs, bounded) =="
-run_banked_check() {
-  # $1 = build dir. The 2-bank configs must be exhaustively clean, and the
-  # swmr-skip-inv plant must still be caught across bank boundaries.
-  local bdir="$1"
-  "$bdir/tools/lktm_check" --config tl-overflow-2b --max-states 200000 \
-    | grep -q "CLEAN" || { echo "tl-overflow-2b not clean" >&2; return 1; }
-  "$bdir/tools/lktm_check" --config 3c2l-2b --max-states 200000 \
-    | grep -q "CLEAN" || { echo "3c2l-2b not clean" >&2; return 1; }
-  if "$bdir/tools/lktm_check" --config 3c2l-2b --inject-bug swmr-skip-inv \
-      --max-states 200000 | grep -q "CLEAN"; then
-    echo "3c2l-2b missed the injected swmr bug" >&2
-    return 1
-  fi
-}
-run_banked_check build
 
 echo "== sweep orchestrator: smoke + interrupt/resume + bit-identical merge =="
 run_sweep_smoke() {
@@ -311,9 +270,8 @@ run_sweep_smoke build-sanitize
 echo "== database traffic smoke under ASan/UBSan =="
 run_dbtraffic_smoke build-sanitize
 
-echo "== large-core smoke + banked model checker under ASan/UBSan =="
+echo "== large-core smoke under ASan/UBSan =="
 run_bigcore_smoke build-sanitize
-run_banked_check build-sanitize
 
 echo "== TM backends smoke under ASan/UBSan =="
 run_backend_smoke build-sanitize

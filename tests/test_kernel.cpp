@@ -10,6 +10,7 @@
 //    bit-identical to a fresh one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -159,19 +160,26 @@ struct LoopShape {
   Cycle start;
 };
 
-const std::vector<LoopShape>& loopShapes() {
-  static const std::vector<LoopShape> shapes{
-      {{2, 1, 3, 1, 1}, 4, 5},
-      {{2, 1, 3, 1, 1}, 4, 5},
-      {{0, 5, 1}, 0, 9},
-  };
-  return shapes;
-}
+struct LoopSet {
+  std::vector<LoopShape> shapes;
+  /// The loops trace event `id` touches, in the order it touches them.
+  std::vector<std::size_t> (*touched)(std::uint64_t id);
+};
 
-/// The loop trace event `id` touches, or -1.
-int touchedLoop(std::uint64_t id) {
-  const std::uint64_t h = mix(id ^ 0x5bd1e995u);
-  return h % 4 == 0 ? static_cast<int>((h >> 8) % loopShapes().size()) : -1;
+const LoopSet& threeLoops() {
+  static const LoopSet set{
+      {
+          {{2, 1, 3, 1, 1}, 4, 5},
+          {{2, 1, 3, 1, 1}, 4, 5},
+          {{0, 5, 1}, 0, 9},
+      },
+      [](std::uint64_t id) -> std::vector<std::size_t> {
+        const std::uint64_t h = mix(id ^ 0x5bd1e995u);
+        if (h % 4 != 0) return {};
+        return {static_cast<std::size_t>((h >> 8) % 3)};
+      },
+  };
+  return set;
 }
 
 struct LoopTrace {
@@ -182,7 +190,8 @@ struct LoopTrace {
   Cycle end = 0;  ///< the cycle of the first event past the deadline
 };
 
-LoopTrace runReferenceWithLoops(int seedEvents, int totalBudget, Cycle deadline) {
+LoopTrace runReferenceWithLoops(int seedEvents, int totalBudget, Cycle deadline,
+                                const LoopSet& set = threeLoops()) {
   struct Ev {
     Cycle when;
     std::uint64_t seq;
@@ -199,7 +208,7 @@ LoopTrace runReferenceWithLoops(int seedEvents, int totalBudget, Cycle deadline)
   Cycle now = 0;
   std::uint64_t seq = 0;
   LoopTrace out;
-  const auto& shapes = loopShapes();
+  const auto& shapes = set.shapes;
   out.loopEvents.assign(shapes.size(), 0);
   out.pendingPhase.assign(shapes.size(), 0);
   int budget = totalBudget;
@@ -221,10 +230,8 @@ LoopTrace runReferenceWithLoops(int seedEvents, int totalBudget, Cycle deadline)
       out.pendingPhase[l] = next;
       pq.push(Ev{now + shapes[l].delay[e.phase], seq++, 0, e.loop, next});
     } else {
-      if (const int l = touchedLoop(e.id); l >= 0) {
-        const auto li = static_cast<std::size_t>(l);
-        out.touches.insert(out.touches.end(), {e.id, li, out.loopEvents[li],
-                                               out.pendingPhase[li]});
+      for (const std::size_t l : set.touched(e.id)) {
+        out.touches.insert(out.touches.end(), {e.id, l, out.loopEvents[l], out.pendingPhase[l]});
       }
       onTraceEvent(e.id, out.order, budget, [&](Cycle d, std::uint64_t cid) {
         pq.push(Ev{now + d, seq++, cid, -1, 0});
@@ -244,10 +251,10 @@ struct QueueLoop final : sim::SpinLoop {
 };
 
 LoopTrace runCalendarWithLoops(int seedEvents, int totalBudget, Cycle deadline,
-                               std::uint64_t* wakes) {
+                               std::uint64_t* wakes, const LoopSet& set = threeLoops()) {
   sim::EventQueue q;
   LoopTrace out;
-  const auto& shapes = loopShapes();
+  const auto& shapes = set.shapes;
   std::vector<QueueLoop> loops(shapes.size());
   for (std::size_t l = 0; l < shapes.size(); ++l) {
     loops[l].phases = static_cast<unsigned>(shapes[l].delay.size());
@@ -263,17 +270,16 @@ LoopTrace runCalendarWithLoops(int seedEvents, int totalBudget, Cycle deadline,
     q.schedule(loop.delay[phase], [&fireLoop, l, next] { fireLoop(l, next); });
   };
   std::function<void(std::uint64_t)> fire = [&](std::uint64_t id) {
-    if (const int l = touchedLoop(id); l >= 0) {
-      const auto li = static_cast<std::size_t>(l);
-      QueueLoop& loop = loops[li];
+    for (const std::size_t l : set.touched(id)) {
+      QueueLoop& loop = loops[l];
       if (loop.parked) {
         q.unpark(loop);
         ++*wakes;
         loop.events += loop.ran;
         loop.pending = loop.phase;
-        q.scheduleUnparked(loop, [&fireLoop, li, phase = loop.phase] { fireLoop(li, phase); });
+        q.scheduleUnparked(loop, [&fireLoop, l, phase = loop.phase] { fireLoop(l, phase); });
       }
-      out.touches.insert(out.touches.end(), {id, li, loop.events, loop.pending});
+      out.touches.insert(out.touches.end(), {id, l, loop.events, loop.pending});
     }
     onTraceEvent(id, out.order, budget, [&](Cycle d, std::uint64_t cid) {
       q.schedule(d, [&fire, cid] { fire(cid); });
@@ -323,6 +329,70 @@ TEST(KernelDeterminism, ParkedLoopsKeepTheReferenceHeapOrder) {
   EXPECT_EQ(got.loopEvents, expect.loopEvents);
   EXPECT_EQ(got.pendingPhase, expect.pendingPhase);
   EXPECT_EQ(got.end, expect.end);
+}
+
+// Ten loops of the MCS wait's shape. Loops 0-3 start in one cycle and are
+// woken together, so they run in lockstep: their events share (cycle, seq)
+// and only the tie orders them. Loops 4-7 start at staggered phases. Loops 8
+// and 9 start with 0-3 but are woken only a few times, so each stays parked
+// across more than one full log of 2048 events.
+const LoopSet& mcsLoops() {
+  static const LoopSet set{
+      {
+          {{8, 1, 2, 1, 1}, 4, 5},
+          {{8, 1, 2, 1, 1}, 4, 5},
+          {{8, 1, 2, 1, 1}, 4, 5},
+          {{8, 1, 2, 1, 1}, 4, 5},
+          {{8, 1, 2, 1, 1}, 4, 6},
+          {{8, 1, 2, 1, 1}, 1, 7},
+          {{8, 1, 2, 1, 1}, 2, 9},
+          {{8, 1, 2, 1, 1}, 4, 12},
+          {{8, 1, 2, 1, 1}, 4, 5},
+          {{8, 1, 2, 1, 1}, 4, 5},
+      },
+      [](std::uint64_t id) -> std::vector<std::size_t> {
+        const std::uint64_t h = mix(id ^ 0x2545f491u);
+        if (h % 1024 == 3) return {8, 9};
+        switch (h % 8) {
+          case 0: return {0, 1, 2, 3};
+          case 1: return {4 + (h >> 8) % 4};
+          case 2: return {(h >> 8) % 4, 4 + (h >> 12) % 4};
+          default: return {};
+        }
+      },
+  };
+  return set;
+}
+
+TEST(KernelDeterminism, LockstepLoopsKeepTheReferenceHeapOrder) {
+  ReferenceHeapQueue plain;
+  plain.run(2048, 8000);
+  // One deadline inside the trace, where a trace event or a loop event is the
+  // first past it, and one past its end, where the queue drains first.
+  for (const Cycle deadline : {plain.now / 2, plain.now + 500}) {
+    const LoopTrace expect = runReferenceWithLoops(2048, 8000, deadline, mcsLoops());
+    std::uint64_t wakes = 0;
+    const LoopTrace got = runCalendarWithLoops(2048, 8000, deadline, &wakes, mcsLoops());
+    ASSERT_GE(expect.order.size(), 5000u);
+    EXPECT_GE(wakes, 500u);
+    // Loop 8 is woken, and stays parked across more than 2048 trace events.
+    std::size_t last = 0;
+    std::size_t longest = 0;
+    for (std::size_t i = 0; i < expect.touches.size(); i += 4) {
+      if (expect.touches[i + 1] != 8) continue;
+      const auto at = static_cast<std::size_t>(
+          std::find(expect.order.begin(), expect.order.end(), expect.touches[i]) -
+          expect.order.begin());
+      longest = std::max(longest, at - last);
+      last = at;
+    }
+    EXPECT_GT(longest, 2048u);
+    ASSERT_EQ(got.order, expect.order) << "deadline " << deadline;
+    ASSERT_EQ(got.touches, expect.touches) << "deadline " << deadline;
+    EXPECT_EQ(got.loopEvents, expect.loopEvents) << "deadline " << deadline;
+    EXPECT_EQ(got.pendingPhase, expect.pendingPhase) << "deadline " << deadline;
+    EXPECT_EQ(got.end, expect.end) << "deadline " << deadline;
+  }
 }
 
 TEST(KernelQueue, TiedLoopEventsKeepTheOrderOfTheirPredecessors) {

@@ -161,10 +161,13 @@ bool writeFileAtomic(const std::string& path, const std::string& content) {
   const fs::path target(path);
   // Hidden (dot-prefixed), so a `dir/*.json` glob never picks up a
   // half-written file.
-  const fs::path tmp = target.parent_path() /
-                       ("." + target.filename().string() + ".tmp." +
-                        std::to_string(::getpid()) + "." +
-                        std::to_string(seq.fetch_add(1)));
+  std::string name = ".";
+  name += target.filename().string();
+  name += ".tmp.";
+  name += std::to_string(::getpid());
+  name += ".";
+  name += std::to_string(seq.fetch_add(1));
+  const fs::path tmp = target.parent_path() / name;
   bool written = false;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

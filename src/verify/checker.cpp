@@ -42,7 +42,9 @@ namespace {
 /// ids; everything above is a directory bank.
 std::string nodeName(noc::NodeId node, unsigned cores) {
   if (node >= 0 && static_cast<unsigned>(node) < cores) {
-    return "c" + std::to_string(node);
+    std::string name = "c";
+    name += std::to_string(node);
+    return name;
   }
   return "dir";
 }

@@ -9,11 +9,15 @@ namespace lktm::verify {
 
 namespace {
 
-std::string describeLine(LineAddr line) {
+/// The parts, concatenated as a stream prints them.
+template <class... Parts>
+std::string cat(const Parts&... parts) {
   std::ostringstream oss;
-  oss << "line " << line;
+  (oss << ... << parts);
   return oss.str();
 }
+
+std::string describeLine(LineAddr line) { return cat("line ", line); }
 
 void checkLockHighest(const SystemView& v, std::vector<Violation>& out) {
   CoreId locker = kNoCore;
@@ -21,16 +25,15 @@ void checkLockHighest(const SystemView& v, std::vector<Violation>& out) {
     if (!isLockMode(v.l1s[c]->mode())) continue;
     if (locker != kNoCore) {
       out.push_back(Violation{"lock-highest",
-                              "cores c" + std::to_string(locker) + " and c" +
-                                  std::to_string(c) + " are both in lock mode"});
+                              cat("cores c", locker, " and c", c, " are both in lock mode")});
     }
     locker = static_cast<CoreId>(c);
   }
   const core::SwitchArbiter& arb = v.dir->arbiter();
   if (arb.active() && locker != kNoCore && locker != arb.holder()) {
-    out.push_back(Violation{"lock-highest",
-                            "c" + std::to_string(locker) + " is in lock mode but the LLC "
-                                "arbiter granted c" + std::to_string(arb.holder())});
+    out.push_back(Violation{"lock-highest", cat("c", locker,
+                                                " is in lock mode but the LLC arbiter granted c",
+                                                arb.holder())});
   }
   // Every bank's lock mirror trails the arbiter through the set/clear
   // broadcasts, but must never name a *different* holder: mirrors are only
@@ -41,10 +44,8 @@ void checkLockHighest(const SystemView& v, std::vector<Violation>& out) {
     if (!arb.active() || mirrored != arb.holder()) {
       out.push_back(Violation{
           "lock-highest",
-          "bank " + std::to_string(b) + " mirrors lock holder c" +
-              std::to_string(mirrored) + " but the arbiter " +
-              (arb.active() ? "granted c" + std::to_string(arb.holder())
-                            : std::string("is idle"))});
+          cat("bank ", b, " mirrors lock holder c", mirrored, " but the arbiter ",
+              arb.active() ? cat("granted c", arb.holder()) : std::string("is idle"))});
     }
   }
   if (locker != kNoCore) {
@@ -54,9 +55,8 @@ void checkLockHighest(const SystemView& v, std::vector<Violation>& out) {
         [&](const mem::MshrEntry& m) {
           if (m.state != mem::MshrState::Issued && !m.squashed) {
             out.push_back(Violation{
-                "lock-highest", "lock transaction on c" + std::to_string(locker) +
-                                    " has a held request (" + mem::toString(m.state) +
-                                    ") for " + describeLine(m.line)});
+                "lock-highest", cat("lock transaction on c", locker, " has a held request (",
+                                    mem::toString(m.state), ") for ", describeLine(m.line))});
           }
         });
   }
@@ -84,9 +84,9 @@ void checkNoLostWakeup(const SystemView& v, std::vector<Violation>& out) {
       }
       if (!covered) {
         out.push_back(Violation{
-            "no-lost-wakeup", "c" + std::to_string(core) + " waits for a wakeup on " +
-                                  describeLine(m.line) +
-                                  " but no responder has it recorded and none is in flight"});
+            "no-lost-wakeup",
+            cat("c", core, " waits for a wakeup on ", describeLine(m.line),
+                " but no responder has it recorded and none is in flight")});
       }
     });
   }
@@ -110,19 +110,18 @@ std::optional<Violation> InvariantPack::checkReject(const SystemView& v,
   if (msg.type == coh::MsgType::InvReject || msg.type == coh::MsgType::FwdReject) {
     const core::ReqSide* req = v.dir->pendingReq(msg.line);
     if (req == nullptr) {
-      return Violation{"reject-priority",
-                       "c" + std::to_string(responder) + " rejected on " +
-                           describeLine(msg.line) + " with no transaction pending there"};
+      return Violation{"reject-priority", cat("c", responder, " rejected on ",
+                                              describeLine(msg.line),
+                                              " with no transaction pending there")};
     }
     const coh::L1Controller* l1 = v.l1s.at(static_cast<std::size_t>(responder));
     const core::PrioKey local{isLockMode(l1->mode()), v.priorityOf(responder), responder};
     const core::PrioKey remote{req->lockMode, req->priority, req->core};
     if (!local.beats(remote)) {
       return Violation{"reject-priority",
-                       "c" + std::to_string(responder) + " (key " + local.str() +
-                           ") rejected c" + std::to_string(req->core) + " (key " +
-                           remote.str() + ") on " + describeLine(msg.line) +
-                           " without outranking it"};
+                       cat("c", responder, " (key ", local.str(), ") rejected c", req->core,
+                           " (key ", remote.str(), ") on ", describeLine(msg.line),
+                           " without outranking it")};
     }
     return std::nullopt;
   }
@@ -153,7 +152,7 @@ std::vector<Violation> InvariantPack::checkQuiescent(const SystemView& v) {
   }
   for (std::size_t c = 0; c < v.l1s.size(); ++c) {
     const coh::L1Controller* l1 = v.l1s[c];
-    const std::string who = "c" + std::to_string(c);
+    const std::string who = cat("c", c);
     if (!l1->mshrFile().empty()) {
       std::ostringstream oss;
       oss << who << " has " << l1->mshrFile().size() << " MSHR entr(ies) at drain:";
